@@ -119,6 +119,11 @@ def _positive(args, name):
     return val
 
 
+def _restarts(args, default: int) -> int:
+    val = _positive(args, "restarts")
+    return default if val is None else val
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="slocc3", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -230,8 +235,8 @@ def _run(args) -> int:
         _positive(args, "tol-als")
         interval = rank_interval(
             t,
-            restarts=args.restarts if args.restarts else 32,
-            max_iter=args.max_iter,
+            restarts=_restarts(args, 32),
+            max_iter=_positive(args, "max-iter"),
             seed=args.seed,
             tol=args.tol_als,
         )
@@ -256,7 +261,7 @@ def _run(args) -> int:
         _positive(args, "tol-equiv")
         verdict = detpoly_equiv_test(
             t1, t2,
-            restarts=args.restarts if args.restarts else 64,
+            restarts=_restarts(args, 64),
             seed=args.seed,
             tol=args.tol_equiv,
         )
@@ -286,7 +291,7 @@ def _run(args) -> int:
         _positive(args, "tol-minor")
         report = range_product_count(
             t, args.traced, tol=args.tol_minor,
-            starts=args.restarts if args.restarts else 16, seed=args.seed,
+            starts=_restarts(args, 16), seed=args.seed,
         )
         _emit(args, report.to_json(), [
             f"independent product vectors: {report.independent_count}",
@@ -303,7 +308,7 @@ def _run(args) -> int:
         _positive(args, "tol-minor")
         verdict = range_criterion_compare(
             t1, t2, args.traced, tol=args.tol_minor,
-            starts=args.restarts if args.restarts else 16, seed=args.seed,
+            starts=_restarts(args, 16), seed=args.seed,
         )
         _emit(args, json.dumps({"verdict": verdict}), [f"verdict: {verdict}"])
         if args.strict and verdict == "Inconclusive":

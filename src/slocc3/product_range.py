@@ -4,14 +4,18 @@ Vectors of C^M tensor C^N reshaped as M x N matrices turn "product vector"
 into "rank-1 matrix", so counting linearly independent product states in the
 range of a reduced density matrix becomes finding the rank-1 locus of a
 matrix subspace.  Dimension k = 1 and the pencil case k = 2 are decided
-exactly; k >= 3 falls back to a seeded multi-start search whose result is an
-explicit lower bound, never an exact count.
+exactly; k >= 3 falls back to a seeded multi-start Levenberg-Marquardt search
+on the 2x2-minor equations, with a closed-form Jacobian, whose result is an
+explicit lower bound, never an exact count.  All three paths evaluate the
+minors with one vectorised kernel (``_minor_entries``), and candidates are
+projected back onto the subspace with its cached pseudo-inverse.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -33,6 +37,10 @@ class MatrixSubspace:
     m: int
     n: int
     basis: list
+    # (k, m*n): row j is basis[j] flattened
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
+    # (k, m*n): least-squares coefficients of a flattened matrix are pinv @ vec
+    pinv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.basis = [np.asarray(b, dtype=complex) for b in self.basis]
@@ -42,19 +50,17 @@ class MatrixSubspace:
         for b in self.basis:
             if b.shape != (self.m, self.n):
                 raise ValueError(f"basis matrix shape {b.shape} != ({self.m},{self.n})")
-        stack = np.stack([b.ravel() for b in self.basis])
-        if matrix_rank_tol(stack, 1e-9) != k:
+        self.stack = np.stack([b.ravel() for b in self.basis])
+        if matrix_rank_tol(self.stack, 1e-9) != k:
             raise ValueError("basis matrices are linearly dependent")
+        self.pinv = np.linalg.pinv(self.stack.T)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def member(self, coeffs) -> np.ndarray:
-        out = np.zeros((self.m, self.n), dtype=complex)
-        for c, b in zip(coeffs, self.basis):
-            out += c * b
-        return out
+        return (np.asarray(coeffs, dtype=complex) @ self.stack).reshape(self.m, self.n)
 
 
 @dataclass
@@ -94,29 +100,55 @@ class ProductVectorReport:
         )
 
 
+@cache
+def _minor_index(m: int, n: int) -> np.ndarray:
+    """Flat positions (a, d, b, c) of every 2x2 minor ad - bc of an m x n matrix.
+
+    Row pairs r1 < r2 are the outer order and column pairs c1 < c2 the inner
+    one; a = (r1, c1), d = (r2, c2), b = (r1, c2), c = (r2, c1).  Shape
+    (4, minor count); read-only, since every caller shares it.
+    """
+    rows, cols = np.triu_indices(m, 1), np.triu_indices(n, 1)
+    r1, r2 = (np.repeat(r, cols[0].size) for r in rows)
+    c1, c2 = (np.tile(c, rows[0].size) for c in cols)
+    idx = np.stack([r1 * n + c1, r2 * n + c2, r1 * n + c2, r2 * n + c1])
+    idx.setflags(write=False)
+    return idx
+
+
+def _minor_entries(mats) -> np.ndarray:
+    """Entries (a, d, b, c) of every 2x2 minor of each matrix in a stack.
+
+    ``mats`` has shape (..., m, n); the result has shape (..., 4, minor count).
+    """
+    mats = np.asarray(mats, dtype=complex)
+    m, n = mats.shape[-2:]
+    return mats.reshape(*mats.shape[:-2], m * n)[..., _minor_index(m, n)]
+
+
+def _cmul(x, y) -> np.ndarray:
+    """Elementwise complex product, bit-identical to numpy's scalar product.
+
+    Numpy's vectorised complex multiply may fuse multiply-adds, so it can
+    differ in the last bit from ``x[i] * y[i]`` depending on the array length;
+    rounding each real product and sum on its own, as the scalar product
+    does, makes every minor bit-identical to a per-minor scalar loop.
+    """
+    out = np.empty(x.shape, dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
 def _all_minors(mat) -> np.ndarray:
-    m, n = mat.shape
-    vals = []
-    for r1 in range(m):
-        for r2 in range(r1 + 1, m):
-            for c1 in range(n):
-                for c2 in range(c1 + 1, n):
-                    vals.append(
-                        mat[r1, c1] * mat[r2, c2] - mat[r1, c2] * mat[r2, c1]
-                    )
-    return np.array(vals, dtype=complex)
+    a, d, b, c = _minor_entries(mat)
+    return _cmul(a, d) - _cmul(b, c)
 
 
 def _rank_one_factors(mat):
     """Split a (near) rank-1 matrix into (u, v) with outer(u, v) ~ mat."""
     uu, ss, vh = np.linalg.svd(mat)
     return uu[:, 0] * ss[0], vh[0].copy()
-
-
-def _project_to_subspace(space: MatrixSubspace, mat):
-    stack = np.stack([b.ravel() for b in space.basis], axis=1)
-    coeffs, *_ = np.linalg.lstsq(stack, mat.ravel(), rcond=None)
-    return coeffs
 
 
 def _polish(space: MatrixSubspace, coeffs, iters: int = 4):
@@ -129,7 +161,7 @@ def _polish(space: MatrixSubspace, coeffs, iters: int = 4):
             return None
         uu, ss, vh = np.linalg.svd(m / norm)
         rank1 = ss[0] * np.outer(uu[:, 0], vh[0])
-        c = _project_to_subspace(space, rank1)
+        c = space.pinv @ rank1.ravel()
     norm = np.linalg.norm(c)
     return c / norm if norm > 0 else None
 
@@ -162,24 +194,15 @@ def _dedup(found, new_mhat) -> bool:
 
 def _pencil_minor_polys(b1, b2) -> np.ndarray:
     """Quadratic-in-t coefficients (t^2, t, 1) of every 2x2 minor of t*B1+B2."""
-    m, n = b1.shape
-    polys = []
-    for r1 in range(m):
-        for r2 in range(r1 + 1, m):
-            for c1 in range(n):
-                for c2 in range(c1 + 1, n):
-                    a11, a12 = b1[r1, c1], b1[r1, c2]
-                    a21, a22 = b1[r2, c1], b1[r2, c2]
-                    d11, d12 = b2[r1, c1], b2[r1, c2]
-                    d21, d22 = b2[r2, c1], b2[r2, c2]
-                    polys.append(
-                        [
-                            a11 * a22 - a12 * a21,
-                            a11 * d22 + d11 * a22 - a12 * d21 - d12 * a21,
-                            d11 * d22 - d12 * d21,
-                        ]
-                    )
-    return np.array(polys, dtype=complex)
+    (a11, a22, a12, a21), (d11, d22, d12, d21) = _minor_entries(np.stack([b1, b2]))
+    return np.stack(
+        [
+            _cmul(a11, a22) - _cmul(a12, a21),
+            _cmul(a11, d22) + _cmul(d11, a22) - _cmul(a12, d21) - _cmul(d12, a21),
+            _cmul(d11, d22) - _cmul(d12, d21),
+        ],
+        axis=1,
+    )
 
 
 def _cluster_roots(roots):
@@ -197,8 +220,13 @@ def find_product_vectors(space: MatrixSubspace, tol: float = MINOR_TOL,
     k = 1: the basis matrix either is rank 1 or is not.  k = 2: exact pencil
     computation via the common roots of all 2x2 minors of t*B1 + B2 together
     with the point at infinity; a pencil whose minors vanish identically is
-    flagged as a continuum.  k >= 3: seeded multi-start Gauss-Newton on the
-    minor equations; the report is then only a lower bound.
+    flagged as a continuum.  k >= 3: seeded multi-start Levenberg-Marquardt
+    (trust-region reflective when there are fewer equations than unknowns)
+    on the normalised minor equations with their closed-form Jacobian; each
+    solution is polished by alternating rank-1 truncation with projection
+    through the subspace's cached pseudo-inverse, and is kept only if all its
+    minors are below ``tol`` and it reconstructs as an outer product.  The
+    report is then only a lower bound.
     """
     k = space.dim
     if k == 1:
@@ -277,8 +305,62 @@ def _continuum_report(space, tol):
                    detail="every member of the pencil is a product vector")
 
 
+def _minor_form(basis) -> np.ndarray:
+    """Real quadratic forms of the minors of a member, one per residual row.
+
+    The minors of M(c) = sum_j c_j B_j are q_i(c) = c^T A_i c with the complex
+    symmetric A_i = sym(B_a[:, i] B_d[:, i]^T - B_b[:, i] B_c[:, i]^T), where
+    B_a .. B_c are the kernel's gathered entries of the basis (k, m, n).  For
+    x = [Re c, Im c], Re q_i = x^T T_i x and Im q_i = x^T T_{count+i} x with
+    the symmetric blocks below.  Shape (2 * count, 2k, 2k).
+    """
+    ga, gd, gb, gc = _minor_entries(basis).transpose(1, 2, 0)
+    a = ga[:, :, None] * gd[:, None, :] - gb[:, :, None] * gc[:, None, :]
+    a = 0.5 * (a + a.transpose(0, 2, 1))
+    ar, ai = a.real, a.imag
+    return np.block([[[ar, -ai], [-ai, -ar]], [[ai, ar], [ar, -ai]]])
+
+
+def _minor_residual(x, form):
+    """Residual of the normalised-minor equations and its real Jacobian.
+
+    With c = x[:k] + i x[k:], s = |x|^2 and ``form`` from ``_minor_form``,
+    the residual is [Re, Im](q(c) / s), |c| - 1.  The minors q are quadratic
+    and holomorphic in c, so row i has the gradient 2 T_i x / s - 2 (q_i / s) x / s:
+    the real form of D_j / s - 2 q Re c_j / s^2 (and i D_j / s - 2 q Im c_j / s^2)
+    with D_j = dq/dc_j.  Returns (residual, jacobian).
+    """
+    rows, n2, _ = form.shape
+    s = x @ x
+    if s < 1e-24:
+        return np.full(rows + 1, 1.0), np.zeros((rows + 1, n2))
+    norm = np.sqrt(s)
+    tx = form @ x
+    res = (tx @ x) / s
+    jac = np.empty((rows + 1, n2))
+    jac[:-1] = (tx - res[:, None] * x) * (2.0 / s)
+    jac[-1] = x / norm
+    return np.concatenate([res, [norm - 1.0]]), jac
+
+
 def _search_k3(space, tol, starts, seed):
     k = space.dim
+    form = _minor_form(space.stack.reshape(k, space.m, space.n))
+    method = "lm" if form.shape[0] + 1 >= 2 * k else "trf"
+    # least_squares asks for the Jacobian at the point it evaluated last,
+    # so each evaluation keeps its Jacobian for that call
+    last = {}
+
+    def residual(x):
+        last["x"] = x.copy()
+        res, last["jac"] = _minor_residual(x, form)
+        return res
+
+    def jacobian(x):
+        if not np.array_equal(last.get("x"), x):
+            residual(x)
+        return last["jac"]
+
     found = []
     root_seq = np.random.SeedSequence([seed, space.m, space.n, k])
     for child in root_seq.spawn(starts):
@@ -286,29 +368,14 @@ def _search_k3(space, tol, starts, seed):
         c0 = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         c0 /= np.linalg.norm(c0)
         x0 = np.concatenate([c0.real, c0.imag])
-
-        def residual(x):
-            c = x[:k] + 1j * x[k:]
-            norm = np.linalg.norm(c)
-            if norm < 1e-12:
-                return np.full(2 * _minor_count(space) + 1, 1.0)
-            minors = _all_minors(space.member(c / norm))
-            return np.concatenate([minors.real, minors.imag, [norm - 1.0]])
-
-        method = "lm" if 2 * _minor_count(space) + 1 >= 2 * k else "trf"
-        sol = least_squares(residual, x0, method=method, xtol=1e-15, ftol=1e-15,
-                            gtol=1e-15, max_nfev=2000)
+        sol = least_squares(residual, x0, jac=jacobian, method=method, xtol=1e-15,
+                            ftol=1e-15, gtol=1e-15, max_nfev=2000)
         c = sol.x[:k] + 1j * sol.x[k:]
         cand = _accept_candidate(space, c, tol)
         if cand is not None and not _dedup(found, cand[2]):
             found.append(cand)
     return _report(found, "LowerBound",
                    detail=f"multi-start search with {starts} starts")
-
-
-def _minor_count(space) -> int:
-    m, n = space.m, space.n
-    return (m * (m - 1) // 2) * (n * (n - 1) // 2)
 
 
 # --- range criterion ----------------------------------------------------------

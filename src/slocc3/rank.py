@@ -290,7 +290,7 @@ def cp_als(t, r: int, restarts: int = 32, max_iter: int = 2000, seed: int = 0,
     residual, factors, restart = best
     ok = residual < tol
     detail = f"ALS, best of {restart + 1} restart(s)"
-    return CpResult(ok, r, residual, factors if ok else factors, detail)
+    return CpResult(ok, r, residual, factors, detail)
 
 
 def map_cp_factors(factors, a, b, c):

@@ -197,6 +197,28 @@ def test_exit_code_missing_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rank", "--ket", "|000>+|111>", "--dims", "2,2,2", "--restarts", "0"],
+        ["rank", "--ket", "|000>+|111>", "--dims", "2,2,2", "--restarts", "-3"],
+        ["rank", "--ket", "|000>+|111>", "--dims", "2,2,2", "--max-iter", "0"],
+        ["rank", "--ket", "|000>+|111>", "--dims", "2,2,2", "--max-iter", "-1"],
+        ["product-count", "--ket", "|000>+|111>+|222>", "--dims", "3,3,3",
+         "--traced", "A", "--restarts", "0"],
+        ["detpoly-equiv", "T1", "T1", "--restarts", "0"],
+    ],
+)
+def test_nonpositive_counts_rejected(argv, tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text(s.tensor_to_json(s.parse_ket("|000>+|111>+|222>", (3, 3, 3))))
+    code = main([str(path) if a == "T1" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "must be positive" in captured.err
+
+
 def _run_subprocess(args):
     return subprocess.run(
         [sys.executable, "-m", "slocc3"] + args, capture_output=True, check=False

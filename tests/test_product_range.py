@@ -4,7 +4,107 @@ import numpy as np
 import pytest
 
 import slocc3 as s
-from slocc3.product_range import MatrixSubspace, _all_minors
+from slocc3.product_range import (
+    MINOR_TOL,
+    RECONSTRUCT_TOL,
+    MatrixSubspace,
+    _all_minors,
+    _minor_form,
+    _minor_residual,
+    _pencil_minor_polys,
+)
+
+# the per-minor loops the vectorised kernel replaced, kept as references
+
+
+def _all_minors_loop(mat) -> np.ndarray:
+    m, n = mat.shape
+    vals = []
+    for r1 in range(m):
+        for r2 in range(r1 + 1, m):
+            for c1 in range(n):
+                for c2 in range(c1 + 1, n):
+                    vals.append(
+                        mat[r1, c1] * mat[r2, c2] - mat[r1, c2] * mat[r2, c1]
+                    )
+    return np.array(vals, dtype=complex)
+
+
+def _pencil_minor_polys_loop(b1, b2) -> np.ndarray:
+    m, n = b1.shape
+    polys = []
+    for r1 in range(m):
+        for r2 in range(r1 + 1, m):
+            for c1 in range(n):
+                for c2 in range(c1 + 1, n):
+                    a11, a12 = b1[r1, c1], b1[r1, c2]
+                    a21, a22 = b1[r2, c1], b1[r2, c2]
+                    d11, d12 = b2[r1, c1], b2[r1, c2]
+                    d21, d22 = b2[r2, c1], b2[r2, c2]
+                    polys.append(
+                        [
+                            a11 * a22 - a12 * a21,
+                            a11 * d22 + d11 * a22 - a12 * d21 - d12 * a21,
+                            d11 * d22 - d12 * d21,
+                        ]
+                    )
+    return np.array(polys, dtype=complex)
+
+
+def _random_complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+KERNEL_SHAPES = [(1, 4), (4, 1), (2, 2), (3, 3), (3, 4), (4, 3), (2, 6)]
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_minor_kernel_matches_loop_exactly(shape):
+    rng = np.random.default_rng(sum(shape))
+    count = (shape[0] * (shape[0] - 1) // 2) * (shape[1] * (shape[1] - 1) // 2)
+    for _ in range(20):
+        mat = _random_complex(rng, shape)
+        got, ref = _all_minors(mat), _all_minors_loop(mat)
+        assert got.shape == ref.shape == (count,)
+        assert (got == ref).all()
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_pencil_kernel_matches_loop_exactly(shape):
+    rng = np.random.default_rng(100 + sum(shape))
+    count = (shape[0] * (shape[0] - 1) // 2) * (shape[1] * (shape[1] - 1) // 2)
+    for _ in range(20):
+        b1, b2 = _random_complex(rng, shape), _random_complex(rng, shape)
+        got, ref = _pencil_minor_polys(b1, b2), _pencil_minor_polys_loop(b1, b2)
+        # the loop gives shape (0,) when there are no minors
+        assert got.shape == (count, 3) and ref.size == 3 * count
+        assert (got.ravel() == ref.ravel()).all()
+
+
+# (2, 2, 3) has fewer residual rows than unknowns, so the search uses trf
+@pytest.mark.parametrize("m,n,k", [(3, 3, 3), (3, 4, 3), (3, 3, 4), (3, 4, 5), (2, 2, 3)])
+def test_minor_residual_and_jacobian(m, n, k):
+    rng = np.random.default_rng(m * 100 + n * 10 + k)
+    basis = _random_complex(rng, (k, m, n))
+    form = _minor_form(basis)
+    h = 1e-6
+    for _ in range(5):
+        x = rng.standard_normal(2 * k)
+        res, jac = _minor_residual(x, form)
+        # the residual is the minors of the normalised member, then |c| - 1
+        c = x[:k] + 1j * x[k:]
+        minors = _all_minors_loop(np.tensordot(c / np.linalg.norm(c), basis, 1))
+        expect = np.concatenate([minors.real, minors.imag, [np.linalg.norm(c) - 1.0]])
+        np.testing.assert_allclose(res, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
+        fd = np.stack(
+            [
+                (_minor_residual(x + h * e, form)[0] - _minor_residual(x - h * e, form)[0])
+                / (2 * h)
+                for e in np.eye(2 * k)
+            ],
+            axis=1,
+        )
+        assert np.abs(jac - fd).max() <= 1e-6 * np.abs(jac).max()
 
 
 def test_subspace_rejects_dependent_basis():
@@ -81,6 +181,42 @@ def test_reported_vectors_satisfy_minors_and_reconstruct():
             m_hat = m / np.linalg.norm(m)
             minors = _all_minors(m_hat)
             assert np.max(np.abs(minors)) < 1e-7
+
+
+def test_diag_333_range_has_three_product_vectors():
+    diag = s.catalog_build("3x3x3-diag")
+    for seed in range(5):
+        report = s.range_product_count(diag, "A", seed=seed)
+        assert report.exactness == "LowerBound"
+        assert report.independent_count == 3
+    for seed in range(5):
+        image = s.apply_slocc(diag, *s.random_slocc((3, 3, 3), seed, cond_bound=20))
+        assert s.range_product_count(image, "A").independent_count == 3
+
+
+@pytest.mark.parametrize("dims", [(3, 3, 3), (3, 3, 4)])
+def test_search_vectors_satisfy_minors_and_reconstruct(dims):
+    rng = np.random.default_rng(4)
+    # random ranges hold no product vector; an image of |000>+|111>+|222>
+    # (padded to dims) holds three, so the checks below are reached
+    diag = np.zeros(dims, dtype=complex)
+    diag[0, 0, 0] = diag[1, 1, 1] = diag[2, 2, 2] = 1.0
+    states = [_random_complex(rng, dims) for _ in range(4)]
+    states.append(s.apply_slocc(diag, *s.random_slocc(dims, 5, cond_bound=20)))
+    found = 0
+    for t in states:
+        report = s.range_product_count(t, "A")
+        assert report.exactness == "LowerBound"
+        rng_basis = np.stack(s.range_basis(s.reduced_density(t, dims, [0])), axis=1)
+        for u, v in report.vectors:
+            m = np.outer(u, v)
+            m_hat = m / np.linalg.norm(m)
+            assert np.max(np.abs(_all_minors(m_hat))) <= MINOR_TOL
+            # the product vector lies in the range it was found in
+            vec = m_hat.ravel()
+            assert np.linalg.norm(rng_basis @ (rng_basis.conj().T @ vec) - vec) <= RECONSTRUCT_TOL
+            found += 1
+    assert found >= 3
 
 
 def test_count_invariant_under_basis_change():
