@@ -167,7 +167,14 @@ def _polish(space: MatrixSubspace, coeffs, iters: int = 4):
 
 
 def _accept_candidate(space: MatrixSubspace, coeffs, tol: float):
-    """Polish a candidate and keep it only if it is a genuine rank-1 member."""
+    """Polish a candidate and keep it only if it is a genuine rank-1 member.
+
+    Two checks decide: every 2x2 minor of the normalised member is at most
+    ``tol``, and the member is within ``RECONSTRUCT_TOL`` of its rank-1 part.
+    The minor check is what enforces a caller's ``tol`` below
+    ``RECONSTRUCT_TOL``: a member whose second singular value lies between
+    ``tol`` and ``RECONSTRUCT_TOL`` passes the reconstruction check.
+    """
     c = _polish(space, coeffs)
     if c is None:
         return None

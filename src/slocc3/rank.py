@@ -74,7 +74,9 @@ def classify_222(t, tol: float = 1e-10) -> str:
 
     Nonvanishing hyperdeterminant means the rank-2 generic class; otherwise
     the local-rank pattern decides, with all-ranks-2 and vanishing
-    hyperdeterminant being the rank-3 class.
+    hyperdeterminant being the rank-3 class.  The hyperdeterminant is taken
+    of ``t`` divided by its largest entry modulus and compared with ``tol``,
+    so the class is the same at every nonzero scale of ``t``.
     """
     t = as_tensor(t)
     if t.shape != (2, 2, 2):
@@ -82,7 +84,7 @@ def classify_222(t, tol: float = 1e-10) -> str:
     scale = float(np.max(np.abs(t)))
     if scale == 0.0:
         return "Zero"
-    if abs(hyperdeterminant_222(t)) > tol * scale**4:
+    if abs(hyperdeterminant_222(t / scale)) > tol:
         return "GHZclass"
     ranks = local_ranks(t)
     if ranks == (1, 1, 1):
@@ -140,11 +142,6 @@ class CpResult:
             ]
             doc["factor_shapes"] = [list(f.shape) for f in self.factors]
         return json.dumps(doc, sort_keys=True)
-
-
-def _khatri_rao(u, v) -> np.ndarray:
-    r = u.shape[1]
-    return np.einsum("jr,kr->jkr", u, v).reshape(-1, r)
 
 
 def _direct_decomposition(t, r):
@@ -226,6 +223,36 @@ def _spectral_init(t, r):
     return None
 
 
+def _mode_solver(t, mode, r, lapack):
+    """Least-squares update of the mode-``mode`` factor, prepared once.
+
+    ``solve(u, v)`` returns the factor F minimizing the Frobenius norm of
+    ``(u ⊙ v) F^T - unfold(t, mode)^T``, with u and v the other two factors
+    in mode order.  The Khatri-Rao design is written into one buffer; the
+    right-hand side, the cutoff and the ``zgelsd`` workspace sizes are fixed
+    here, so a solve is one einsum and one LAPACK call.
+    """
+    rhs = np.asfortranarray(unfold(t, mode).T)
+    rows, nrhs = rhs.shape
+    others = [d for m, d in enumerate(t.shape) if m != mode - 1]
+    buf = np.empty((r, *others), dtype=complex)
+    design = buf.reshape(r, rows).T  # Fortran-ordered (rows, r) view of buf
+    # r < d_min1 * d_min2 <= rows (wider searches take the direct
+    # construction), so the system is overdetermined and b needs no padding
+    cond = np.finfo(float).eps * max(rows, r)
+    work, rwork, iwork, _ = lapack.zgelsd_lwork(rows, r, nrhs, cond)
+    sizes = (int(work.real), int(rwork), int(iwork))
+
+    def solve(u, v):
+        np.einsum("jr,kr->rjk", u, v, out=buf)
+        x, _, _, info = lapack.zgelsd(design, rhs, *sizes, cond, overwrite_a=True)
+        if info != 0:
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+        return x[:r].T
+
+    return solve
+
+
 def cp_als(t, r: int, restarts: int = 32, max_iter: int = 2000, seed: int = 0,
            tol: float = 1e-8, stall_tol: float = 1e-12) -> CpResult:
     """Search for an R-term decomposition by alternating least squares.
@@ -237,6 +264,11 @@ def cp_als(t, r: int, restarts: int = 32, max_iter: int = 2000, seed: int = 0,
     eigenvector construction when R fits two of the dims, the rest from
     seeded Gaussians; restarts stop at the first success and the best
     attempt wins ties by restart order.
+
+    Each factor update is a linear least-squares solve by LAPACK ``zgelsd``
+    (the SVD-based routine behind ``np.linalg.lstsq``), which cuts off singular
+    values below ``eps * max(rows, R)`` times the largest, the cutoff
+    ``np.linalg.lstsq`` uses with ``rcond=None``.
 
     A tensor whose border rank is below its rank can reach residuals under
     ``tol`` at the border rank through decompositions with enormous,
@@ -259,7 +291,9 @@ def cp_als(t, r: int, restarts: int = 32, max_iter: int = 2000, seed: int = 0,
         residual = float(np.linalg.norm(t - model) / norm_t)
         return CpResult(True, r, residual, factors, "direct slice construction")
 
-    unfolds = [unfold(t, m) for m in (1, 2, 3)]
+    from scipy.linalg import lapack
+
+    solve = [_mode_solver(t, mode, r, lapack) for mode in (1, 2, 3)]
     spectral = _spectral_init(t, r)
     best = None
     for restart in range(max(1, restarts)):
@@ -271,12 +305,9 @@ def cp_als(t, r: int, restarts: int = 32, max_iter: int = 2000, seed: int = 0,
         prev_res = np.inf
         residual = np.inf
         for _ in range(max_iter):
-            z = _khatri_rao(b, c)
-            a = np.linalg.lstsq(z, unfolds[0].T, rcond=None)[0].T
-            z = _khatri_rao(a, c)
-            b = np.linalg.lstsq(z, unfolds[1].T, rcond=None)[0].T
-            z = _khatri_rao(a, b)
-            c = np.linalg.lstsq(z, unfolds[2].T, rcond=None)[0].T
+            a = solve[0](b, c)
+            b = solve[1](a, c)
+            c = solve[2](a, b)
             model = np.einsum("ir,jr,kr->ijk", a, b, c)
             residual = float(np.linalg.norm(t - model) / norm_t)
             if residual < tol or abs(prev_res - residual) < stall_tol:

@@ -219,9 +219,10 @@ def test_nonpositive_counts_rejected(argv, tmp_path, capsys):
     assert "must be positive" in captured.err
 
 
-def _run_subprocess(args):
+def _run_subprocess(args, interpreter_flags=()):
     return subprocess.run(
-        [sys.executable, "-m", "slocc3"] + args, capture_output=True, check=False
+        [sys.executable, *interpreter_flags, "-m", "slocc3"] + args,
+        capture_output=True, check=False,
     )
 
 
@@ -239,3 +240,13 @@ def test_repeat_runs_byte_identical(args):
     second = _run_subprocess(args)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_rank_answer_same_under_optimize_flag():
+    """No rank answer may depend on ``assert`` or ``__debug__``."""
+    args = ["rank", "--ket", "|012>+|021>+|102>+|120>+|201>+|210>", "--dims", "3,3,3",
+            "--output", "json"]
+    plain = _run_subprocess(args)
+    optimized = _run_subprocess(args, ["-O"])
+    assert plain.returncode == optimized.returncode == 0
+    assert plain.stdout == optimized.stdout

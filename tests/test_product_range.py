@@ -10,6 +10,7 @@ from slocc3.product_range import (
     MatrixSubspace,
     _all_minors,
     _minor_form,
+    _accept_candidate,
     _minor_residual,
     _pencil_minor_polys,
 )
@@ -158,6 +159,18 @@ def test_product_state_any_party_counts_one():
         report = s.range_product_count(psi, party)
         assert report.exactness == "Exact"
         assert report.independent_count == 1
+
+
+def test_accept_candidate_minor_check_enforces_caller_tol():
+    """diag(1, 1e-10) reconstructs from its rank-1 part within RECONSTRUCT_TOL,
+    so only the minor check rejects it at a tol below its 1e-10 minor."""
+    space = MatrixSubspace(2, 2, [np.diag([1.0, 1e-10])])
+    assert _accept_candidate(space, np.array([1.0]), 1e-12) is None
+    accepted = _accept_candidate(space, np.array([1.0]), MINOR_TOL)
+    assert accepted is not None
+    u, v, m_hat = accepted
+    np.testing.assert_allclose(m_hat, np.diag([1.0, 1e-10]), rtol=0, atol=1e-15)
+    assert np.linalg.norm(np.outer(u, v) - m_hat) <= RECONSTRUCT_TOL
 
 
 def test_continuum_pencil_flagged():

@@ -187,3 +187,91 @@ def test_rank_interval_json_has_certificates():
     assert doc["lower"] == 2 and doc["upper"] == 2
     assert "factors" in doc["certificate_upper"]
     assert "border rank" in doc["caveat"]
+
+
+@pytest.mark.parametrize("scale", [1e-90, 1e90])
+def test_classify_222_is_scale_invariant(scale):
+    assert s.classify_222(s.ghz_state() * scale) == "GHZclass"
+    assert s.classify_222(s.w_state() * scale) == "Wclass"
+
+
+def test_rank_interval_tiny_ghz_keeps_rank_two():
+    interval = s.rank_interval(s.ghz_state() * 1e-90)
+    assert (interval.lower, interval.upper) == (2, 2)
+
+
+def _reference_cp_als(t, r, restarts, max_iter, seed, tol, stall_tol):
+    """The CP-ALS loop on ``np.linalg.lstsq``; also returns the smallest
+    numerical rank of any design matrix it solved with."""
+    from slocc3.rank import _als_init, _spectral_init
+    from slocc3.tensor import unfold
+
+    def khatri_rao(u, v):
+        return np.einsum("jr,kr->jkr", u, v).reshape(-1, r)
+
+    norm_t = float(np.linalg.norm(t))
+    unfolds = [unfold(t, m) for m in (1, 2, 3)]
+    spectral = _spectral_init(t, r)
+    best, min_rank = None, r
+    for restart in range(max(1, restarts)):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, restart]))
+        if restart == 1 and spectral is not None:
+            a, b, c = (f.copy() for f in spectral)
+        else:
+            a, b, c = _als_init(t, r, rng, structured=(restart == 0))
+        prev_res = np.inf
+        residual = np.inf
+        for _ in range(max_iter):
+            x, _, k1, _ = np.linalg.lstsq(khatri_rao(b, c), unfolds[0].T, rcond=None)
+            a = x.T
+            x, _, k2, _ = np.linalg.lstsq(khatri_rao(a, c), unfolds[1].T, rcond=None)
+            b = x.T
+            x, _, k3, _ = np.linalg.lstsq(khatri_rao(a, b), unfolds[2].T, rcond=None)
+            c = x.T
+            min_rank = min(min_rank, k1, k2, k3)
+            model = np.einsum("ir,jr,kr->ijk", a, b, c)
+            residual = float(np.linalg.norm(t - model) / norm_t)
+            if residual < tol or abs(prev_res - residual) < stall_tol:
+                break
+            prev_res = residual
+        if best is None or residual < best[0]:
+            best = (residual, (a, b, c), restart)
+        if residual < tol:
+            break
+    residual, factors, restart = best
+    result = s.CpResult(residual < tol, r, residual, factors,
+                        f"ALS, best of {restart + 1} restart(s)")
+    return result, min_rank
+
+
+def _als_reference_cases():
+    rng = np.random.default_rng(12)
+    cases = [("2x2x2", random_tensor(rng, (2, 2, 2)), 2, 100)]
+    for dims, ranks in (((2, 3, 3), (3, 4, 5)), ((3, 3, 3), (3, 4, 5)),
+                        ((2, 3, 4), (4, 5))):
+        t = random_tensor(rng, dims)
+        cases += [("x".join(map(str, dims)), t, r, 100) for r in ranks]
+    product = np.einsum("i,j,k->ijk", *(random_tensor(rng, (d,)) for d in (2, 3, 3)))
+    cases.append(("product", product, 2, 100))
+    # design singular values ~1e-10 apart: another cutoff changes the iterates
+    cases.append(("near-product", product + 1e-10 * random_tensor(rng, (2, 3, 3)), 2, 100))
+    cases.append(("WxW", s.kron_regroup(s.w_state(), s.w_state()), 7, 30))
+    return cases
+
+
+@pytest.mark.parametrize("tols", [{}, {"tol": 0.0, "stall_tol": 0.0}],
+                         ids=["default-tol", "zero-tol"])
+def test_cp_als_matches_lstsq_reference_bit_for_bit(tols):
+    """The prepared zgelsd solves give exactly the lstsq loop's iterates."""
+    params = {"tol": 1e-8, "stall_tol": 1e-12, **tols}
+    for name, t, r, max_iter in _als_reference_cases():
+        got = s.cp_als(t, r, restarts=2, max_iter=max_iter, seed=3, **params)
+        want, min_rank = _reference_cp_als(t, r, 2, max_iter, 3, **params)
+        assert got.success == want.success, (name, r)
+        assert got.residual == want.residual, (name, r)
+        assert got.detail == want.detail, (name, r)
+        for f_got, f_want in zip(got.factors, want.factors):
+            assert f_got.shape == f_want.shape, (name, r)
+            assert np.array_equal(f_got, f_want), (name, r)
+        if name == "product":  # the design loses rank as the two terms align
+            assert min_rank < r
