@@ -14,6 +14,8 @@ import string
 
 import numpy as np
 
+from .tensor import complex_to_pairs
+
 EIGEN_RANK_TOL = 1e-9
 
 
@@ -118,12 +120,11 @@ def range_basis(rho, tol: float = EIGEN_RANK_TOL):
 
 def density_to_json(rho, party_dims) -> str:
     rho = np.asarray(rho, dtype=complex)
-    entries = [[z.real, z.imag] for z in rho.ravel(order="C")]
     return json.dumps(
         {
             "party_dims": [int(d) for d in party_dims],
             "rows": rho.shape[0],
             "cols": rho.shape[1],
-            "entries": entries,
+            "entries": complex_to_pairs(rho),
         }
     )

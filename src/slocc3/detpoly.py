@@ -9,17 +9,23 @@ with some nonsingular 3x3 matrix G acting on the variable row vector as
 ``x -> x @ G.T``.  :func:`detpoly_equiv_test` searches for such a G
 numerically and never converts a failed search into a verdict of
 inequivalence.
+
+One kernel evaluates determinants of slice combinations: :func:`det_grid`
+on a roots-of-unity grid, :func:`det_coefficients` its exact DFT inverse.
+It serves ``det_poly`` for n >= 7, the pencil minors and the equivalence
+residual.  For n <= 6 ``det_poly`` expands cofactors exactly, so the
+structural zeros of sparse tensors stay exact zeros.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
 
-from .tensor import as_tensor
+from .tensor import as_tensor, complex_from_pairs, complex_to_pairs
 from .transforms import is_nonsingular, random_nonsingular
 
 ZERO_POLY_TOL = 1e-10
@@ -148,17 +154,17 @@ class HomPoly3:
         return out
 
     def to_json(self) -> str:
-        terms = [
-            {"exp": list(exp), "coef": [self.coeffs[exp].real, self.coeffs[exp].imag]}
-            for exp in sorted(self.coeffs, reverse=True)
-        ]
+        exps = sorted(self.coeffs, reverse=True)
+        pairs = complex_to_pairs([self.coeffs[exp] for exp in exps])
+        terms = [{"exp": list(exp), "coef": c} for exp, c in zip(exps, pairs)]
         return json.dumps({"degree": self.degree, "terms": terms})
 
     @classmethod
     def from_json(cls, text: str) -> "HomPoly3":
         doc = json.loads(text)
-        coeffs = {tuple(t["exp"]): complex(t["coef"][0], t["coef"][1]) for t in doc["terms"]}
-        return cls(int(doc["degree"]), coeffs)
+        terms = doc["terms"]
+        coefs = complex_from_pairs([t["coef"] for t in terms])
+        return cls(int(doc["degree"]), {tuple(t["exp"]): c for t, c in zip(terms, coefs)})
 
 
 def _coeff_str(c: complex) -> str:
@@ -186,8 +192,7 @@ def det_poly(t) -> HomPoly3:
     """Determinant polynomial det(x*A + y*B + z*C) of an n x n x 3 tensor.
 
     Exact cofactor expansion over polynomial entries for n <= 6; for larger n
-    the polynomial is recovered from determinant evaluations on a roots-of-
-    unity grid (a perfectly conditioned linear system).
+    the coefficients come from :func:`det_coefficients`.
     """
     t = as_tensor(t)
     n1, n2, n3 = t.shape
@@ -230,31 +235,43 @@ def _det_poly_symbolic(t) -> HomPoly3:
 
 def _det_poly_interpolate(t) -> HomPoly3:
     n = t.shape[0]
-    m = n + 1
-    omega = np.exp(2j * np.pi / m)
-    xs = omega ** np.arange(m)
-    values = np.empty((m, m), dtype=complex)
-    a, b, c = t[:, :, 0], t[:, :, 1], t[:, :, 2]
-    for ia, x in enumerate(xs):
-        for ib, y in enumerate(xs):
-            values[ia, ib] = np.linalg.det(x * a + y * b + c)
-    # values[a, b] = sum_pq c[p, q] w^(ap) w^(bq); the matching inverse is the
-    # forward FFT divided by the grid size
-    coeff_grid = np.fft.fft2(values) / (m * m)
-    scale = max(np.max(np.abs(coeff_grid)), 1.0)
-    coeffs = {}
-    for p in range(m):
-        for q in range(m):
-            cpq = coeff_grid[p, q]
-            if p + q > n:
-                if abs(cpq) > 1e-8 * scale:
-                    raise ArithmeticError(
-                        "determinant interpolation produced spurious high-order terms"
-                    )
-                continue
-            if cpq != 0:
-                coeffs[(p, q, n - p - q)] = cpq
-    return HomPoly3(n, coeffs)
+    grid = det_coefficients(*t.transpose(2, 0, 1))
+    p, q = np.indices(grid.shape)
+    if np.any(np.abs(grid[p + q > n]) > 1e-8 * max(np.max(np.abs(grid)), 1.0)):
+        raise ArithmeticError(
+            "determinant interpolation produced spurious high-order terms"
+        )
+    return HomPoly3(n, {(a, b, c): grid[a, b] for a, b, c in monomials(n)})
+
+
+def det_grid(*slices) -> np.ndarray:
+    """det(x_1*S_1 + ... + x_(k-1)*S_(k-1) + S_k) on a roots-of-unity grid.
+
+    Every slice has shape ``(..., n, n)``; leading axes are batch axes.
+    Entry ``[..., a_1, ..., a_(k-1)]`` of the result is the determinant at
+    x_i = w^(a_i), w = exp(2*pi*i/(n+1)), a_i = 0..n.  All points and batch
+    entries go through one ``np.linalg.det`` call.
+    """
+    *weighted, last = (np.asarray(s, dtype=complex) for s in slices)
+    k = len(weighted)
+    m = last.shape[-1] + 1
+    roots = np.exp(2j * np.pi * np.arange(m) / m)
+    points = np.stack(np.meshgrid(*[roots] * k, indexing="ij"), axis=-1).reshape(-1, k)
+    mats = np.einsum("gi,...iab->...gab", points, np.stack(weighted, axis=-3))
+    values = np.linalg.det(mats + last[..., None, :, :])
+    return values.reshape(last.shape[:-2] + (m,) * k)
+
+
+def det_coefficients(*slices) -> np.ndarray:
+    """Coefficients of det(x_1*S_1 + ... + x_(k-1)*S_(k-1) + S_k).
+
+    Entry ``[..., p_1, ..., p_(k-1)]`` is the coefficient of
+    x_1^p_1 ... x_(k-1)^p_(k-1), p_i = 0..n.  :func:`det_grid` is a scaled
+    inverse DFT of them, so the forward FFT over the grid size inverts it.
+    """
+    values = det_grid(*slices)
+    axes = tuple(range(-(len(slices) - 1), 0))
+    return np.fft.fftn(values, axes=axes) / values.shape[-1] ** len(axes)
 
 
 # --- substitution and normalization ------------------------------------------
@@ -320,36 +337,8 @@ class EquivVerdict:
         if self.residual is not None:
             doc["residual"] = self.residual
         if self.g is not None:
-            doc["g"] = [[z.real, z.imag] for z in self.g.ravel()]
+            doc["g"] = complex_to_pairs(self.g)
         return json.dumps(doc, sort_keys=True)
-
-
-@dataclass
-class _ValueGrid:
-    """Evaluation of degree-n homogeneous polynomials on (1, w^a, w^b) nodes.
-
-    The node set dehomogenizes x=1 and samples (y, z) on a roots-of-unity
-    grid, making values and coefficients related by a unitary (scaled DFT)
-    map, so value-space least squares is exactly coefficient-space least
-    squares.
-    """
-
-    degree: int
-    nodes: np.ndarray = field(init=False)
-    exps: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        m = self.degree + 1
-        omega = np.exp(2j * np.pi / m)
-        grid = omega ** np.arange(m)
-        ys, zs = np.meshgrid(grid, grid, indexing="ij")
-        ones = np.ones(m * m, dtype=complex)
-        self.nodes = np.column_stack([ones, ys.ravel(), zs.ravel()])
-        self.exps = np.array(monomials(self.degree), dtype=float)
-
-    def eval_at(self, coeff_vec: np.ndarray, points: np.ndarray) -> np.ndarray:
-        mono = np.prod(points[:, None, :] ** self.exps[None, :, :], axis=2)
-        return mono @ coeff_vec
 
 
 def detpoly_equiv_test(
@@ -364,18 +353,19 @@ def detpoly_equiv_test(
     Runs a seeded multi-start local minimization of the squared coefficient
     distance between monic(f1 composed with G) and monic(f2) over complex
     3x3 matrices G (18 real parameters).  Restart 0 starts from the identity
-    so self-comparison returns immediately with G = I and residual 0.
+    so self-comparison returns immediately with G = I and residual 0.  Each
+    input is first divided by its largest entry modulus; monic normalization
+    makes the verdict independent of that scale.
     """
-    t1 = as_tensor(t1)
-    t2 = as_tensor(t2)
+    t1 = _unit_scale(as_tensor(t1))
+    t2 = _unit_scale(as_tensor(t2))
     if t1.shape != t2.shape:
         raise ValueError("tensors must share dims")
     f1 = det_poly(t1)
     f2 = det_poly(t2)
-    n = f1.degree
 
-    zero1 = _poly_is_zero(f1, t1)
-    zero2 = _poly_is_zero(f2, t2)
+    zero1 = f1.max_abs_coeff() <= ZERO_POLY_TOL
+    zero2 = f2.max_abs_coeff() <= ZERO_POLY_TOL
     if zero1 and zero2:
         # both determinant polynomials vanish: the substitution equation is
         # vacuously solvable, e.g. by the identity
@@ -390,32 +380,12 @@ def detpoly_equiv_test(
             detail=f"only the {which} determinant polynomial is identically zero",
         )
 
-    monic1, _ = monic_normalize(f1)
-    monic2, _ = monic_normalize(f2)
+    monic1, lead1 = monic_normalize(f1)
+    monic2, lead2 = monic_normalize(f2)
     target_lead = monic2.leading()
     target_vec = monic2.coeff_vector()
-
-    grid = _ValueGrid(n)
-    c1 = monic1.coeff_vector()
-    c2 = target_vec
-    w_fwd = grid.eval_at(c2, grid.nodes)
-    w_rev = grid.eval_at(c1, grid.nodes)
-
-    def value_residual(coeffs, target):
-        def residual(x):
-            g = (x[:9] + 1j * x[9:]).reshape(3, 3)
-            v = grid.eval_at(coeffs, grid.nodes @ g.T)
-            vv = np.vdot(v, v).real
-            if vv < 1e-300:
-                return np.concatenate([(-target).real, (-target).imag])
-            s = np.vdot(v, target) / vv
-            r = s * v - target
-            return np.concatenate([r.real, r.imag])
-
-        return residual
-
-    residual_fwd = value_residual(c1, w_fwd)
-    residual_rev = value_residual(c2, w_rev)
+    w1 = _node_values(t1, np.eye(3)) / lead1
+    w2 = _node_values(t2, np.eye(3)) / lead2
 
     def contract_residual(g):
         # Normalize the composed polynomial at the target's leading monomial:
@@ -433,8 +403,6 @@ def detpoly_equiv_test(
         diff = (sub * (1.0 / lead_c)).coeff_vector() - target_vec
         return float(np.vdot(diff, diff).real)
 
-    # lm needs at least as many residuals as variables (18)
-    method = "lm" if 2 * grid.nodes.shape[0] >= 18 else "trf"
     best_res = np.inf
     best_g = None
     for r in range(max(1, restarts)):
@@ -447,9 +415,15 @@ def detpoly_equiv_test(
         else:
             g0 = random_nonsingular(3, np.random.SeedSequence([seed, r]), cond_bound=100.0)
         x0 = np.concatenate([g0.real.ravel(), g0.imag.ravel()])
-        sol = least_squares(residual_fwd if forward else residual_rev, x0,
-                            method=method, xtol=1e-15, ftol=1e-15, gtol=1e-15,
-                            max_nfev=4000)
+        if forward:
+            residual = _value_residual(t1, lead1, w2, x0)
+        else:
+            residual = _value_residual(t2, lead2, w1, x0)
+        # not lm: from identical residuals, scipy's lm steps differ between
+        # processes when the Jacobian is ill-conditioned, as for forms with
+        # a continuous stabilizer (x*y*z, every quadric)
+        sol = least_squares(residual, x0, method="trf", xtol=1e-15, ftol=1e-15,
+                            gtol=1e-15, max_nfev=4000)
         g = (sol.x[:9] + 1j * sol.x[9:]).reshape(3, 3)
         if not is_nonsingular(g):
             continue
@@ -469,6 +443,41 @@ def detpoly_equiv_test(
                         "no substitution found; test inconclusive")
 
 
-def _poly_is_zero(f: HomPoly3, t) -> bool:
-    scale = max(float(np.max(np.abs(t))) ** f.degree, 1e-300)
-    return f.max_abs_coeff() <= ZERO_POLY_TOL * scale
+def _unit_scale(t) -> np.ndarray:
+    """The tensor divided by its largest entry modulus (zero stays zero)."""
+    peak = np.max(np.abs(t))
+    return t / peak if peak > 0 else t
+
+
+def _node_values(t, g) -> np.ndarray:
+    """det_poly(t) o G = det_poly(apply_type2(t, G)) on the nodes (1, y, z).
+
+    y and z run over the (n+1)-th roots of unity, y the slower index.  On
+    these nodes values and coefficients are related by a unitary (scaled
+    DFT) map, so value-space least squares is coefficient-space least squares.
+    """
+    mixed = np.einsum("abi,ij->jab", t, g)
+    return det_grid(mixed[1], mixed[2], mixed[0]).ravel()
+
+
+def _value_residual(t, lead, target, x0):
+    """Residual of f o G against ``target`` on the nodes, f = det_poly(t) / lead.
+
+    G is packed as 18 reals (real parts, then imaginary parts).  The best
+    multiple of f o G is compared, so G -> cG leaves the residual unchanged;
+    two gauge rows fix |G| and the phase of <G0, G> at the start G0, which
+    takes that null space out of the Jacobian and shortens the search.
+    """
+    g0 = x0[:9] + 1j * x0[9:]
+    norm0 = float(np.dot(x0, x0))
+    weight = np.linalg.norm(target) / norm0
+
+    def residual(x):
+        g = x[:9] + 1j * x[9:]
+        v = _node_values(t, g.reshape(3, 3)) / lead
+        vv = np.vdot(v, v).real
+        r = np.vdot(v, target) / vv * v - target if vv >= 1e-300 else -target
+        gauge = weight * np.array([np.dot(x, x) - norm0, np.vdot(g0, g).imag])
+        return np.concatenate([r.real, r.imag, gauge])
+
+    return residual

@@ -5,12 +5,14 @@ x*S0 + y*S1.  Its complete strict-equivalence invariants are the minimal
 row and column indices plus the elementary divisor structure: a partition
 of Jordan block sizes attached to each point (x0 : y0) of the projective
 parameter line where the pencil drops below its normal rank.  Everything
-here is computed numerically from SVD rank decisions:
+here is computed numerically from SVD rank decisions against the pencil
+scaled to unit norm:
 
 * minimal indices from nullities of block Sylvester matrices (the dimension
   of degree-d polynomial null vectors),
 * candidate eigen-points from the roots of a largest maximal-order minor,
-  verified by an actual rank drop,
+  verified by an actual rank drop; the binary forms of all those minors
+  come from one batched call of ``detpoly.det_coefficients``,
 * the partition at a point from nullities of jet (block bidiagonal)
   matrices relative to their value at a generic point, which cancels the
   contribution of the singular blocks.
@@ -24,11 +26,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations
 
 import numpy as np
 
-from .tensor import as_tensor, matrix_rank_tol
+from .detpoly import det_coefficients
+from .tensor import as_tensor, complex_to_pairs
 
 PENCIL_RANK_TOL = 1e-8
 EIGEN_CLUSTER_RADIUS = 1e-6
@@ -72,7 +75,7 @@ class PencilInvariants:
                 "col_min_indices": list(self.col_min_indices),
                 "row_min_indices": list(self.row_min_indices),
                 "finite_divisors": [
-                    {"eigenvalue": [ev.real, ev.imag], "partition": list(p)}
+                    {"eigenvalue": complex_to_pairs(ev)[0], "partition": list(p)}
                     for ev, p in self.finite_divisors
                 ],
                 "infinite_partition": list(self.infinite_partition),
@@ -83,10 +86,15 @@ class PencilInvariants:
         )
 
 
+def _rank(mat, tol) -> int:
+    """Number of singular values above ``tol``: relative to the unit-norm
+    pencil, not to ``mat``.  P(x, y) that vanishes at a point has rank 0
+    there; a threshold relative to P(x, y) itself counts round-off as rank."""
+    return int(np.count_nonzero(np.linalg.svd(mat, compute_uv=False) > tol))
+
+
 def _nullity(mat, tol) -> int:
-    if mat.size == 0:
-        return mat.shape[1]
-    return mat.shape[1] - matrix_rank_tol(mat, tol)
+    return mat.shape[1] - _rank(mat, tol)
 
 
 def _pencil_at(s0, s1, x, y) -> np.ndarray:
@@ -101,7 +109,7 @@ def _normal_rank(s0, s1, tol) -> int:
         x = complex(v[0], v[1])
         y = complex(v[2], v[3])
         scale = np.hypot(abs(x), abs(y))
-        best = max(best, matrix_rank_tol(_pencil_at(s0, s1, x / scale, y / scale), tol))
+        best = max(best, _rank(_pencil_at(s0, s1, x / scale, y / scale), tol))
     return best
 
 
@@ -136,35 +144,17 @@ def _minimal_indices(s0, s1, count: int, tol) -> tuple:
     raise ArithmeticError("minimal index extraction did not terminate")
 
 
-def _binary_form_det(s0, s1, rows, cols) -> np.ndarray:
-    """Determinant of the pencil submatrix as a binary form in (x, y).
+def _minor_forms(s0, s1, r) -> np.ndarray:
+    """Binary forms in (x, y) of all r x r minors of x*S0 + y*S1.
 
-    Returns coefficients c[j] of x^(r-j) y^j, j = 0..r.
+    Row i is the minor on the i-th (rows, cols) pair in ``combinations``
+    order, rows outer; entry j is the coefficient of x^(r-j) y^j.
     """
-    r = len(rows)
-    acc = np.zeros(r + 1, dtype=complex)
-    for perm in permutations(range(r)):
-        sign = 1.0
-        seen = list(perm)
-        # permutation parity
-        visited = [False] * r
-        for start in range(r):
-            if visited[start]:
-                continue
-            length = 0
-            j = start
-            while not visited[j]:
-                visited[j] = True
-                j = seen[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        term = np.array([1.0 + 0.0j])
-        for i, j in enumerate(perm):
-            lin = np.array([s0[rows[i], cols[j]], s1[rows[i], cols[j]]])
-            term = np.convolve(term, lin)
-        acc[: term.size] += sign * term
-    return acc
+    m, n = s0.shape
+    rows = np.array(list(combinations(range(m), r)))
+    cols = np.array(list(combinations(range(n), r)))
+    idx = (rows[:, None, :, None], cols[None, :, None, :])
+    return det_coefficients(s1[idx], s0[idx]).reshape(-1, r + 1)
 
 
 def _candidate_points(s0, s1, r, cluster_radius):
@@ -172,22 +162,10 @@ def _candidate_points(s0, s1, r, cluster_radius):
     minor plus the point at infinity; every true rank-drop point is among
     them.  Each root cluster is replaced by its centroid, which approximates
     a multiple root far better than its individual perturbed roots."""
-    from itertools import combinations
-
-    m, n = s0.shape
-    best_form = None
-    best_scale = 0.0
-    for rows in combinations(range(m), r):
-        for cols in combinations(range(n), r):
-            form = _binary_form_det(s0, s1, rows, cols)
-            scale = float(np.max(np.abs(form)))
-            if scale > best_scale:
-                best_scale = scale
-                best_form = form
+    forms = _minor_forms(s0, s1, r)
+    best = np.argmax(np.max(np.abs(forms), axis=1))
     points = [(0.0 + 0.0j, 1.0 + 0.0j)]  # infinity is always checked
-    if best_form is None or best_scale == 0.0:
-        return points
-    coeffs = best_form[::-1].copy()  # descending in y after x = 1
+    coeffs = forms[best][::-1].copy()  # descending in y after x = 1
     while coeffs.size > 1 and abs(coeffs[0]) <= 1e-12 * np.max(np.abs(coeffs)):
         coeffs = coeffs[1:]
     if coeffs.size > 1:
@@ -263,7 +241,7 @@ def _divisor_structure(s0, s1, r, total_divisor, tol, cluster_radius):
     for pt in points:
         x, y = pt
         sc = np.hypot(abs(x), abs(y))
-        if matrix_rank_tol(_pencil_at(s0, s1, x / sc, y / sc), tol) < r:
+        if _rank(_pencil_at(s0, s1, x / sc, y / sc), tol) < r:
             drops.append(pt)
 
     rng = np.random.default_rng(912)
@@ -274,7 +252,7 @@ def _divisor_structure(s0, s1, r, total_divisor, tol, cluster_radius):
         sc = np.hypot(abs(cand[0]), abs(cand[1]))
         cand = (cand[0] / sc, cand[1] / sc)
         if all(_chordal(cand, q) > 1e-3 for q in drops) and (
-            matrix_rank_tol(_pencil_at(s0, s1, *cand), tol) == r
+            _rank(_pencil_at(s0, s1, *cand), tol) == r
         ):
             generic = cand
             break
@@ -304,9 +282,9 @@ def _divisor_structure(s0, s1, r, total_divisor, tol, cluster_radius):
 def pencil_invariants(t, tol: float = PENCIL_RANK_TOL) -> PencilInvariants:
     """Kronecker invariants of the slice pencil x*t[0] + y*t[1].
 
-    Requires mode-1 dimension 2.  Rank decisions use a relative singular
-    value threshold; eigen-points are clustered at chordal radius 1e-6 after
-    normalizing the pencil scale.
+    Requires mode-1 dimension 2.  The pencil is scaled to unit norm, rank
+    decisions count singular values above ``tol`` and eigen-points are
+    clustered at chordal radius 1e-6.
     """
     t = as_tensor(t)
     if t.shape[0] != 2:

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .density import range_basis, reduced_density
-from .tensor import as_tensor, local_ranks, matrix_rank_tol
+from .tensor import as_tensor, complex_to_pairs, local_ranks, matrix_rank_tol
 
 MINOR_TOL = 1e-7
 ROOT_CLUSTER_RADIUS = 1e-7
@@ -82,10 +82,7 @@ class ProductVectorReport:
 
     def to_json(self) -> str:
         vecs = [
-            {
-                "u": [[z.real, z.imag] for z in u],
-                "v": [[z.real, z.imag] for z in v],
-            }
+            {"u": complex_to_pairs(u), "v": complex_to_pairs(v)}
             for u, v in self.vectors
         ]
         return json.dumps(

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import catalog as _catalog
 from .pencil import pencil_invariants
-from .tensor import as_tensor, local_ranks, unfold
+from .tensor import as_tensor, complex_to_pairs, local_ranks, unfold
 
 BORDER_RANK_CAVEAT = (
     "numerical decomposition certificate: rank <= R at the stated residual; "
@@ -137,9 +137,7 @@ class CpResult:
             "detail": self.detail,
         }
         if self.factors is not None:
-            doc["factors"] = [
-                [[z.real, z.imag] for z in f.ravel(order="C")] for f in self.factors
-            ]
+            doc["factors"] = [complex_to_pairs(f) for f in self.factors]
             doc["factor_shapes"] = [list(f.shape) for f in self.factors]
         return json.dumps(doc, sort_keys=True)
 

@@ -127,12 +127,29 @@ def kron_regroup(s, t, max_size: int = MAX_REGROUP_SIZE) -> np.ndarray:
     return out.reshape(dims)
 
 
+def complex_to_pairs(values) -> list:
+    """Complex values as ``[re, im]`` float pairs, flattened in C order.
+
+    This is the one wire format for complex numbers in every JSON document.
+    """
+    return [[float(z.real), float(z.imag)] for z in np.ravel(values)]
+
+
+def complex_from_pairs(pairs) -> np.ndarray:
+    """Flat complex array from ``[re, im]`` pairs, rejecting NaN/Inf entries.
+
+    Inverse of :func:`complex_to_pairs`.
+    """
+    flat = np.array([complex(re, im) for re, im in pairs], dtype=complex)
+    if not np.all(np.isfinite(flat)):
+        raise ValueError("complex entries must be finite")
+    return flat
+
+
 def tensor_to_json(t) -> str:
     """Serialize to the wire format {"dims": [...], "entries": [[re, im], ...]}."""
     t = as_tensor(t)
-    flat = t.ravel(order="C")
-    entries = [[float(z.real), float(z.imag)] for z in flat]
-    return json.dumps({"dims": list(t.shape), "entries": entries})
+    return json.dumps({"dims": list(t.shape), "entries": complex_to_pairs(t)})
 
 
 def tensor_from_json(text: str) -> np.ndarray:
@@ -147,10 +164,7 @@ def tensor_from_json(text: str) -> np.ndarray:
     n = dims[0] * dims[1] * dims[2]
     if len(entries) != n:
         raise ValueError(f"expected {n} entries, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
-    if not np.all(np.isfinite(flat)):
-        raise ValueError("tensor entries must be finite")
-    return flat.reshape(dims)
+    return complex_from_pairs(entries).reshape(dims)
 
 
 def matrix_to_json(m) -> str:
@@ -158,8 +172,9 @@ def matrix_to_json(m) -> str:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise ValueError("expected a matrix")
-    entries = [[float(z.real), float(z.imag)] for z in m.ravel(order="C")]
-    return json.dumps({"rows": m.shape[0], "cols": m.shape[1], "entries": entries})
+    return json.dumps(
+        {"rows": m.shape[0], "cols": m.shape[1], "entries": complex_to_pairs(m)}
+    )
 
 
 def matrix_from_json(text: str) -> np.ndarray:
@@ -171,7 +186,4 @@ def matrix_from_json(text: str) -> np.ndarray:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
     if rows < 1 or cols < 1 or len(entries) != rows * cols:
         raise ValueError("matrix JSON shape mismatch")
-    flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
-    if not np.all(np.isfinite(flat)):
-        raise ValueError("matrix entries must be finite")
-    return flat.reshape(rows, cols)
+    return complex_from_pairs(entries).reshape(rows, cols)

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import slocc3 as s
-from slocc3.detpoly import HomPoly3, _det_poly_symbolic, monomials
+from slocc3.detpoly import (
+    HomPoly3,
+    _det_poly_symbolic,
+    _node_values,
+    _value_residual,
+    det_coefficients,
+    monomials,
+)
 
 
 def _t1_t2():
@@ -60,6 +67,43 @@ def test_det_poly_interpolation_matches_symbolic():
     diff = exact.coeff_vector() - interp.coeff_vector()
     scale = np.max(np.abs(exact.coeff_vector()))
     assert np.max(np.abs(diff)) < 1e-9 * scale
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_det_coefficients_match_symbolic_with_batch_axes(n):
+    """Coefficient grid [p, q] of det(x*A + y*B + C) is x^p y^q z^(n-p-q)."""
+    rng = np.random.default_rng(10 + n)
+    batch = rng.standard_normal((2, 3, n, n, 3)) + 1j * rng.standard_normal((2, 3, n, n, 3))
+    grid = det_coefficients(batch[..., 0], batch[..., 1], batch[..., 2])
+    assert grid.shape == (2, 3, n + 1, n + 1)
+    for idx in np.ndindex(2, 3):
+        exact = _det_poly_symbolic(batch[idx])
+        ref = np.zeros((n + 1, n + 1), dtype=complex)
+        for (p, q, _), c in exact.coeffs.items():
+            ref[p, q] = c
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(grid[idx] - ref)) < 1e-12 * scale
+
+
+def test_residual_grid_values_are_the_substituted_polynomial():
+    """f o G on the nodes is the determinant of the slices recombined by G,
+    and the value residual vanishes at G against those values."""
+    rng = np.random.default_rng(8)
+    for n in (2, 3, 4):
+        t = rng.standard_normal((n, n, 3)) + 1j * rng.standard_normal((n, n, 3))
+        monic, lead = s.monic_normalize(s.det_poly(t))
+        g = s.random_nonsingular(3, 40 + n, cond_bound=20)
+        w = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
+        sub = s.substitute(monic, g)
+        expected = np.array([sub(1.0, y, z) for y in w for z in w])
+        values = _node_values(t, g) / lead
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(values - expected)) < 1e-12 * scale
+        x = np.concatenate([g.real.ravel(), g.imag.ravel()])
+        residual = _value_residual(t, lead, expected, x)(x)
+        assert residual.shape == (2 * (n + 1) ** 2 + 2,)
+        assert np.max(np.abs(residual[:-2])) < 1e-12 * scale
+        assert residual[-2] == 0.0 and residual[-1] == 0.0
 
 
 def test_substitute_identity():
@@ -198,6 +242,20 @@ def test_equiv_test_both_zero():
     verdict = s.detpoly_equiv_test(upper, 2 * upper)
     assert verdict.kind == "CandidateFound"
     assert verdict.residual == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e-120, 1e120])
+def test_equiv_test_scale_invariant(scale):
+    """States differing only by a scalar are related at any scale."""
+    diag = s.catalog_build("3x3x3-diag")
+    for pair in ((diag * scale, diag), (diag, diag * scale)):
+        verdict = s.detpoly_equiv_test(*pair)
+        assert verdict.kind == "CandidateFound"
+        assert verdict.residual < 1e-14
+    upper = np.zeros((3, 3, 3), dtype=complex)
+    upper[0, 1, 0] = upper[0, 2, 1] = upper[1, 2, 2] = 1
+    assert s.detpoly_equiv_test(upper * scale, diag).kind == "CertifiedObstruction"
+    assert s.detpoly_equiv_test(upper * scale, upper).kind == "CandidateFound"
 
 
 def test_equiv_test_found_for_random_transform_pairs():

@@ -1,9 +1,62 @@
 """Tests for Kronecker pencil invariants, against hand-computed structures."""
 
+from itertools import combinations, permutations
+
 import numpy as np
 import pytest
 
 import slocc3 as s
+from slocc3.pencil import _minor_forms
+
+
+def _binary_form_det(s0, s1, rows, cols) -> np.ndarray:
+    """Reference: determinant of the pencil submatrix as a binary form in
+    (x, y) by the r!-term permutation expansion.
+
+    Returns coefficients c[j] of x^(r-j) y^j, j = 0..r.
+    """
+    r = len(rows)
+    acc = np.zeros(r + 1, dtype=complex)
+    for perm in permutations(range(r)):
+        sign = 1.0
+        seen = list(perm)
+        # permutation parity
+        visited = [False] * r
+        for start in range(r):
+            if visited[start]:
+                continue
+            length = 0
+            j = start
+            while not visited[j]:
+                visited[j] = True
+                j = seen[j]
+                length += 1
+            if length % 2 == 0:
+                sign = -sign
+        term = np.array([1.0 + 0.0j])
+        for i, j in enumerate(perm):
+            lin = np.array([s0[rows[i], cols[j]], s1[rows[i], cols[j]]])
+            term = np.convolve(term, lin)
+        acc[: term.size] += sign * term
+    return acc
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (3, 3), (4, 4), (4, 5), (5, 4)])
+def test_minor_forms_match_permutation_expansion(shape):
+    """The batched DFT forms equal the r!-term expansion for r = 1..4."""
+    rng = np.random.default_rng(sum(shape))
+    m, n = shape
+    s0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    s1 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for r in range(1, min(m, n, 4) + 1):
+        ref = np.array([
+            _binary_form_det(s0, s1, rows, cols)
+            for rows in combinations(range(m), r)
+            for cols in combinations(range(n), r)
+        ])
+        forms = _minor_forms(s0, s1, r)
+        assert forms.shape == ref.shape
+        np.testing.assert_allclose(forms, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
 
 def test_ghz_pencil_two_simple_eigenvalues():
@@ -132,3 +185,25 @@ def test_triple_eigenvalue_survives_float_perturbation():
     inv = s.pencil_invariants(s.apply_slocc(t, *maps))
     assert inv.all_partitions() == ((3,),)
     assert not inv.borderline
+
+
+def test_2x1x1_pencil_drops_rank_at_its_root():
+    """a*x + b*y vanishes at y/x = -a/b; the drop there is a (1,) block."""
+    rng = np.random.default_rng(211)
+    for _ in range(50):
+        t = rng.standard_normal((2, 1, 1)) + 1j * rng.standard_normal((2, 1, 1))
+        inv = s.pencil_invariants(t)
+        assert not inv.borderline, inv.condition_note
+        assert inv.all_partitions() == ((1,),)
+        (ev, part), = inv.finite_divisors
+        assert abs(ev + t[0, 0, 0] / t[1, 0, 0]) < 1e-10 * abs(ev)
+
+
+def test_pencil_vanishing_at_a_point_has_full_drop():
+    """S0 = I2, S1 = 2*I2: (x + 2y)*I2 vanishes at lambda = -1/2, blocks (1, 1)."""
+    t = np.array([np.eye(2), 2 * np.eye(2)], dtype=complex)
+    inv = s.pencil_invariants(t)
+    assert not inv.borderline, inv.condition_note
+    assert inv.infinite_partition == ()
+    (ev, part), = inv.finite_divisors
+    assert abs(ev + 0.5) < 1e-12 and part == (1, 1)

@@ -168,3 +168,72 @@ def test_as_tensor_rejects_nonfinite():
     bad[0, 0, 0] = np.nan
     with pytest.raises(ValueError):
         s.as_tensor(bad)
+
+
+def _json_encoders():
+    from slocc3.detpoly import EquivVerdict, HomPoly3
+    from slocc3.pencil import PencilInvariants
+    from slocc3.product_range import ProductVectorReport
+    from slocc3.rank import CpResult
+
+    t = np.array([0.5 - 1j, 0.1, -2.0, 3e-17j, 1, 0, 0.25j, -1.5]).reshape(2, 2, 2)
+    m = np.array([[1 - 1j, 0.1], [-0.0, 2.5j]])
+    u, v = np.array([1, 0.1j]), np.array([-1.0, 0.3 - 0.2j])
+    factors = (np.array([[1j], [0.5]]), np.array([[1.0]]), np.array([[-2 + 0.1j]]))
+    return {
+        "tensor": s.tensor_to_json(t),
+        "matrix": s.matrix_to_json(m),
+        "density": s.density_to_json(m, (2,)),
+        "cp": CpResult(True, 1, 0.0, factors, "d").to_json(),
+        "verdict": EquivVerdict("CandidateFound", 1e-20, np.diag([1 - 0.5j, 2, 1j]), "x").to_json(),
+        "poly": HomPoly3(2, {(2, 0, 0): 1.0, (0, 1, 1): 0.1 - 2j}).to_json(),
+        "pencil": PencilInvariants((2, 2), 2, (), (), ((-0.5 + 0.1j, (1, 1)),), (1,)).to_json(),
+        "report": ProductVectorReport([(u, v)], 1, "Exact").to_json(),
+    }
+
+
+JSON_LITERALS = {
+    "tensor": '{"dims": [2, 2, 2], "entries": [[0.5, -1.0], [0.1, 0.0], [-2.0, 0.0], '
+              '[0.0, 3e-17], [1.0, 0.0], [0.0, 0.0], [0.0, 0.25], [-1.5, 0.0]]}',
+    "matrix": '{"rows": 2, "cols": 2, "entries": [[1.0, -1.0], [0.1, 0.0], [-0.0, 0.0], '
+              '[0.0, 2.5]]}',
+    "density": '{"party_dims": [2], "rows": 2, "cols": 2, "entries": [[1.0, -1.0], '
+               '[0.1, 0.0], [-0.0, 0.0], [0.0, 2.5]]}',
+    "cp": '{"detail": "d", "factor_shapes": [[2, 1], [1, 1], [1, 1]], "factors": '
+          '[[[0.0, 1.0], [0.5, 0.0]], [[1.0, 0.0]], [[-2.0, 0.1]]], "rank": 1, '
+          '"residual": 0.0, "success": true}',
+    "verdict": '{"detail": "x", "g": [[1.0, -0.5], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], '
+               '[2.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 1.0]], '
+               '"kind": "CandidateFound", "residual": 1e-20}',
+    "poly": '{"degree": 2, "terms": [{"exp": [2, 0, 0], "coef": [1.0, 0.0]}, '
+            '{"exp": [0, 1, 1], "coef": [0.1, -2.0]}]}',
+    "pencil": '{"borderline": false, "col_min_indices": [], "condition_note": "", '
+              '"finite_divisors": [{"eigenvalue": [-0.5, 0.1], "partition": [1, 1]}], '
+              '"infinite_partition": [1], "normal_rank": 2, "row_min_indices": [], '
+              '"shape": [2, 2]}',
+    "report": '{"continuum": false, "detail": "", "exactness": "Exact", '
+              '"independent_count": 1, "vectors": [{"u": [[1.0, 0.0], [0.0, 0.1]], '
+              '"v": [[-1.0, 0.0], [0.3, -0.2]]}]}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSON_LITERALS))
+def test_complex_json_wire_format(name):
+    """Every document writes complex numbers as [re, im] in one format."""
+    assert _json_encoders()[name] == JSON_LITERALS[name]
+
+
+def test_complex_json_decoders_invert_the_encoders():
+    from slocc3.detpoly import HomPoly3
+
+    docs = _json_encoders()
+    t = s.tensor_from_json(docs["tensor"])
+    assert s.tensor_to_json(t) == docs["tensor"]
+    assert s.matrix_to_json(s.matrix_from_json(docs["matrix"])) == docs["matrix"]
+    poly = HomPoly3.from_json(docs["poly"])
+    assert poly.coeffs == {(2, 0, 0): 1.0, (0, 1, 1): 0.1 - 2j}
+    decoders = {"tensor": s.tensor_from_json, "matrix": s.matrix_from_json,
+                "poly": HomPoly3.from_json}
+    for name, decode in decoders.items():
+        with pytest.raises(ValueError):
+            decode(docs[name].replace("0.1", "NaN", 1))
