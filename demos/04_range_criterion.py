@@ -30,8 +30,12 @@ maps = s.random_slocc((2, 2, 2), seed=7, cond_bound=20)
 image = s.apply_slocc(ghz, *maps)
 print("GHZ vs transformed GHZ:", s.range_criterion_compare(ghz, image, "A"))
 
-# For ranges of dimension 3 and up the search is an explicit lower bound and
-# the comparison refuses to separate states on its basis.
-diag3 = s.catalog_build("3x3x3-diag")
-report = s.range_product_count(diag3, "A", starts=16, seed=0)
+# A 3-dimensional range is counted exactly from the common zeros of two minor
+# quadrics, so the diagonal and permutation 3x3x3 states (3 and 0 product
+# vectors) are separated.  From dimension 4 up the count comes from a
+# multi-start search, an explicit lower bound on which the comparison
+# refuses to separate states.
+diag3, perm3 = s.catalog_build("3x3x3-diag"), s.catalog_build("3x3x3-perm")
+report = s.range_product_count(diag3, "A", seed=0)
 print("3-dim range:", report.independent_count, "found,", report.exactness)
+print("diag vs perm:", s.range_criterion_compare(diag3, perm3, "A"))

@@ -17,6 +17,10 @@ import numpy as np
 from .tensor import complex_to_pairs
 
 EIGEN_RANK_TOL = 1e-9
+# input checks of partial_trace, relative to the largest entry modulus and
+# the largest eigenvalue: round-off leaves ~1e-16 in both
+HERMITIAN_TOL = 1e-12
+PSD_TOL = 1e-10
 
 
 def density_of(psi) -> np.ndarray:
@@ -50,11 +54,11 @@ def mixture(states, probs) -> np.ndarray:
     return rho
 
 
-def partial_trace(rho, party_dims, traced) -> np.ndarray:
-    """Trace out the given parties; returns the reduced density matrix.
+def _split_parties(party_dims, traced):
+    """Validated (party_dims, traced, kept) for tracing out ``traced``.
 
-    ``traced`` is a nonempty proper subset of party indices (0-based).  The
-    result acts on the remaining parties in their original order.
+    ``traced`` must be a nonempty proper subset of the party indices; both
+    index lists come back sorted.
     """
     party_dims = tuple(int(d) for d in party_dims)
     traced = sorted(set(int(p) for p in traced))
@@ -65,30 +69,49 @@ def partial_trace(rho, party_dims, traced) -> np.ndarray:
         raise ValueError(f"party index out of range for {m} parties")
     if len(traced) == m:
         raise ValueError("cannot trace every party; use total_trace instead")
+    return party_dims, traced, [i for i in range(m) if i not in traced]
+
+
+def _check_density(rho) -> None:
+    """Raise ValueError unless ``rho`` is Hermitian and positive semidefinite.
+
+    Both tests are relative to the largest entry modulus and the largest
+    eigenvalue, so they hold at any nonzero scale of the input.
+    """
+    scale = np.max(np.abs(rho))
+    if np.max(np.abs(rho - rho.conj().T)) > HERMITIAN_TOL * scale:
+        raise ValueError("density matrix is not Hermitian")
+    vals = np.linalg.eigvalsh(rho)
+    if vals[0] < -PSD_TOL * max(vals[-1], 0.0):
+        raise ValueError("density matrix is not positive semidefinite")
+
+
+def partial_trace(rho, party_dims, traced) -> np.ndarray:
+    """Trace out the given parties; returns the reduced density matrix.
+
+    ``traced`` is a nonempty proper subset of party indices (0-based).  The
+    result acts on the remaining parties in their original order.  ``rho``
+    must be Hermitian and positive semidefinite (``_check_density``).
+    """
+    party_dims, traced, keep = _split_parties(party_dims, traced)
+    m = len(party_dims)
     dim = int(np.prod(party_dims))
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(f"density matrix shape {rho.shape} does not match dims")
+    _check_density(rho)
     cube = rho.reshape(party_dims + party_dims)
     letters = string.ascii_lowercase
     row = [letters[i] for i in range(m)]
     col = [letters[m + i] for i in range(m)]
     for p in traced:
         col[p] = row[p]
-    keep = [i for i in range(m) if i not in traced]
     sub = "".join(row) + "".join(col) + "->" + "".join(
         row[i] for i in keep
     ) + "".join(col[i] for i in keep)
     reduced_cube = np.einsum(sub, cube)
     out_dim = int(np.prod([party_dims[i] for i in keep]))
-    out = reduced_cube.reshape(out_dim, out_dim)
-    if __debug__:
-        # spectral sanity check on density-matrix inputs, skipped under -O
-        scale = max(1.0, abs(np.trace(out)))
-        assert np.allclose(out, out.conj().T, atol=1e-12 * scale)
-        vals = np.linalg.eigvalsh(out)
-        assert vals.size == 0 or vals.min() > -1e-10 * max(vals.max(), 1e-30)
-    return out
+    return reduced_cube.reshape(out_dim, out_dim)
 
 
 def total_trace(rho) -> complex:
@@ -96,9 +119,19 @@ def total_trace(rho) -> complex:
 
 
 def reduced_density(psi, party_dims, traced) -> np.ndarray:
-    """Partial trace of the pure-state density |psi><psi|."""
-    psi = np.asarray(psi, dtype=complex).reshape(tuple(party_dims))
-    return partial_trace(density_of(psi), party_dims, traced)
+    """Partial trace of the pure-state density |psi><psi|.
+
+    Formed without the full density matrix: with X the unfolding of psi whose
+    rows are the kept parties and whose columns are the traced ones, the
+    reduced density is X X^dagger.
+    """
+    party_dims, traced, keep = _split_parties(party_dims, traced)
+    psi = np.asarray(psi, dtype=complex).reshape(party_dims)
+    if not np.any(psi):
+        raise ValueError("zero state has no density matrix")
+    rows = int(np.prod([party_dims[i] for i in keep]))
+    x = psi.transpose(keep + traced).reshape(rows, -1)
+    return x @ x.conj().T
 
 
 def range_basis(rho, tol: float = EIGEN_RANK_TOL):

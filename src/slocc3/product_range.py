@@ -3,12 +3,15 @@
 Vectors of C^M tensor C^N reshaped as M x N matrices turn "product vector"
 into "rank-1 matrix", so counting linearly independent product states in the
 range of a reduced density matrix becomes finding the rank-1 locus of a
-matrix subspace.  Dimension k = 1 and the pencil case k = 2 are decided
-exactly; k >= 3 falls back to a seeded multi-start Levenberg-Marquardt search
-on the 2x2-minor equations, with a closed-form Jacobian, whose result is an
-explicit lower bound, never an exact count.  All three paths evaluate the
-minors with one vectorised kernel (``_minor_entries``), and candidates are
-projected back onto the subspace with its cached pseudo-inverse.
+matrix subspace.  Dimensions k = 1, the pencil case k = 2 and k = 3 are
+decided exactly; k = 3 solves two random combinations of the 2x2-minor
+quadrics through a resultant quartic.  k >= 4, and a k = 3 subspace whose
+quartic vanishes or leaves a candidate undecided, go to a seeded multi-start
+Levenberg-Marquardt search on the minor equations, with a closed-form
+Jacobian, whose result is an explicit lower bound, never an exact count.
+All paths evaluate the minors with one vectorised kernel
+(``_minor_entries``), and candidates are projected back onto the subspace
+with its cached pseudo-inverse.
 """
 
 from __future__ import annotations
@@ -26,6 +29,17 @@ from .tensor import as_tensor, complex_to_pairs, local_ranks, matrix_rank_tol
 MINOR_TOL = 1e-7
 ROOT_CLUSTER_RADIUS = 1e-7
 RECONSTRUCT_TOL = 1e-8
+# a k = 3 resultant quartic below this, relative to |Q_a|^2 |Q_b|^2 (its
+# coefficients are of degree 2 in each quadric), is identically zero; the
+# coefficients of one that is zero in exact arithmetic are round-off, ~1e-16
+RESULTANT_ZERO_TOL = 1e-10
+# A k = 3 root whose unit-norm member has a 2x2 minor above this is far from
+# every rank-1 member.  Round-off moves a root of multiplicity r of the
+# quartic by about eps^(1/r) relative, at most eps^(1/4) ~ 1.2e-4 at r = 4,
+# and a minor of a unit-norm member moves by at most twice as much as the
+# member, so a perturbed rank-1 member stays below the margin; a root that
+# is neither accepted nor above it leaves the count undecided.
+REJECT_MARGIN = 1e-3
 
 PARTY_NAMES = {"A": 0, "B": 1, "C": 2}
 
@@ -224,19 +238,26 @@ def find_product_vectors(space: MatrixSubspace, tol: float = MINOR_TOL,
     k = 1: the basis matrix either is rank 1 or is not.  k = 2: exact pencil
     computation via the common roots of all 2x2 minors of t*B1 + B2 together
     with the point at infinity; a pencil whose minors vanish identically is
-    flagged as a continuum.  k >= 3: seeded multi-start Levenberg-Marquardt
-    (trust-region reflective when there are fewer equations than unknowns)
-    on the normalised minor equations with their closed-form Jacobian; each
-    solution is polished by alternating rank-1 truncation with projection
-    through the subspace's cached pseudo-inverse, and is kept only if all its
-    minors are below ``tol`` and it reconstructs as an outer product.  The
-    report is then only a lower bound.
+    flagged as a continuum.  k = 3: exact, from the at most 4 common zeros of
+    two random combinations of the minor quadrics (``_exact_k3``; ``seed``
+    fixes the combinations).  k >= 4, and a k = 3 subspace ``_exact_k3``
+    cannot decide: seeded multi-start Levenberg-Marquardt (trust-region
+    reflective when there are fewer equations than unknowns) on the
+    normalised minor equations with their closed-form Jacobian, whose report
+    is only a lower bound.  Every candidate is polished by alternating
+    rank-1 truncation with projection through the subspace's cached
+    pseudo-inverse, and is kept only if all its minors are below ``tol`` and
+    it reconstructs as an outer product.
     """
     k = space.dim
     if k == 1:
         return _exact_k1(space, tol)
     if k == 2:
         return _exact_k2(space, tol)
+    if k == 3:
+        report = _exact_k3(space, tol, seed)
+        if report is not None:
+            return report
     return _search_k3(space, tol, starts, seed)
 
 
@@ -309,18 +330,27 @@ def _continuum_report(space, tol):
                    detail="every member of the pencil is a product vector")
 
 
-def _minor_form(basis) -> np.ndarray:
-    """Real quadratic forms of the minors of a member, one per residual row.
+def _minor_quadrics(basis) -> np.ndarray:
+    """Complex symmetric matrices A_i of the minors of a member.
 
-    The minors of M(c) = sum_j c_j B_j are q_i(c) = c^T A_i c with the complex
-    symmetric A_i = sym(B_a[:, i] B_d[:, i]^T - B_b[:, i] B_c[:, i]^T), where
-    B_a .. B_c are the kernel's gathered entries of the basis (k, m, n).  For
-    x = [Re c, Im c], Re q_i = x^T T_i x and Im q_i = x^T T_{count+i} x with
-    the symmetric blocks below.  Shape (2 * count, 2k, 2k).
+    The minors of M(c) = sum_j c_j B_j are q_i(c) = c^T A_i c with
+    A_i = sym(B_a[:, i] B_d[:, i]^T - B_b[:, i] B_c[:, i]^T), where B_a .. B_c
+    are the kernel's gathered entries of the basis (k, m, n).  Shape
+    (count, k, k).
     """
     ga, gd, gb, gc = _minor_entries(basis).transpose(1, 2, 0)
     a = ga[:, :, None] * gd[:, None, :] - gb[:, :, None] * gc[:, None, :]
-    a = 0.5 * (a + a.transpose(0, 2, 1))
+    return 0.5 * (a + a.transpose(0, 2, 1))
+
+
+def _minor_form(basis) -> np.ndarray:
+    """Real quadratic forms of the minors of a member, one per residual row.
+
+    With the A_i of ``_minor_quadrics`` and x = [Re c, Im c],
+    Re q_i = x^T T_i x and Im q_i = x^T T_{count+i} x with the symmetric
+    blocks below.  Shape (2 * count, 2k, 2k).
+    """
+    a = _minor_quadrics(basis)
     ar, ai = a.real, a.imag
     return np.block([[[ar, -ai], [-ai, -ar]], [[ai, ar], [ar, -ai]]])
 
@@ -345,6 +375,70 @@ def _minor_residual(x, form):
     jac[:-1] = (tx - res[:, None] * x) * (2.0 / s)
     jac[-1] = x / norm
     return np.concatenate([res, [norm - 1.0]]), jac
+
+
+def _exact_k3(space, tol, seed):
+    """Every rank-1 member of a 3-dimensional subspace, or None if undecided.
+
+    The rank-1 members are the common zeros on P^2 of the minor quadrics
+    q_i(c) = c^T A_i c.  Two random combinations Q_a, Q_b of them meet in at
+    most 4 points unless they share a component (Bezout).  In coordinates
+    c = H w with a random unitary H, almost surely no common zero lies on
+    w_3 = 0 and no two share a y, so on the chart w = (x, y, 1) each Q reads
+    a x^2 + b(y) x + c(y), the resultant in x is the quartic
+    (a1 c2 - a2 c1)^2 - (a1 b2 - a2 b1)(b1 c2 - b2 c1) in y (Cox, Little &
+    O'Shea, Using Algebraic Geometry, ch. 3), and x is the common root of the
+    two quadratics.  A root whose member has a minor above the rejection
+    margin is discarded; every other root must pass ``_accept_candidate``.
+    The count is exact only when the quartic is not identically zero, keeps
+    its degree, and every root is accepted or discarded; otherwise None is
+    returned.  ``seed`` fixes the combinations and H.
+    """
+    m, n = space.m, space.n
+    ortho = np.linalg.qr(space.stack.T)[0].T.reshape(3, m, n)
+    space = MatrixSubspace(m, n, list(ortho))
+    quads = _minor_quadrics(ortho)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, m, n, 3]))
+    mix = rng.standard_normal((2, len(quads))) + 1j * rng.standard_normal((2, len(quads)))
+    h = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    # Q_a, Q_b in the w coordinates, shape (2, 3, 3)
+    q = h.T @ np.tensordot(mix, quads, 1) @ h
+    a = q[:, 0, 0]
+    b = 2.0 * q[:, 0, 1:]
+    c = np.stack([q[:, 1, 1], 2.0 * q[:, 1, 2], q[:, 2, 2]], axis=1)
+    ac = a[0] * c[1] - a[1] * c[0]
+    ab = a[0] * b[1] - a[1] * b[0]
+    bc = np.convolve(b[0], c[1]) - np.convolve(b[1], c[0])
+    quartic = np.convolve(ac, ac) - np.convolve(ab, bc)
+    peak = np.max(np.abs(quartic))
+    if peak <= RESULTANT_ZERO_TOL * np.prod(np.sum(np.abs(q) ** 2, axis=(1, 2))):
+        return None  # a shared component: a curve of common zeros, or Q_a ~ Q_b
+    if abs(quartic[0]) <= 1e-12 * peak:
+        return None  # a root at infinity, i.e. a common zero off the chart
+
+    margin = max(tol, REJECT_MARGIN)
+    found = []
+    for y in np.roots(quartic):
+        by, cy = b @ [y, 1.0], c @ [y * y, y, 1.0]
+        den = a[0] * by[1] - a[1] * by[0]
+        if abs(den) > 1e-8 * (abs(a[0] * by[1]) + abs(a[1] * by[0])):
+            xs = [-(a[0] * cy[1] - a[1] * cy[0]) / den]
+        else:
+            # the two quadratics in x are proportional at this y
+            xs = np.roots([a[0], by[0], cy[0]])
+            if len(xs) == 0:
+                return None
+        for x in xs:
+            coeffs = h @ np.array([x, y, 1.0])
+            member = space.member(coeffs)
+            if np.max(np.abs(_all_minors(member / np.linalg.norm(member)))) > margin:
+                continue  # clearly not a rank-1 member
+            cand = _accept_candidate(space, coeffs, tol)
+            if cand is None:
+                return None
+            if not _dedup(found, cand[2]):
+                found.append(cand)
+    return _report(found, "Exact", detail="common zeros of two minor quadrics")
 
 
 def _search_k3(space, tol, starts, seed):

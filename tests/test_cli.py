@@ -242,11 +242,35 @@ def test_repeat_runs_byte_identical(args):
     assert first.stdout == second.stdout
 
 
-def test_rank_answer_same_under_optimize_flag():
-    """No rank answer may depend on ``assert`` or ``__debug__``."""
-    args = ["rank", "--ket", "|012>+|021>+|102>+|120>+|201>+|210>", "--dims", "3,3,3",
-            "--output", "json"]
+def _assert_same_under_optimize_flag(args):
     plain = _run_subprocess(args)
     optimized = _run_subprocess(args, ["-O"])
     assert plain.returncode == optimized.returncode == 0
     assert plain.stdout == optimized.stdout
+
+
+def test_rank_answer_same_under_optimize_flag():
+    """No rank answer may depend on ``assert`` or ``__debug__``."""
+    _assert_same_under_optimize_flag(
+        ["rank", "--ket", "|012>+|021>+|102>+|120>+|201>+|210>", "--dims", "3,3,3",
+         "--output", "json"])
+
+
+def test_product_count_same_under_optimize_flag():
+    """Nor may a product-vector count or the reduced density behind it."""
+    _assert_same_under_optimize_flag(
+        ["product-count", "--ket", "|000>+|111>+|222>", "--dims", "3,3,3",
+         "--traced", "A"])
+
+
+def test_product_count_strict_exact_k3(capsys):
+    """A k = 3 range is counted exactly, so --strict does not exit 4."""
+    code, out = run_cli(
+        ["product-count", "--ket", "|000>+|111>+|222>", "--dims", "3,3,3",
+         "--traced", "A", "--strict", "--output", "json"],
+        capsys,
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["exactness"] == "Exact"
+    assert doc["independent_count"] == 3

@@ -1,5 +1,9 @@
 """Tests for density matrices, partial traces, and range bases."""
 
+import itertools
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -123,6 +127,52 @@ def test_partial_trace_errors():
     with pytest.raises(ValueError):
         s.partial_trace(rho, (2, 2), [5])
     assert abs(s.total_trace(rho) - 1.0) < 1e-14
+
+
+def test_partial_trace_rejects_non_density_input():
+    rho = s.density_of(np.ones(4) / 2)
+    skew = rho.copy()
+    skew[0, 1] += 0.5
+    with pytest.raises(ValueError, match="not Hermitian"):
+        s.partial_trace(skew, (2, 2), [0])
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        s.partial_trace(np.diag([1.0, -1.0, 0.0, 0.0]), (2, 2), [0])
+    # the checks are relative, so a valid input passes at any scale
+    for scale in (1e-200, 1e200):
+        s.partial_trace(rho * scale, (2, 2), [0])
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_partial_trace_check_survives_optimize_flag(flags):
+    code = (
+        "import numpy as np, slocc3\n"
+        "rho = np.eye(4, dtype=complex)\n"
+        "rho[0, 1] = 1.0\n"
+        "try:\n"
+        "    slocc3.partial_trace(rho, (2, 2), [0])\n"
+        "except ValueError as exc:\n"
+        "    print('rejected:', exc)\n"
+    )
+    done = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
+                          text=True, check=False)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "rejected: density matrix is not Hermitian"
+
+
+def test_reduced_density_matches_partial_trace_of_density():
+    rng = np.random.default_rng(5)
+    for dims in ((2, 3, 4), (3, 3, 3), (2, 2, 2, 3)):
+        psi = random_state(rng, dims)
+        psi /= np.linalg.norm(psi)
+        rho = s.density_of(psi)
+        for traced in itertools.chain.from_iterable(
+                itertools.combinations(range(len(dims)), r) for r in range(1, len(dims))):
+            np.testing.assert_allclose(s.reduced_density(psi, dims, traced),
+                                       s.partial_trace(rho, dims, traced), rtol=0, atol=1e-12)
+    with pytest.raises(ValueError):
+        s.reduced_density(np.zeros((2, 2)), (2, 2), [0])
+    with pytest.raises(ValueError):
+        s.reduced_density(np.ones((2, 2)), (2, 2), [0, 1])
 
 
 def test_range_basis_rank_one():

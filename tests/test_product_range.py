@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import slocc3 as s
 from slocc3.product_range import (
@@ -11,8 +13,10 @@ from slocc3.product_range import (
     _all_minors,
     _minor_form,
     _accept_candidate,
+    _exact_k3,
     _minor_residual,
     _pencil_minor_polys,
+    _search_k3,
 )
 
 # the per-minor loops the vectorised kernel replaced, kept as references
@@ -200,7 +204,7 @@ def test_diag_333_range_has_three_product_vectors():
     diag = s.catalog_build("3x3x3-diag")
     for seed in range(5):
         report = s.range_product_count(diag, "A", seed=seed)
-        assert report.exactness == "LowerBound"
+        assert report.exactness == "Exact"
         assert report.independent_count == 3
     for seed in range(5):
         image = s.apply_slocc(diag, *s.random_slocc((3, 3, 3), seed, cond_bound=20))
@@ -219,17 +223,45 @@ def test_search_vectors_satisfy_minors_and_reconstruct(dims):
     found = 0
     for t in states:
         report = s.range_product_count(t, "A")
-        assert report.exactness == "LowerBound"
-        rng_basis = np.stack(s.range_basis(s.reduced_density(t, dims, [0])), axis=1)
-        for u, v in report.vectors:
-            m = np.outer(u, v)
-            m_hat = m / np.linalg.norm(m)
-            assert np.max(np.abs(_all_minors(m_hat))) <= MINOR_TOL
-            # the product vector lies in the range it was found in
-            vec = m_hat.ravel()
-            assert np.linalg.norm(rng_basis @ (rng_basis.conj().T @ vec) - vec) <= RECONSTRUCT_TOL
-            found += 1
+        assert report.exactness == "Exact"
+        found += _check_range_vectors(t, report)
     assert found >= 3
+
+
+def _check_range_vectors(t, report) -> int:
+    """Assert every reported vector is a product vector in the range of the
+    state traced at A; returns how many there are."""
+    rng_basis = np.stack(s.range_basis(s.reduced_density(t, t.shape, [0])), axis=1)
+    for u, v in report.vectors:
+        m = np.outer(u, v)
+        m_hat = m / np.linalg.norm(m)
+        assert np.max(np.abs(_all_minors(m_hat))) <= MINOR_TOL
+        # the product vector lies in the range it was found in
+        vec = m_hat.ravel()
+        assert np.linalg.norm(rng_basis @ (rng_basis.conj().T @ vec) - vec) <= RECONSTRUCT_TOL
+    return len(report.vectors)
+
+
+def _diag_plus_random_slab(rng) -> np.ndarray:
+    """|000>+|111>+|222> plus |3> (x) a random 3x3 slab: a k = 4 range that
+    holds the three product vectors of the diagonal state."""
+    t = np.zeros((4, 3, 3), dtype=complex)
+    t[0, 0, 0] = t[1, 1, 1] = t[2, 2, 2] = 1.0
+    t[3] = _random_complex(rng, (3, 3))
+    return t
+
+
+def test_search_k4_vectors_satisfy_minors_and_reconstruct():
+    """k = 4 still goes to the multi-start search, a lower bound."""
+    rng = np.random.default_rng(6)
+    for seed in range(3):
+        t = _diag_plus_random_slab(rng)
+        image = s.apply_slocc(t, *s.random_slocc((4, 3, 3), seed, cond_bound=20))
+        report = s.range_product_count(image, "A", seed=seed)
+        assert report.exactness == "LowerBound"
+        assert "multi-start search" in report.detail
+        assert _check_range_vectors(image, report) >= 3
+        assert report.independent_count == 3
 
 
 def test_count_invariant_under_basis_change():
@@ -279,3 +311,136 @@ def test_report_json_fields():
     assert doc["independent_count"] == 2
     assert doc["exactness"] == "Exact"
     assert len(doc["vectors"]) == 2
+
+
+# --- exact k = 3 counts --------------------------------------------------------
+
+
+def _range_space(t, party=0) -> MatrixSubspace:
+    kept = [d for i, d in enumerate(t.shape) if i != party]
+    rho = s.reduced_density(t, t.shape, [party])
+    return MatrixSubspace(kept[0], kept[1], [v.reshape(kept) for v in s.range_basis(rho)])
+
+
+def _planted_space(rng, shape, count) -> MatrixSubspace:
+    """count random rank-1 matrices and 3 - count random ones: generically
+    the span holds exactly ``count`` product vectors."""
+    basis = [np.outer(_random_complex(rng, shape[0]), _random_complex(rng, shape[1]))
+             for _ in range(count)]
+    basis += [_random_complex(rng, shape) for _ in range(3 - count)]
+    return MatrixSubspace(shape[0], shape[1], basis)
+
+
+def _k3_cases():
+    """(name, k = 3 subspace, its product-vector count)."""
+    rng = np.random.default_rng(11)
+    for entry, count in (("3x3x3-diag", 3), ("3x3x3-perm", 0)):
+        t = s.catalog_build(entry)
+        yield entry, _range_space(t), count
+        for seed in range(5):
+            image = s.apply_slocc(t, *s.random_slocc((3, 3, 3), seed, cond_bound=20))
+            yield f"{entry} image {seed}", _range_space(image), count
+    for dims in ((3, 3, 3), (3, 3, 4)):
+        for i in range(4):
+            yield f"random {dims} {i}", _range_space(_random_complex(rng, dims)), 0
+    for shape in ((3, 3), (3, 4), (4, 3)):
+        for count in (1, 2):
+            for i in range(3):
+                yield f"planted {count} in {shape} {i}", _planted_space(rng, shape, count), count
+
+
+K3_CASES = list(_k3_cases())
+
+
+@pytest.mark.parametrize("name,space,count", K3_CASES, ids=[c[0] for c in K3_CASES])
+def test_exact_k3_counts(name, space, count):
+    report = s.find_product_vectors(space, seed=3)
+    assert report.exactness == "Exact"
+    assert report.independent_count == len(report.vectors) == count
+    for u, v in report.vectors:
+        m = np.outer(u, v)
+        m_hat = m / np.linalg.norm(m)
+        assert np.max(np.abs(_all_minors(m_hat))) <= MINOR_TOL
+        coeffs = space.pinv @ m_hat.ravel()
+        assert np.linalg.norm(space.member(coeffs) - m_hat) <= RECONSTRUCT_TOL
+
+
+def test_exact_k3_count_at_least_search_count():
+    for seed, (name, space, _) in enumerate(K3_CASES):
+        exact = _exact_k3(space, MINOR_TOL, seed)
+        assert exact is not None, name
+        search = _search_k3(space, MINOR_TOL, 4, seed)
+        assert exact.independent_count >= search.independent_count, name
+
+
+def test_range_compare_diag_perm_images_inequivalent():
+    diag, perm = s.catalog_build("3x3x3-diag"), s.catalog_build("3x3x3-perm")
+    for seed in range(3):
+        d = s.apply_slocc(diag, *s.random_slocc((3, 3, 3), 2 * seed, cond_bound=20))
+        p = s.apply_slocc(perm, *s.random_slocc((3, 3, 3), 2 * seed + 1, cond_bound=20))
+        assert s.range_criterion_compare(d, p, "A", starts=4, seed=seed) == "Inequivalent"
+
+
+def _continuum_spaces():
+    e = np.eye(3)
+    rng = np.random.default_rng(13)
+    # every member is rank 1, so every minor quadric vanishes
+    yield "first row", [np.outer(e[0], e[j]) for j in range(3)]
+    # a line of rank-1 members: the two quadrics share that line
+    yield "line", [np.outer(e[0], e[0]), np.outer(e[0], e[1]), _random_complex(rng, (3, 3))]
+    # rank-1 members [[a, c], [c, b]] with ab = c^2: one quadric, a conic
+    yield "conic", [np.outer(e[0], e[0]), np.outer(e[1], e[1]),
+                    np.outer(e[0], e[1]) + np.outer(e[1], e[0])]
+
+
+CONTINUUM_SPACES = list(_continuum_spaces())
+
+
+@pytest.mark.parametrize("name,basis", CONTINUUM_SPACES, ids=[c[0] for c in CONTINUUM_SPACES])
+def test_k3_continuum_falls_back_to_search(name, basis):
+    """A curve of product vectors makes the two quadrics share a component,
+    so the quartic vanishes and only a lower bound remains."""
+    space = MatrixSubspace(3, 3, basis)
+    for seed in range(3):
+        assert _exact_k3(space, MINOR_TOL, seed) is None
+    report = s.find_product_vectors(space, starts=4)
+    assert report.exactness == "LowerBound"
+    assert "multi-start search" in report.detail
+    assert report.independent_count >= 1
+
+
+def test_k3_undecided_root_falls_back_to_search():
+    """An image of 2x3x4-4 traced at B: one spurious common zero of the two
+    quadrics has second singular value ~1e-3, so its minors (~7e-4) are
+    neither below tol nor above the rejection margin."""
+    entry = s.catalog_get("2x3x4-4")
+    image = s.apply_slocc(entry.build(), *s.random_slocc(entry.system, 53, cond_bound=50))
+    space = _range_space(image, party=1)
+    assert space.dim == 3
+    assert _exact_k3(space, MINOR_TOL, 3) is None
+    report = s.find_product_vectors(space, seed=3)
+    assert report.exactness == "LowerBound"
+    assert report.independent_count == 1
+    # other combinations decide the same subspace exactly
+    exact = _exact_k3(space, MINOR_TOL, 1)
+    assert exact is not None and exact.independent_count == 1
+
+
+K3_STATES = {
+    "3x3x3-diag": (s.catalog_build("3x3x3-diag"), 3),
+    "3x3x3-perm": (s.catalog_build("3x3x3-perm"), 0),
+    "random 3x3x3": (_random_complex(np.random.default_rng(21), (3, 3, 3)), 0),
+    "random 3x3x4": (_random_complex(np.random.default_rng(22), (3, 3, 4)), 0),
+}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(K3_STATES)),
+       map_seed=st.integers(0, 2**31 - 1),
+       exponent=st.integers(-100, 100),
+       seed=st.integers(0, 2**31 - 1))
+def test_k3_count_invariant_under_slocc_and_scale(name, map_seed, exponent, seed):
+    t, count = K3_STATES[name]
+    image = s.apply_slocc(t, *s.random_slocc(t.shape, map_seed, cond_bound=20))
+    report = s.range_product_count(image * 10.0**exponent, "A", seed=seed)
+    assert (report.independent_count, report.exactness) == (count, "Exact")
