@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
+from .ket import _format_real
 from .tensor import as_tensor, complex_from_pairs, complex_to_pairs
 from .transforms import is_nonsingular, random_nonsingular
 
@@ -174,15 +175,11 @@ def _coeff_str(c: complex) -> str:
             return ""
         if re == -1.0:
             return "-"
-        return _real_str(re)
+        return _format_real(re, None)
     if re == 0.0:
-        return f"{_real_str(im)}i"
+        return f"{_format_real(im, None)}i"
     sign = "+" if im >= 0 else "-"
-    return f"({_real_str(re)}{sign}{_real_str(abs(im))}i)"
-
-
-def _real_str(x: float) -> str:
-    return str(int(x)) if x == int(x) and abs(x) < 1e15 else repr(x)
+    return f"({_format_real(re, None)}{sign}{_format_real(abs(im), None)}i)"
 
 
 # --- determinant polynomial --------------------------------------------------

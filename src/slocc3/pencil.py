@@ -157,12 +157,12 @@ def _minor_forms(s0, s1, r) -> np.ndarray:
     return det_coefficients(s1[idx], s0[idx]).reshape(-1, r + 1)
 
 
-def _candidate_points(s0, s1, r, cluster_radius):
-    """Eigen-point candidates: clustered roots of the largest maximal-order
-    minor plus the point at infinity; every true rank-drop point is among
-    them.  Each root cluster is replaced by its centroid, which approximates
-    a multiple root far better than its individual perturbed roots."""
-    forms = _minor_forms(s0, s1, r)
+def _candidate_points(forms, cluster_radius):
+    """Eigen-point candidates: clustered roots of the largest of the minor
+    ``forms`` (rows as from ``_minor_forms``) plus the point at infinity.
+    For maximal-order minors every true rank-drop point is among them.  Each
+    root cluster is replaced by its centroid, which approximates a multiple
+    root far better than its individual perturbed roots."""
     best = np.argmax(np.max(np.abs(forms), axis=1))
     points = [(0.0 + 0.0j, 1.0 + 0.0j)]  # infinity is always checked
     coeffs = forms[best][::-1].copy()  # descending in y after x = 1
@@ -229,10 +229,11 @@ def _partition_from_weyr(deltas):
     return tuple(sorted(parts, reverse=True))
 
 
-def _divisor_structure(s0, s1, r, total_divisor, tol, cluster_radius):
-    """Eigen-points and their partitions for one choice of cluster radius."""
+def _divisor_structure(s0, s1, forms, r, total_divisor, tol, cluster_radius):
+    """Eigen-points and their partitions for one choice of cluster radius;
+    ``forms`` are the pencil's r x r minor forms."""
     notes = []
-    candidates = _candidate_points(s0, s1, r, cluster_radius)
+    candidates = _candidate_points(forms, cluster_radius)
     points = []
     for cand in candidates:
         if all(_chordal(cand, q) > cluster_radius for q in points):
@@ -315,12 +316,13 @@ def pencil_invariants(t, tol: float = PENCIL_RANK_TOL) -> PencilInvariants:
     finite = []
     infinite = ()
     if total_divisor > 0:
+        forms = _minor_forms(s0, s1, r)
         # clustered multiple roots are recovered through their centroid; if
         # the fine radius leaves a multiple root split (its degree identity
         # then fails) retry once with a coarser radius
         for radius in (EIGEN_CLUSTER_RADIUS, 1e-4):
             finite, infinite, assigned, attempt_notes = _divisor_structure(
-                s0, s1, r, total_divisor, tol, radius
+                s0, s1, forms, r, total_divisor, tol, radius
             )
             if assigned == total_divisor:
                 notes.extend(attempt_notes)

@@ -3,15 +3,15 @@
 Vectors of C^M tensor C^N reshaped as M x N matrices turn "product vector"
 into "rank-1 matrix", so counting linearly independent product states in the
 range of a reduced density matrix becomes finding the rank-1 locus of a
-matrix subspace.  Dimensions k = 1, the pencil case k = 2 and k = 3 are
-decided exactly; k = 3 solves two random combinations of the 2x2-minor
-quadrics through a resultant quartic.  k >= 4, and a k = 3 subspace whose
-quartic vanishes or leaves a candidate undecided, go to a seeded multi-start
-Levenberg-Marquardt search on the minor equations, with a closed-form
-Jacobian, whose result is an explicit lower bound, never an exact count.
-All paths evaluate the minors with one vectorised kernel
-(``_minor_entries``), and candidates are projected back onto the subspace
-with its cached pseudo-inverse.
+matrix subspace.  The range is the column space of the state's unfolding,
+cut like the local ranks (``tensor.column_space``).  k = 1, 2 and 3 are
+decided exactly: k = 2 from the pencil's eigen-points, k = 3 from two random
+combinations of the 2x2-minor quadrics through a resultant quartic, and both
+through one rank-1 screen (``_screen``).  k >= 4, and a k = 2 or 3 subspace
+the screen leaves undecided or whose quartic vanishes, go to a seeded
+multi-start Levenberg-Marquardt search with a closed-form Jacobian, whose
+result is a lower bound, never an exact count.  All paths evaluate the
+minors with one vectorised kernel (``_minor_entries``).
 """
 
 from __future__ import annotations
@@ -23,23 +23,24 @@ from functools import cache
 import numpy as np
 from scipy.optimize import least_squares
 
-from .density import range_basis, reduced_density
-from .tensor import as_tensor, complex_to_pairs, local_ranks, matrix_rank_tol
+from .pencil import EIGEN_CLUSTER_RADIUS, _candidate_points, _minor_forms
+from .tensor import as_tensor, column_space, complex_to_pairs, local_ranks, matrix_rank_tol
 
 MINOR_TOL = 1e-7
-ROOT_CLUSTER_RADIUS = 1e-7
 RECONSTRUCT_TOL = 1e-8
 # a k = 3 resultant quartic below this, relative to |Q_a|^2 |Q_b|^2 (its
 # coefficients are of degree 2 in each quadric), is identically zero; the
 # coefficients of one that is zero in exact arithmetic are round-off, ~1e-16
 RESULTANT_ZERO_TOL = 1e-10
-# A k = 3 root whose unit-norm member has a 2x2 minor above this is far from
-# every rank-1 member.  Round-off moves a root of multiplicity r of the
-# quartic by about eps^(1/r) relative, at most eps^(1/4) ~ 1.2e-4 at r = 4,
-# and a minor of a unit-norm member moves by at most twice as much as the
-# member, so a perturbed rank-1 member stays below the margin; a root that
-# is neither accepted nor above it leaves the count undecided.
+# A candidate whose unit-norm member has a 2x2 minor above its margin is far
+# from every rank-1 member.  Round-off moves a root of multiplicity r by
+# about eps^(1/r) relative, and a minor of a unit-norm member moves by at
+# most twice as much as the member, so a perturbed rank-1 member stays below
+# the margin; a candidate neither accepted nor above it leaves the count
+# undecided.  The k = 3 quartic has r <= 4, eps^(1/4) ~ 1.2e-4; the
+# quadratic minor form of a k = 2 pencil has r <= 2, eps^(1/2) ~ 1.5e-8.
 REJECT_MARGIN = 1e-3
+PENCIL_REJECT_MARGIN = 1e-7
 
 PARTY_NAMES = {"A": 0, "B": 1, "C": 2}
 
@@ -210,55 +211,35 @@ def _dedup(found, new_mhat) -> bool:
     return False
 
 
-def _pencil_minor_polys(b1, b2) -> np.ndarray:
-    """Quadratic-in-t coefficients (t^2, t, 1) of every 2x2 minor of t*B1+B2."""
-    (a11, a22, a12, a21), (d11, d22, d12, d21) = _minor_entries(np.stack([b1, b2]))
-    return np.stack(
-        [
-            _cmul(a11, a22) - _cmul(a12, a21),
-            _cmul(a11, d22) + _cmul(d11, a22) - _cmul(a12, d21) - _cmul(d12, a21),
-            _cmul(d11, d22) - _cmul(d12, d21),
-        ],
-        axis=1,
-    )
-
-
-def _cluster_roots(roots):
-    out = []
-    for r in sorted(roots, key=lambda z: (abs(z), z.real, z.imag)):
-        if all(abs(r - s) > ROOT_CLUSTER_RADIUS * (1.0 + max(abs(r), abs(s))) for s in out):
-            out.append(r)
-    return out
-
-
 def find_product_vectors(space: MatrixSubspace, tol: float = MINOR_TOL,
                          starts: int = 16, seed: int = 0) -> ProductVectorReport:
     """Find rank-1 members of a matrix subspace.
 
-    k = 1: the basis matrix either is rank 1 or is not.  k = 2: exact pencil
-    computation via the common roots of all 2x2 minors of t*B1 + B2 together
-    with the point at infinity; a pencil whose minors vanish identically is
-    flagged as a continuum.  k = 3: exact, from the at most 4 common zeros of
-    two random combinations of the minor quadrics (``_exact_k3``; ``seed``
-    fixes the combinations).  k >= 4, and a k = 3 subspace ``_exact_k3``
-    cannot decide: seeded multi-start Levenberg-Marquardt (trust-region
-    reflective when there are fewer equations than unknowns) on the
-    normalised minor equations with their closed-form Jacobian, whose report
-    is only a lower bound.  Every candidate is polished by alternating
-    rank-1 truncation with projection through the subspace's cached
-    pseudo-inverse, and is kept only if all its minors are below ``tol`` and
-    it reconstructs as an outer product.
+    k = 1: the basis matrix either is rank 1 or is not.  k = 2: candidates
+    are the eigen-points of the pencil x*B1 + y*B2 (``pencil._candidate_points``);
+    a pencil whose minors vanish identically is flagged as a continuum.
+    k = 3: candidates are the at most 4 common zeros of two random
+    combinations of the minor quadrics (``_exact_k3``; ``seed`` fixes them).
+    Both go through one screen (``_screen``), exact only if it decides every
+    candidate.  k >= 4, and an undecided k = 2 or 3 subspace: seeded
+    multi-start Levenberg-Marquardt (trust-region reflective when there are
+    fewer equations than unknowns) on the normalised minor equations, a
+    lower bound.  Every candidate is polished by alternating rank-1
+    truncation with projection through the cached pseudo-inverse, and is
+    kept only if all its minors are below ``tol`` and it reconstructs as an
+    outer product.
     """
     k = space.dim
     if k == 1:
         return _exact_k1(space, tol)
+    report = None
     if k == 2:
-        return _exact_k2(space, tol)
-    if k == 3:
+        report = _exact_k2(space, tol)
+    elif k == 3:
         report = _exact_k3(space, tol, seed)
-        if report is not None:
-            return report
-    return _search_k3(space, tol, starts, seed)
+    if report is not None:
+        return report
+    return _search(space, tol, starts, seed)
 
 
 def _span_count(found) -> int:
@@ -289,34 +270,19 @@ def _exact_k1(space, tol):
 
 
 def _exact_k2(space, tol):
+    """Every rank-1 member of a pencil x*B1 + y*B2, or None if undecided:
+    they are among the roots of any 2x2 minor form that does not vanish."""
     b1 = space.basis[0] / np.linalg.norm(space.basis[0])
     b2 = space.basis[1] / np.linalg.norm(space.basis[1])
     norm_space = MatrixSubspace(space.m, space.n, [b1, b2])
-    polys = _pencil_minor_polys(b1, b2)
-    if polys.size == 0:
+    if min(space.m, space.n) < 2:
         # a one-row or one-column space: every member is rank <= 1
         return _continuum_report(norm_space, tol)
-    poly_scale = np.max(np.abs(polys))
-    if poly_scale <= 1e-12:
+    forms = _minor_forms(b1, b2, 2)
+    if np.max(np.abs(forms)) <= 1e-12:
         return _continuum_report(norm_space, tol)
-
-    best = polys[int(np.argmax(np.max(np.abs(polys), axis=1)))]
-    coeffs = best.copy()
-    # drop negligible leading coefficients; each drop moves a root to infinity
-    while len(coeffs) > 1 and abs(coeffs[0]) <= 1e-12 * np.max(np.abs(coeffs)):
-        coeffs = coeffs[1:]
-    roots = np.roots(coeffs) if len(coeffs) > 1 else np.array([])
-
-    found = []
-    for t0 in _cluster_roots(list(roots)):
-        cand = _accept_candidate(norm_space, np.array([t0, 1.0]), tol)
-        if cand is not None and not _dedup(found, cand[2]):
-            found.append(cand)
-    # the point at infinity is the member B1 alone
-    cand = _accept_candidate(norm_space, np.array([1.0, 0.0]), tol)
-    if cand is not None and not _dedup(found, cand[2]):
-        found.append(cand)
-    return _report(found, "Exact")
+    points = _candidate_points(forms, EIGEN_CLUSTER_RADIUS)
+    return _screen(norm_space, [np.array(p) for p in points], tol, PENCIL_REJECT_MARGIN)
 
 
 def _continuum_report(space, tol):
@@ -416,8 +382,7 @@ def _exact_k3(space, tol, seed):
     if abs(quartic[0]) <= 1e-12 * peak:
         return None  # a root at infinity, i.e. a common zero off the chart
 
-    margin = max(tol, REJECT_MARGIN)
-    found = []
+    candidates = []
     for y in np.roots(quartic):
         by, cy = b @ [y, 1.0], c @ [y * y, y, 1.0]
         den = a[0] * by[1] - a[1] * by[0]
@@ -428,20 +393,31 @@ def _exact_k3(space, tol, seed):
             xs = np.roots([a[0], by[0], cy[0]])
             if len(xs) == 0:
                 return None
-        for x in xs:
-            coeffs = h @ np.array([x, y, 1.0])
-            member = space.member(coeffs)
-            if np.max(np.abs(_all_minors(member / np.linalg.norm(member)))) > margin:
-                continue  # clearly not a rank-1 member
-            cand = _accept_candidate(space, coeffs, tol)
-            if cand is None:
-                return None
-            if not _dedup(found, cand[2]):
-                found.append(cand)
-    return _report(found, "Exact", detail="common zeros of two minor quadrics")
+        candidates += [h @ np.array([x, y, 1.0]) for x in xs]
+    return _screen(space, candidates, tol, REJECT_MARGIN,
+                   detail="common zeros of two minor quadrics")
 
 
-def _search_k3(space, tol, starts, seed):
+def _screen(space, candidates, tol, margin, detail=""):
+    """Exact report from candidates that include every rank-1 member, or
+    None: a candidate whose unit-norm member has a minor above
+    max(tol, margin) is discarded, every other one must pass
+    ``_accept_candidate``."""
+    margin = max(tol, margin)
+    found = []
+    for coeffs in candidates:
+        member = space.member(coeffs)
+        if np.max(np.abs(_all_minors(member / np.linalg.norm(member)))) > margin:
+            continue  # clearly not a rank-1 member
+        cand = _accept_candidate(space, coeffs, tol)
+        if cand is None:
+            return None
+        if not _dedup(found, cand[2]):
+            found.append(cand)
+    return _report(found, "Exact", detail=detail)
+
+
+def _search(space, tol, starts, seed):
     k = space.dim
     form = _minor_form(space.stack.reshape(k, space.m, space.n))
     method = "lm" if form.shape[0] + 1 >= 2 * k else "trf"
@@ -494,12 +470,18 @@ def _party_index(party) -> int:
 def range_product_count(psi, traced_party, tol: float = MINOR_TOL,
                         starts: int = 16, seed: int = 0) -> ProductVectorReport:
     """Count product vectors in the range of the reduced density matrix
-    obtained by tracing out one party of a tripartite pure state."""
+    obtained by tracing out one party of a tripartite pure state.
+
+    The range of X X^dagger is the column space of the unfolding X (rows the
+    kept parties, columns the traced one), taken from the SVD of X with the
+    rule of ``local_ranks``, so its dimension is the traced party's local
+    rank at any nonzero scale.
+    """
     psi = as_tensor(psi)
     p = _party_index(traced_party)
-    rho = reduced_density(psi, psi.shape, [p])
     kept = [d for i, d in enumerate(psi.shape) if i != p]
-    basis = [vec.reshape(kept[0], kept[1]) for vec in range_basis(rho)]
+    x = np.moveaxis(psi, p, -1).reshape(kept[0] * kept[1], psi.shape[p])
+    basis = [vec.reshape(kept) for vec in column_space(x).T]
     if not basis:
         raise ValueError("reduced density matrix has empty range")
     space = MatrixSubspace(kept[0], kept[1], basis)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import catalog as _catalog
 from .pencil import pencil_invariants
-from .tensor import as_tensor, complex_to_pairs, local_ranks, unfold
+from .tensor import as_tensor, column_space, complex_to_pairs, local_ranks, unfold
 
 BORDER_RANK_CAVEAT = (
     "numerical decomposition certificate: rank <= R at the stated residual; "
@@ -413,12 +413,7 @@ class ClassifyResult:
 def _compress_support(t, tol: float = 1e-9):
     """Restrict each party to the support of its unfolding (full local ranks)."""
     t = as_tensor(t)
-    maps = []
-    for mode in (1, 2, 3):
-        u, s, _ = np.linalg.svd(unfold(t, mode), full_matrices=False)
-        rank = int(np.count_nonzero(s > tol * s[0])) if s.size and s[0] > 0 else 0
-        maps.append(u[:, :rank])
-    u1, u2, u3 = maps
+    u1, u2, u3 = (column_space(unfold(t, mode), tol) for mode in (1, 2, 3))
     core = np.einsum("ip,jq,kr,ijk->pqr", u1.conj(), u2.conj(), u3.conj(), t)
     return core
 

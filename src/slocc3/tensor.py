@@ -81,15 +81,26 @@ def refold(m, mode: int, dims) -> np.ndarray:
     return np.moveaxis(cube, 0, mode - 1).copy()
 
 
+def _rank_of_spectrum(s, tol) -> int:
+    """Singular values (descending) above tol times the largest."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > tol * s[0]))
+
+
 def matrix_rank_tol(m, tol: float = DEFAULT_RANK_TOL) -> int:
     """Numerical rank: singular values above tol times the largest."""
     m = np.asarray(m, dtype=complex)
     if m.size == 0:
         return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return _rank_of_spectrum(np.linalg.svd(m, compute_uv=False), tol)
+
+
+def column_space(m, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """Orthonormal basis (columns) of the column space, of the rank that
+    :func:`matrix_rank_tol` decides; scale-free, as the SVD is of ``m``."""
+    u, s, _ = np.linalg.svd(np.asarray(m, dtype=complex), full_matrices=False)
+    return u[:, : _rank_of_spectrum(s, tol)]
 
 
 def local_ranks(t, tol: float = DEFAULT_RANK_TOL):
