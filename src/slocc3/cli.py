@@ -20,7 +20,7 @@ import numpy as np
 from . import catalog as cat
 from .density import density_to_json, reduced_density
 from .detpoly import det_poly, detpoly_equiv_test
-from .ket import KetSyntaxError, parse_ket, print_ket
+from .ket import parse_ket, print_ket
 from .product_range import range_criterion_compare, range_product_count
 from .rank import classify_2mn, rank_interval
 from .tensor import (
@@ -409,13 +409,8 @@ def main(argv=None) -> int:
         return EXIT_OK
     try:
         return _run(args)
-    except (KetSyntaxError, json.JSONDecodeError) as exc:
-        print(f"format error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except FileNotFoundError as exc:
-        print(f"format error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
+        # an unreadable path; bad JSON and ket syntax errors are ValueErrors
         print(f"format error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except (ArithmeticError, MemoryError, np.linalg.LinAlgError) as exc:

@@ -23,10 +23,9 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .ket import _format_real
-from .tensor import as_tensor, complex_from_pairs, complex_to_pairs
+from .tensor import as_tensor, complex_from_pairs, complex_to_pairs, least_squares
 from .transforms import is_nonsingular, random_nonsingular
 
 ZERO_POLY_TOL = 1e-10

@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .pencil import EIGEN_CLUSTER_RADIUS, _candidate_points, _minor_forms
-from .tensor import as_tensor, column_space, complex_to_pairs, local_ranks, matrix_rank_tol
+from .tensor import (as_tensor, column_space, complex_to_pairs, least_squares, local_ranks,
+                     matrix_rank_tol)
 
 MINOR_TOL = 1e-7
 RECONSTRUCT_TOL = 1e-8

@@ -19,6 +19,19 @@ DEFAULT_RANK_TOL = 1e-9
 MAX_REGROUP_SIZE = 10**6
 
 
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``, imported on its first call.
+
+    Importing ``scipy.optimize`` costs most of ``import slocc3``, and only
+    the multi-start searches need it.  ``product_range`` and ``detpoly``
+    bind this name at module level and call through it, so a wrapper set on
+    either module (as ``bench/spans.py`` sets) sees every solver call.
+    """
+    from scipy.optimize import least_squares as solve
+
+    return solve(*args, **kwargs)
+
+
 def as_tensor(data) -> np.ndarray:
     """Coerce input to a complex 3-way array, rejecting NaN/Inf entries."""
     t = np.asarray(data, dtype=complex)

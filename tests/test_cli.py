@@ -197,6 +197,20 @@ def test_exit_code_missing_file(capsys):
     assert code == 2
 
 
+def test_exit_code_directory_as_file(tmp_path, capsys):
+    code = main(["print", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("format error: ")
+
+
+def test_exit_code_directory_as_detpoly_equiv_input(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text(s.tensor_to_json(s.parse_ket("|000>+|111>+|222>", (3, 3, 3))))
+    code = main(["detpoly-equiv", str(tmp_path), str(path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("format error: ")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
