@@ -1,10 +1,13 @@
 # Tensor-rank intervals with explicit certificates.
 #
-# The lower bound comes from local ranks, upgraded to the exact value on
-# 2 x 2 x 2 via the hyperdeterminant; the upper bound is an explicit CP
-# decomposition found by seeded alternating least squares.  A failed ALS run
-# never raises the lower bound: the border rank can be strictly below the
-# rank, so non-convergence proves nothing.
+# The lower bound names its certificate: Classifier222 (exact on 2 x 2 x 2
+# via the hyperdeterminant), JaJa (exact when the support has a mode of
+# dim 2, from Ja'Ja's formula on the Kronecker form of the slice pencil),
+# Strassen (the commutator bound on n x n x k supports, k >= 3), or else
+# LocalRank.  The upper bound is an explicit CP decomposition found by seeded
+# alternating least squares.  A failed ALS run never raises the lower bound:
+# the border rank can be strictly below the rank, so non-convergence proves
+# nothing.
 
 import numpy as np
 

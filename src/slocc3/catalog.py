@@ -53,38 +53,38 @@ class CatalogEntry:
         )
 
 
+def _jaja(rank: int) -> dict:
+    """Rank note of a 2 x M x N row: the exact rank from Ja'Ja's formula on
+    the Kronecker form of its slice pencil."""
+    return {"rank": rank, "source": "Ja'Ja' formula on the Kronecker form"}
+
+
 _ENTRIES = [
-    CatalogEntry("2x3x6-1", (2, 3, 6), "|000>+|011>+|022>+|103>+|114>+|125>"),
-    CatalogEntry("2x3x5-1", (2, 3, 5), "|024>+|000>+|011>+|102>+|113>"),
-    CatalogEntry("2x3x5-2", (2, 3, 5), "|024>+|121>+|000>+|011>+|102>+|113>"),
-    CatalogEntry("2x3x4-1", (2, 3, 4), "|123>+|012>+|000>+|101>"),
-    CatalogEntry("2x3x4-2", (2, 3, 4), "|023>+|012>+|000>+|101>"),
-    CatalogEntry("2x3x4-3", (2, 3, 4), "|123>+|012>+|110>+|000>+|101>"),
-    CatalogEntry("2x3x4-4", (2, 3, 4), "|023>+|122>+|012>+|000>+|101>"),
-    CatalogEntry("2x3x4-5", (2, 3, 4), "|023>+|122>+|012>+|110>+|000>+|101>"),
-    CatalogEntry("2x3x3-1", (2, 3, 3), "|000>+|111>+|022>"),
-    CatalogEntry("2x3x3-2", (2, 3, 3), "|000>+|111>+|022>+|122>"),
-    CatalogEntry("2x3x3-3", (2, 3, 3), "|010>+|001>+|112>+|121>"),
-    CatalogEntry("2x3x3-4", (2, 3, 3), "|100>+|010>+|001>+|112>+|121>"),
-    CatalogEntry("2x3x3-5", (2, 3, 3), "|100>+|010>+|001>+|022>"),
-    CatalogEntry("2x3x3-6", (2, 3, 3), "|100>+|010>+|001>+|122>"),
-    CatalogEntry("2x3x2-1", (2, 3, 2), "|000>+|011>+|121>"),
-    CatalogEntry("2x3x2-2", (2, 3, 2), "|000>+|011>+|110>+|121>"),
-    CatalogEntry("2x2x4-1", (2, 2, 4), "|000>+|011>+|102>+|113>"),
-    CatalogEntry("2x2x3-1", (2, 2, 3), "|000>+|011>+|112>"),
-    CatalogEntry("2x2x3-2", (2, 2, 3), "|000>+|011>+|101>+|112>"),
-    CatalogEntry(
-        "2x2x2-1", (2, 2, 2), "|000>+|111>",
-        rank_note={"rank": 2, "source": "known exact value"},
-    ),
-    CatalogEntry(
-        "2x2x2-2", (2, 2, 2), "|001>+|010>+|100>",
-        rank_note={"rank": 3, "source": "known exact value"},
-    ),
+    CatalogEntry("2x3x6-1", (2, 3, 6), "|000>+|011>+|022>+|103>+|114>+|125>", _jaja(6)),
+    CatalogEntry("2x3x5-1", (2, 3, 5), "|024>+|000>+|011>+|102>+|113>", _jaja(5)),
+    CatalogEntry("2x3x5-2", (2, 3, 5), "|024>+|121>+|000>+|011>+|102>+|113>", _jaja(5)),
+    CatalogEntry("2x3x4-1", (2, 3, 4), "|123>+|012>+|000>+|101>", _jaja(4)),
+    CatalogEntry("2x3x4-2", (2, 3, 4), "|023>+|012>+|000>+|101>", _jaja(4)),
+    CatalogEntry("2x3x4-3", (2, 3, 4), "|123>+|012>+|110>+|000>+|101>", _jaja(4)),
+    CatalogEntry("2x3x4-4", (2, 3, 4), "|023>+|122>+|012>+|000>+|101>", _jaja(5)),
+    CatalogEntry("2x3x4-5", (2, 3, 4), "|023>+|122>+|012>+|110>+|000>+|101>", _jaja(4)),
+    CatalogEntry("2x3x3-1", (2, 3, 3), "|000>+|111>+|022>", _jaja(3)),
+    CatalogEntry("2x3x3-2", (2, 3, 3), "|000>+|111>+|022>+|122>", _jaja(3)),
+    CatalogEntry("2x3x3-3", (2, 3, 3), "|010>+|001>+|112>+|121>", _jaja(4)),
+    CatalogEntry("2x3x3-4", (2, 3, 3), "|100>+|010>+|001>+|112>+|121>", _jaja(4)),
+    CatalogEntry("2x3x3-5", (2, 3, 3), "|100>+|010>+|001>+|022>", _jaja(4)),
+    CatalogEntry("2x3x3-6", (2, 3, 3), "|100>+|010>+|001>+|122>", _jaja(4)),
+    CatalogEntry("2x3x2-1", (2, 3, 2), "|000>+|011>+|121>", _jaja(3)),
+    CatalogEntry("2x3x2-2", (2, 3, 2), "|000>+|011>+|110>+|121>", _jaja(3)),
+    CatalogEntry("2x2x4-1", (2, 2, 4), "|000>+|011>+|102>+|113>", _jaja(4)),
+    CatalogEntry("2x2x3-1", (2, 2, 3), "|000>+|011>+|112>", _jaja(3)),
+    CatalogEntry("2x2x3-2", (2, 2, 3), "|000>+|011>+|101>+|112>", _jaja(3)),
+    CatalogEntry("2x2x2-1", (2, 2, 2), "|000>+|111>", _jaja(2)),
+    CatalogEntry("2x2x2-2", (2, 2, 2), "|001>+|010>+|100>", _jaja(3)),
     CatalogEntry("1x3x3-1", (1, 3, 3), "|000>+|011>+|022>"),
     CatalogEntry("1x2x2-1", (1, 2, 2), "|000>+|011>"),
-    CatalogEntry("2x1x2-1", (2, 1, 2), "|000>+|101>"),
-    CatalogEntry("2x2x1-1", (2, 2, 1), "|000>+|110>"),
+    CatalogEntry("2x1x2-1", (2, 1, 2), "|000>+|101>", _jaja(2)),
+    CatalogEntry("2x2x1-1", (2, 2, 1), "|000>+|110>", _jaja(2)),
     CatalogEntry("1x1x1-1", (1, 1, 1), "|000>"),
     # named states beyond the 2 x M x N table
     CatalogEntry(

@@ -1,12 +1,16 @@
 """Tensor-rank intervals, alternating least squares, and 2 x M x N classes.
 
-Lower bounds come from local ranks (exact classification for 2 x 2 x 2 via
-the degree-4 hyperdeterminant, which is what pins the rank-3 class that no
-unfolding bound reaches).  Upper bounds are explicit numerical
-decompositions found by seeded CP-ALS; a failed ALS run proves nothing and
-is never used to raise a lower bound, and a successful one certifies only
-that a decomposition with that many terms exists numerically (the border
-rank may be smaller).
+Lower bounds are certified by algebra and name their argument: the exact
+2 x 2 x 2 classification via the degree-4 hyperdeterminant
+(``Classifier222``), Ja'Ja's exact formula on the Kronecker form of the
+slice pencil when the tensor's support has a mode of dim 2 (``JaJa``),
+Strassen's commutator bound when the support is n x n x k with k >= 3
+(``Strassen``), and otherwise the largest local rank (``LocalRank``).
+Upper bounds are explicit numerical decompositions found by seeded CP-ALS,
+searched from the lower bound up; a failed ALS run proves nothing and is
+never used to raise a lower bound, and a successful one certifies only that
+a decomposition with that many terms exists numerically (the border rank
+may be smaller).
 """
 
 from __future__ import annotations
@@ -98,10 +102,72 @@ def classify_222(t, tol: float = 1e-10) -> str:
     return "BiSeparable-C"
 
 
-def rank_lower_bound(t, tol: float = 1e-9):
-    """Largest local rank, upgraded to the exact value for 2 x 2 x 2 dims.
+def _jaja_rank(inv) -> int:
+    """Exact rank of a 2-slice tensor from its pencil's Kronecker invariants.
 
-    Returns (bound, certificate) where certificate names the argument used.
+    Ja'Ja's formula: the sum of (index + 1) over the nonzero minimal
+    indices, plus the size of the regular part, plus the largest number of
+    Jordan blocks of size at least 2 at any one eigen-point, infinity
+    included.  A zero minimal index (a zero row or column of the pencil)
+    adds nothing, so the formula holds with or without support compression.
+    """
+    parts = inv.all_partitions()
+    minimal = [e for e in inv.col_min_indices + inv.row_min_indices if e]
+    delta = max((sum(size >= 2 for size in p) for p in parts), default=0)
+    return sum(e + 1 for e in minimal) + sum(map(sum, parts)) + delta
+
+
+STRASSEN_RANK_TOL = 1e-9
+# singular values within this factor of the tolerance leave no clear gap
+STRASSEN_GAP = 10.0
+# fixed generic map from the slice mode onto three slices X_a, X_b, X_c
+_STRASSEN_MIX_SEED = 20091005
+
+
+def _strassen_bound(core, mode: int):
+    """Strassen's bound n + ceil(rank(X_a X_b^-1 X_c - X_c X_b^-1 X_a) / 2).
+
+    ``core`` has full local ranks and its two modes other than ``mode``
+    have dim n.  Its slices along ``mode`` are mixed into three by a fixed
+    generic matrix, a restriction that cannot raise the rank.  The
+    commutator's rank is decided against 1e-9 * |X_a| |X_b^-1| |X_c|, the
+    scale of its round-off, never against its own largest singular value
+    (which counts round-off as rank when the commutator vanishes).  Returns
+    None when X_b is numerically singular or a singular value lies within a
+    factor of ten of that tolerance.
+    """
+    slices = np.moveaxis(core / np.max(np.abs(core)), mode, -1)
+    n, k = slices.shape[0], slices.shape[-1]
+    rng = np.random.default_rng(_STRASSEN_MIX_SEED)
+    mix = rng.standard_normal((k, 3)) + 1j * rng.standard_normal((k, 3))
+    xa, xb, xc = np.moveaxis(slices @ mix, -1, 0)
+    sb = np.linalg.svd(xb, compute_uv=False)
+    if sb[-1] <= STRASSEN_RANK_TOL * sb[0]:
+        return None
+    xb_inv = np.linalg.inv(xb)
+    commutator = xa @ xb_inv @ xc - xc @ xb_inv @ xa
+    tol = STRASSEN_RANK_TOL * np.linalg.norm(xa, 2) * np.linalg.norm(xc, 2) / sb[-1]
+    sv = np.linalg.svd(commutator, compute_uv=False)
+    if np.any((sv > tol / STRASSEN_GAP) & (sv < tol * STRASSEN_GAP)):
+        return None
+    return n + -(-int(np.count_nonzero(sv > tol)) // 2)
+
+
+def rank_lower_bound(t, tol: float = 1e-9):
+    """Certified lower bound on the tensor rank, and the argument behind it.
+
+    Returns (bound, certificate) where certificate names the argument:
+
+    * ``Classifier222(<class>)``: exact, for 2 x 2 x 2 dims, from the
+      hyperdeterminant and the local ranks;
+    * ``JaJa``: exact, when the tensor restricted to its support (local
+      ranks decided at ``tol``) has a mode of dim 2, from Ja'Ja's formula
+      on the Kronecker form of the slice pencil (:func:`_jaja_rank`); used
+      only when the pencil structure is not ``borderline``;
+    * ``Strassen``: when the support is n x n x k with k >= 3, from
+      Strassen's commutator bound, which also bounds the border rank;
+    * ``LocalRank``: the largest local rank, whenever neither argument
+      gives more.
     """
     t = as_tensor(t)
     if not np.any(t):
@@ -109,7 +175,23 @@ def rank_lower_bound(t, tol: float = 1e-9):
     if t.shape == (2, 2, 2):
         cls = classify_222(t)
         return CLASS_RANKS[cls], f"Classifier222({cls})"
-    return max(local_ranks(t, tol)), "LocalRank"
+    core = _compress_support(t, tol)
+    dims = core.shape
+    local = max(dims)
+    bound, cert = None, None
+    if min(dims) == 2:
+        inv = pencil_invariants(np.moveaxis(core, dims.index(2), 0))
+        if not inv.borderline:
+            bound, cert = _jaja_rank(inv), "JaJa"
+    elif min(dims) >= 3:
+        for mode in range(3):
+            rest = [d for m, d in enumerate(dims) if m != mode]
+            if rest[0] == rest[1]:
+                bound, cert = _strassen_bound(core, mode), "Strassen"
+                break
+    if bound is not None and bound > local:
+        return bound, cert
+    return local, "LocalRank"
 
 
 # --- CP decomposition ----------------------------------------------------------
@@ -180,8 +262,10 @@ def _spectral_init(t, r):
     """Generalized-eigenvector initialization where R fits two of the dims.
 
     Compressing to an r x r x 2 core turns an exact rank-r decomposition
-    into a simultaneous diagonalization: the eigenvectors of one core slice
-    times the inverse of the other recover the first two factors directly.
+    into a simultaneous diagonalization: the eigenvectors W of one core slice
+    times the inverse of the other give the first factor, and W^-1 times the
+    inverted slice gives the second.  Any eigenvector basis of a repeated
+    eigenvalue serves, since both slices are diagonal in every such basis.
     Lands ALS inside the quadratic basin, which matters for tensors close to
     a degenerate (lower border rank) boundary where random starts swamp.
     """
@@ -202,13 +286,10 @@ def _spectral_init(t, r):
             # generic fixed mix keeps the inverted slice away from singularity
             ga = 0.9397 * core[:, :, 0] + 0.3420 * core[:, :, 1]
             gb = -0.3420 * core[:, :, 0] + 0.9397 * core[:, :, 1]
-            ev_a, wa = np.linalg.eig(ga @ np.linalg.inv(gb))
-            ev_b, wb = np.linalg.eig(ga.T @ np.linalg.inv(gb).T)
-            match = [int(np.argmin(np.abs(ev_b - lam))) for lam in ev_a]
-            if sorted(match) != list(range(r)):
-                continue
+            wa = np.linalg.eig(ga @ np.linalg.inv(gb))[1]
             fa = u1 @ wa
-            fb = u2 @ wb[:, match]
+            # gb = wa (wa^-1 gb): the rows of wa^-1 gb pair with wa's columns
+            fb = u2 @ np.linalg.solve(wa, gb).T
             z = np.einsum("ir,jr->ijr", fa, fb).reshape(-1, r)
             m3 = np.moveaxis(tp, 2, 0).reshape(dims[2], -1)
             fc = np.linalg.lstsq(z, m3.T, rcond=None)[0].T
@@ -361,7 +442,8 @@ class RankInterval:
 
 def rank_interval(t, restarts: int = 32, max_iter: int = 2000, seed: int = 0,
                   tol: float = 1e-8) -> RankInterval:
-    """Bracket the tensor rank: local-rank lower bound, least ALS success above.
+    """Bracket the tensor rank: certified lower bound (:func:`rank_lower_bound`),
+    least ALS success at or above it.
 
     The search is guaranteed to terminate because the slice-wise
     construction succeeds once R reaches the product of the two smallest

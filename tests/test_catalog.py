@@ -36,7 +36,8 @@ def test_rank_notes_populated_only_where_known():
     assert s.catalog_get("3x3x3-perm").rank_note["rank"] == 4
     ws = s.catalog_get("w-squared")
     assert ws.rank_note["rank"] == 7 and ws.rank_note["upper_bound"] == 8
-    assert s.catalog_get("2x3x3-1").rank_note is None
+    assert s.catalog_get("2x3x3-1").rank_note["rank"] == 3
+    assert s.catalog_get("1x3x3-1").rank_note is None
 
 
 def test_w_squared_entry_matches_regrouping():

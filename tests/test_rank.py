@@ -1,9 +1,18 @@
 """Tests for rank bounds, CP-ALS, and the 2 x M x N classifier."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import slocc3 as s
+from slocc3 import rank
 
 
 def random_tensor(rng, dims):
@@ -275,3 +284,108 @@ def test_cp_als_matches_lstsq_reference_bit_for_bit(tols):
             assert np.array_equal(f_got, f_want), (name, r)
         if name == "product":  # the design loses rank as the two terms align
             assert min_rank < r
+
+
+# --- certified lower bounds ------------------------------------------------------
+
+
+TWO_SLICE_ROWS = [e.id for e in s.catalog_list(table_only=True) if e.system[0] == 2]
+
+
+def _jaja_of(t):
+    """Ja'Ja's formula on the slice pencil of ``t`` restricted to its support."""
+    core = rank._compress_support(t)
+    inv = s.pencil_invariants(np.moveaxis(core, core.shape.index(2), 0))
+    assert not inv.borderline
+    return rank._jaja_rank(inv)
+
+
+@pytest.mark.parametrize("entry_id", TWO_SLICE_ROWS)
+def test_jaja_formula_equals_rank_note(entry_id):
+    entry = s.catalog_get(entry_id)
+    t = entry.build()
+    assert "Ja'Ja'" in entry.rank_note["source"]
+    note = entry.rank_note["rank"]
+    assert _jaja_of(t) == note
+    for seed in range(3):
+        image = s.apply_slocc(t, *s.random_slocc(t.shape, 70 + seed, cond_bound=20))
+        assert _jaja_of(image) == note, seed
+    interval = s.rank_interval(t)
+    assert (interval.lower, interval.upper) == (note, note)
+
+
+BOUND_STATES = TWO_SLICE_ROWS + ["3x3x3-diag", "3x3x3-perm"]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(entry_id=st.sampled_from(BOUND_STATES),
+       map_seed=st.integers(0, 2**31 - 1),
+       exponent=st.sampled_from([-150, 0, 150]))
+def test_rank_lower_bound_invariant_under_slocc_and_scale(entry_id, map_seed, exponent):
+    entry = s.catalog_get(entry_id)
+    t = entry.build()
+    image = s.apply_slocc(t, *s.random_slocc(t.shape, map_seed, cond_bound=100))
+    bound = s.rank_lower_bound(image * 10.0**exponent)
+    assert bound == s.rank_lower_bound(t)
+    assert bound[0] <= entry.rank_note["rank"]
+
+
+def test_rank_lower_bound_certificates():
+    assert s.rank_lower_bound(s.catalog_build("2x3x4-4")) == (5, "JaJa")
+    assert s.rank_lower_bound(s.catalog_build("2x3x3-1")) == (3, "LocalRank")
+    assert s.rank_lower_bound(s.catalog_build("3x3x3-perm")) == (4, "Strassen")
+
+
+def test_rank_lower_bound_on_split_triple_root_image():
+    """The uncompressed pencil of this image splits its triple root and is
+    borderline; on the support it is one Jordan block of size 3."""
+    maps = s.random_slocc((2, 3, 3), 10050, cond_bound=20)
+    image = s.apply_slocc(s.catalog_build("2x3x3-4"), *maps)
+    assert s.rank_lower_bound(image) == (4, "JaJa")
+
+
+def test_borderline_pencil_falls_back_to_local_rank(monkeypatch):
+    def borderline(t, *args, **kwargs):
+        inv = s.pencil_invariants(t, *args, **kwargs)
+        return dataclasses.replace(inv, borderline=True)
+
+    monkeypatch.setattr(rank, "pencil_invariants", borderline)
+    assert s.rank_lower_bound(s.catalog_build("2x3x3-4")) == (3, "LocalRank")
+
+
+def test_random_333_interval_runs_als_only_at_generic_rank(monkeypatch):
+    ranks = []
+    cp_als = rank.cp_als
+
+    def counted(t, r, *args, **kwargs):
+        ranks.append(r)
+        return cp_als(t, r, *args, **kwargs)
+
+    monkeypatch.setattr(rank, "cp_als", counted)
+    t = random_tensor(np.random.default_rng(31), (3, 3, 3))
+    interval = s.rank_interval(t, restarts=2, max_iter=300)
+    assert (interval.lower, interval.upper) == (5, 5)
+    assert interval.certificate_lower == "Strassen"
+    assert ranks == [5]
+
+
+@pytest.mark.parametrize("entry_id", ["2x3x3-1", "2x3x3-2", "3x3x3-diag"])
+def test_spectral_init_reconstructs_repeated_eigenvalue_images(entry_id):
+    t = s.catalog_build(entry_id)
+    for seed in range(5):
+        image = s.apply_slocc(t, *s.random_slocc(t.shape, 40 + seed, cond_bound=100))
+        factors = rank._spectral_init(image, 3)
+        rebuilt = np.einsum("ir,jr,kr->ijk", *factors)
+        assert np.linalg.norm(rebuilt - image) <= 1e-12 * np.linalg.norm(image), seed
+
+
+def test_rank_intervals_demo_runs():
+    demo = Path(__file__).resolve().parents[1] / "demos" / "02_rank_intervals.py"
+    src = str(Path(s.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                          env=env, check=False, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert any(line.startswith("3x3x3-perm   interval [4, 4]  lower via Strassen")
+               for line in proc.stdout.splitlines()), proc.stdout

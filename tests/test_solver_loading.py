@@ -36,6 +36,10 @@ for argv in runs:
         code = slocc3.cli.main(argv)
     if code != 0 or loaded():
         sys.exit(f"{argv[0]}: exit {code}, loaded {loaded()[:3]}")
+for name in ("2x3x4-4", "3x3x3-perm"):
+    slocc3.rank_lower_bound(slocc3.catalog_build(name))
+    if loaded():
+        sys.exit(f"rank_lower_bound({name}): loaded {loaded()[:3]}")
 print("ok")
 """
 
