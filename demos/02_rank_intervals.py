@@ -4,10 +4,13 @@
 # via the hyperdeterminant), JaJa (exact when the support has a mode of
 # dim 2, from Ja'Ja's formula on the Kronecker form of the slice pencil),
 # Strassen (the commutator bound on n x n x k supports, k >= 3), or else
-# LocalRank.  The upper bound is an explicit CP decomposition found by seeded
-# alternating least squares.  A failed ALS run never raises the lower bound:
-# the border rank can be strictly below the rank, so non-convergence proves
-# nothing.
+# LocalRank.  The upper bound is an explicit CP decomposition.  When the
+# support has a mode of dim 2 (GHZ, W) it is built from the slice pencil,
+# padded to R x R with fixed generic entries and diagonalised by one
+# eigendecomposition ("padded pencil construction"); otherwise (the 3x3x3
+# states) it is found by seeded alternating least squares.  A failed ALS run
+# never raises the lower bound: the border rank can be strictly below the
+# rank, so non-convergence proves nothing.
 
 import numpy as np
 

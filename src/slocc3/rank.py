@@ -6,11 +6,14 @@ Lower bounds are certified by algebra and name their argument: the exact
 slice pencil when the tensor's support has a mode of dim 2 (``JaJa``),
 Strassen's commutator bound when the support is n x n x k with k >= 3
 (``Strassen``), and otherwise the largest local rank (``LocalRank``).
-Upper bounds are explicit numerical decompositions found by seeded CP-ALS,
-searched from the lower bound up; a failed ALS run proves nothing and is
-never used to raise a lower bound, and a successful one certifies only that
-a decomposition with that many terms exists numerically (the border rank
-may be smaller).
+Upper bounds are explicit numerical decompositions, searched from the lower
+bound up.  When the support has a mode of dim at most 2 they are built
+directly: the slice pencil, padded to R x R with fixed generic entries, is
+diagonalised by one eigendecomposition (:func:`_pencil_construction`).
+Otherwise, or when that construction misses ``tol``, seeded CP-ALS searches.
+A failed search proves nothing and is never used to raise a lower bound,
+and a success certifies only that a decomposition with that many terms
+exists numerically (the border rank may be smaller).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from . import catalog as _catalog
 from .pencil import pencil_invariants
@@ -170,12 +174,16 @@ def rank_lower_bound(t, tol: float = 1e-9):
       gives more.
     """
     t = as_tensor(t)
+    return _lower_bound(t, _compress_support(t, tol)[0])
+
+
+def _lower_bound(t, core):
+    """:func:`rank_lower_bound` of ``t``, given its support ``core``."""
     if not np.any(t):
         raise ValueError("zero tensor has no rank bound")
     if t.shape == (2, 2, 2):
         cls = classify_222(t)
         return CLASS_RANKS[cls], f"Classifier222({cls})"
-    core = _compress_support(t, tol)
     dims = core.shape
     local = max(dims)
     bound, cert = None, None
@@ -197,9 +205,13 @@ def rank_lower_bound(t, tol: float = 1e-9):
 # --- CP decomposition ----------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class CpResult:
-    """Outcome of a CP-ALS search at a fixed number of terms."""
+    """Outcome of a decomposition search at a fixed number of terms.
+
+    Callers may keep one per rank interval they compute, so the class has
+    slots rather than a per-instance dict.
+    """
 
     success: bool
     rank: int
@@ -258,16 +270,96 @@ def _als_init(t, r, rng, structured: bool):
     return factors
 
 
+# fixed generic rotation of a pencil's two slices, so the inverted one is
+# regular whenever the pencil is
+_MIX = np.array([[0.9397, 0.3420], [-0.3420, 0.9397]])
+
+
+def _diagonalize_pencil(p0, p1):
+    """Simultaneous diagonalisation p_k = w @ diag(c[k]) @ v.T of a regular
+    r x r pencil, by one eigendecomposition of the mixed slices ga gb^-1.
+
+    With ga gb^-1 = w diag(lam) w^-1 and v.T = w^-1 gb, ga = w diag(lam) v.T
+    and gb = w v.T; undoing the mix gives c = _MIX^-1 [lam; 1].  Any
+    eigenvector basis of a repeated eigenvalue serves when the pencil is
+    diagonalisable.  Raises LinAlgError when gb is singular.
+    """
+    ga = _MIX[0, 0] * p0 + _MIX[0, 1] * p1
+    gb = _MIX[1, 0] * p0 + _MIX[1, 1] * p1
+    lam, w = np.linalg.eig(ga @ np.linalg.inv(gb))
+    # gb = w (w^-1 gb): the rows of w^-1 gb pair with w's columns
+    v = np.linalg.solve(w, gb).T
+    c = np.linalg.solve(_MIX, np.stack([lam, np.ones_like(lam)]))
+    return w, v, c
+
+
+# seed of the generic entries that pad a pencil to r x r
+_PAD_SEED = 1979
+# Round-off splits a Jordan block of a defective pencil into eigenvectors
+# whose basis has condition number at least eps^(-1/2); a diagonalisable one
+# is near 1.  Bases beyond the log-midpoint eps^(-1/4) are refused.
+_EIGENBASIS_COND_MAX = np.finfo(float).eps ** -0.25
+
+
+def _pencil_construction(t, core, bases, r, tol):
+    """R-term decomposition of ``t`` built from its padded slice pencil.
+
+    ``core`` is the support of ``t`` and ``bases`` its orthonormal bases
+    (:func:`_compress_support`).  When a mode of ``core`` has dim <= 2, its
+    slices (a zero second slice for dim 1) form an M x N pencil.  Embedded
+    in an r x r pencil whose other entries are fixed generic numbers, it is
+    diagonalisable exactly when the rank is at most r: an r-term
+    decomposition, whose factors have full rank on the support, extends to
+    a diagonalisation of some completion, so a generic completion is
+    diagonalisable too.  The first M rows and N columns of the eigenbasis
+    give the r terms.  Both sides are padded because padding only the
+    columns leaves eta blocks whose eigen-points the pencil invariants do
+    not list.
+
+    Below the rank the padded pencil is defective, yet round-off can still
+    give a residual below ``tol`` with huge, nearly cancelling terms (a
+    border-rank approximation), so an eigenbasis whose condition number
+    exceeds ``_EIGENBASIS_COND_MAX`` is refused.  Returns a successful
+    ``CpResult`` when the basis passes and the relative residual is below
+    ``tol``, else None.
+    """
+    mode = int(np.argmin(core.shape))
+    slices = np.moveaxis(core, mode, 0)
+    k, m, n = slices.shape
+    if k > 2 or r < max(m, n):
+        return None
+    scale = np.max(np.abs(slices))
+    rng = np.random.default_rng(_PAD_SEED)
+    pencil = rng.standard_normal((2, r, r)) + 1j * rng.standard_normal((2, r, r))
+    pencil[:, :m, :n] = 0.0
+    pencil[:k, :m, :n] = slices / scale
+    try:
+        w, v, c = _diagonalize_pencil(*pencil)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.linalg.cond(w) <= _EIGENBASIS_COND_MAX:
+        return None
+    rows, cols = (p for p in range(3) if p != mode)
+    factors = [None] * 3
+    factors[rows] = bases[rows] @ w[:m]
+    factors[cols] = bases[cols] @ v[:n]
+    factors[mode] = bases[mode] @ (scale * c[:k])
+    model = np.einsum("ir,jr,kr->ijk", *factors)
+    residual = float(np.linalg.norm(t - model) / np.linalg.norm(t))
+    if not residual < tol:
+        return None
+    return CpResult(True, r, residual, tuple(factors), "padded pencil construction")
+
+
 def _spectral_init(t, r):
     """Generalized-eigenvector initialization where R fits two of the dims.
 
     Compressing to an r x r x 2 core turns an exact rank-r decomposition
-    into a simultaneous diagonalization: the eigenvectors W of one core slice
-    times the inverse of the other give the first factor, and W^-1 times the
-    inverted slice gives the second.  Any eigenvector basis of a repeated
-    eigenvalue serves, since both slices are diagonal in every such basis.
-    Lands ALS inside the quadratic basin, which matters for tensors close to
-    a degenerate (lower border rank) boundary where random starts swamp.
+    into a simultaneous diagonalization of the core's two slices
+    (:func:`_diagonalize_pencil`), which gives the first two factors; the
+    third is fitted by least squares.  Lands ALS inside the quadratic basin,
+    which matters for tensors close to a degenerate (lower border rank)
+    boundary where random starts swamp.
     """
     for perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         dims = tuple(t.shape[p] for p in perm)
@@ -283,13 +375,9 @@ def _spectral_init(t, r):
                 np.moveaxis(tp, 2, 0).reshape(dims[2], -1), full_matrices=False
             )[0][:, :2]
             core = np.einsum("ip,jq,kr,ijk->pqr", u1.conj(), u2.conj(), u3.conj(), tp)
-            # generic fixed mix keeps the inverted slice away from singularity
-            ga = 0.9397 * core[:, :, 0] + 0.3420 * core[:, :, 1]
-            gb = -0.3420 * core[:, :, 0] + 0.9397 * core[:, :, 1]
-            wa = np.linalg.eig(ga @ np.linalg.inv(gb))[1]
+            wa, wb, _ = _diagonalize_pencil(core[:, :, 0], core[:, :, 1])
             fa = u1 @ wa
-            # gb = wa (wa^-1 gb): the rows of wa^-1 gb pair with wa's columns
-            fb = u2 @ np.linalg.solve(wa, gb).T
+            fb = u2 @ wb
             z = np.einsum("ir,jr->ijr", fa, fb).reshape(-1, r)
             m3 = np.moveaxis(tp, 2, 0).reshape(dims[2], -1)
             fc = np.linalg.lstsq(z, m3.T, rcond=None)[0].T
@@ -302,32 +390,45 @@ def _spectral_init(t, r):
     return None
 
 
-def _mode_solver(t, mode, r, lapack):
+def _mode_solver(t, mode, r):
     """Least-squares update of the mode-``mode`` factor, prepared once.
 
     ``solve(u, v)`` returns the factor F minimizing the Frobenius norm of
     ``(u ⊙ v) F^T - unfold(t, mode)^T``, with u and v the other two factors
-    in mode order.  The Khatri-Rao design is written into one buffer; the
-    right-hand side, the cutoff and the ``zgelsd`` workspace sizes are fixed
-    here, so a solve is one einsum and one LAPACK call.
+    in mode order.  LAPACK reads column-major arrays, so the C-ordered
+    (r, rows) Khatri-Rao buffer is the rows x r design and the C-ordered
+    unfolding is the rows x nrhs right-hand side.  The cutoff, the singular
+    value array and the ``zgelsd`` workspace are fixed here, so a solve is
+    one einsum, one copy of the right-hand side and one LAPACK call.  F is
+    a view of that copy, which LAPACK overwrote with the solution.
     """
-    rhs = np.asfortranarray(unfold(t, mode).T)
-    rows, nrhs = rhs.shape
+    rhs = np.ascontiguousarray(unfold(t, mode))
+    nrhs, rows = rhs.shape
     others = [d for m, d in enumerate(t.shape) if m != mode - 1]
-    buf = np.empty((r, *others), dtype=complex)
-    design = buf.reshape(r, rows).T  # Fortran-ordered (rows, r) view of buf
+    design = np.empty((r, *others), dtype=complex)
+    sv = np.empty(r)
     # r < d_min1 * d_min2 <= rows (wider searches take the direct
     # construction), so the system is overdetermined and b needs no padding
     cond = np.finfo(float).eps * max(rows, r)
-    work, rwork, iwork, _ = lapack.zgelsd_lwork(rows, r, nrhs, cond)
-    sizes = (int(work.real), int(rwork), int(iwork))
+    # lapack_lite accepts iwork only as C ints, while an ILP64 LAPACK writes
+    # 64-bit integers to it: int64 storage viewed as C ints fits either
+    work, rwork = np.empty(1, complex), np.empty(1)
+    iwork = np.zeros(1, np.int64).view(np.intc)
+    lapack_lite.zgelsd(rows, r, nrhs, design, rows, rhs, rows, sv, cond, 0,
+                       work, -1, rwork, iwork, 0)
+    work = np.empty(int(work[0].real), complex)
+    rwork = np.empty(int(rwork[0]))
+    iwork = np.empty(int(iwork.view(np.int64)[0]), np.int64).view(np.intc)
 
     def solve(u, v):
-        np.einsum("jr,kr->rjk", u, v, out=buf)
-        x, _, _, info = lapack.zgelsd(design, rhs, *sizes, cond, overwrite_a=True)
-        if info != 0:
+        np.einsum("jr,kr->rjk", u, v, out=design)
+        x = rhs.copy()
+        out = lapack_lite.zgelsd(rows, r, nrhs, design, rows, x, rows, sv, cond, 0,
+                                 work, work.size, rwork, iwork, 0)
+        if out["info"] != 0:
             raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-        return x[:r].T
+        # the solution is the first r entries of each column of x
+        return x[:, :r]
 
     return solve
 
@@ -345,9 +446,10 @@ def cp_als(t, r: int, restarts: int = 32, max_iter: int = 2000, seed: int = 0,
     attempt wins ties by restart order.
 
     Each factor update is a linear least-squares solve by LAPACK ``zgelsd``
-    (the SVD-based routine behind ``np.linalg.lstsq``), which cuts off singular
-    values below ``eps * max(rows, R)`` times the largest, the cutoff
-    ``np.linalg.lstsq`` uses with ``rcond=None``.
+    (the SVD-based routine behind ``np.linalg.lstsq``), called through
+    ``numpy.linalg.lapack_lite.zgelsd``, so no scipy module is loaded.  It
+    cuts off singular values below ``eps * max(rows, R)`` times the largest,
+    the cutoff ``np.linalg.lstsq`` uses with ``rcond=None``.
 
     A tensor whose border rank is below its rank can reach residuals under
     ``tol`` at the border rank through decompositions with enormous,
@@ -370,9 +472,7 @@ def cp_als(t, r: int, restarts: int = 32, max_iter: int = 2000, seed: int = 0,
         residual = float(np.linalg.norm(t - model) / norm_t)
         return CpResult(True, r, residual, factors, "direct slice construction")
 
-    from scipy.linalg import lapack
-
-    solve = [_mode_solver(t, mode, r, lapack) for mode in (1, 2, 3)]
+    solve = [_mode_solver(t, mode, r) for mode in (1, 2, 3)]
     spectral = _spectral_init(t, r)
     best = None
     for restart in range(max(1, restarts)):
@@ -398,6 +498,8 @@ def cp_als(t, r: int, restarts: int = 32, max_iter: int = 2000, seed: int = 0,
             break
 
     residual, factors, restart = best
+    # own the data: a solve's factor is a view of its whole solution buffer
+    factors = tuple(f.copy() for f in factors)
     ok = residual < tol
     detail = f"ALS, best of {restart + 1} restart(s)"
     return CpResult(ok, r, residual, factors, detail)
@@ -417,7 +519,7 @@ def map_cp_factors(factors, a, b, c):
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class RankInterval:
     """Certified bracket [lower, upper] for the tensor rank."""
 
@@ -443,20 +545,25 @@ class RankInterval:
 def rank_interval(t, restarts: int = 32, max_iter: int = 2000, seed: int = 0,
                   tol: float = 1e-8) -> RankInterval:
     """Bracket the tensor rank: certified lower bound (:func:`rank_lower_bound`),
-    least ALS success at or above it.
+    least R at or above it with a decomposition below ``tol``.
 
-    The search is guaranteed to terminate because the slice-wise
-    construction succeeds once R reaches the product of the two smallest
-    dims.
+    At each R the padded-pencil construction (:func:`_pencil_construction`)
+    is tried first; it applies when the support has a mode of dim at most 2,
+    where Ja'Ja's lower bound is the rank, so such intervals close at [R, R]
+    with no ALS.  When it does not apply or misses ``tol``, :func:`cp_als`
+    searches at that R with the given budget.  The support is computed once
+    and serves both the lower bound and the construction.  The search is
+    guaranteed to terminate because the slice-wise construction succeeds
+    once R reaches the product of the two smallest dims.
     """
     t = as_tensor(t)
-    lower, cert = rank_lower_bound(t)
-    if lower == 0:
-        raise ValueError("zero tensor has no rank interval")
+    core, bases = _compress_support(t)
+    lower, cert = _lower_bound(t, core)
     dims = sorted(t.shape)
     r = lower
     while True:
-        result = cp_als(t, r, restarts=restarts, max_iter=max_iter, seed=seed, tol=tol)
+        result = _pencil_construction(t, core, bases, r, tol) or cp_als(
+            t, r, restarts=restarts, max_iter=max_iter, seed=seed, tol=tol)
         if result.success:
             return RankInterval(lower, r, cert, result)
         r += 1
@@ -493,11 +600,16 @@ class ClassifyResult:
 
 
 def _compress_support(t, tol: float = 1e-9):
-    """Restrict each party to the support of its unfolding (full local ranks)."""
+    """Restrict each party to the support of its unfolding (full local ranks).
+
+    Returns the core and the orthonormal bases (u1, u2, u3) of the three
+    supports; ``t`` is the core mapped by u1, u2 and u3 whenever its
+    discarded singular values are zero.
+    """
     t = as_tensor(t)
-    u1, u2, u3 = (column_space(unfold(t, mode), tol) for mode in (1, 2, 3))
-    core = np.einsum("ip,jq,kr,ijk->pqr", u1.conj(), u2.conj(), u3.conj(), t)
-    return core
+    bases = tuple(column_space(unfold(t, mode), tol) for mode in (1, 2, 3))
+    core = np.einsum("ip,jq,kr,ijk->pqr", *(u.conj() for u in bases), t)
+    return core, bases
 
 
 _SIGNATURE_TABLE_CACHE = None
@@ -505,7 +617,7 @@ _SIGNATURE_TABLE_CACHE = None
 
 def _entry_signature(t):
     """Classification key: local ranks plus Moebius-invariant pencil data."""
-    core = _compress_support(t)
+    core = _compress_support(t)[0]
     dims = core.shape
     if dims[0] == 1:
         return (dims, None)

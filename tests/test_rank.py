@@ -1,5 +1,6 @@
 """Tests for rank bounds, CP-ALS, and the 2 x M x N classifier."""
 
+import contextlib
 import dataclasses
 import os
 import subprocess
@@ -294,7 +295,7 @@ TWO_SLICE_ROWS = [e.id for e in s.catalog_list(table_only=True) if e.system[0] =
 
 def _jaja_of(t):
     """Ja'Ja's formula on the slice pencil of ``t`` restricted to its support."""
-    core = rank._compress_support(t)
+    core = rank._compress_support(t)[0]
     inv = s.pencil_invariants(np.moveaxis(core, core.shape.index(2), 0))
     assert not inv.borderline
     return rank._jaja_rank(inv)
@@ -353,7 +354,9 @@ def test_borderline_pencil_falls_back_to_local_rank(monkeypatch):
     assert s.rank_lower_bound(s.catalog_build("2x3x3-4")) == (3, "LocalRank")
 
 
-def test_random_333_interval_runs_als_only_at_generic_rank(monkeypatch):
+@contextlib.contextmanager
+def counted_cp_als():
+    """Wrap ``rank.cp_als``; yields the list of ranks it was called with."""
     ranks = []
     cp_als = rank.cp_als
 
@@ -361,12 +364,86 @@ def test_random_333_interval_runs_als_only_at_generic_rank(monkeypatch):
         ranks.append(r)
         return cp_als(t, r, *args, **kwargs)
 
-    monkeypatch.setattr(rank, "cp_als", counted)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rank, "cp_als", counted)
+        yield ranks
+
+
+def test_random_333_interval_runs_als_only_at_generic_rank():
     t = random_tensor(np.random.default_rng(31), (3, 3, 3))
-    interval = s.rank_interval(t, restarts=2, max_iter=300)
+    with counted_cp_als() as ranks:
+        interval = s.rank_interval(t, restarts=2, max_iter=300)
     assert (interval.lower, interval.upper) == (5, 5)
     assert interval.certificate_lower == "Strassen"
     assert ranks == [5]
+
+
+# generic rank of random tensors of these dims
+GENERIC_TWO_SLICE = {(2, 2, 2): 2, (2, 3, 3): 3, (2, 3, 4): 4}
+TWO_SLICE_CASES = TWO_SLICE_ROWS + ["ghz", "w"] + [
+    "random" + "x".join(map(str, dims)) for dims in GENERIC_TWO_SLICE]
+
+
+@pytest.mark.parametrize("name", TWO_SLICE_CASES)
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(map_seed=st.integers(0, 2**31 - 1), exponent=st.sampled_from([-150, 0, 150]))
+def test_two_slice_interval_closes_by_construction(name, map_seed, exponent):
+    """Every tensor whose support has a mode of dim 2 gets [rank, rank] from
+    the padded-pencil construction, with no CP-ALS call."""
+    if name.startswith("random"):
+        dims = tuple(int(d) for d in name[len("random"):].split("x"))
+        t, known = random_tensor(np.random.default_rng(map_seed), dims), GENERIC_TWO_SLICE[dims]
+    else:
+        t, known = s.catalog_build(name), s.catalog_get(name).rank_note["rank"]
+    image = s.apply_slocc(t, *s.random_slocc(t.shape, map_seed, cond_bound=100))
+    image = image * 10.0**exponent
+    with counted_cp_als() as ranks:
+        interval = s.rank_interval(image)
+    assert ranks == []
+    assert (interval.lower, interval.upper) == (known, known)
+    cert = interval.certificate_upper
+    assert cert.success and cert.detail == "padded pencil construction"
+    rebuilt = cert.reconstruct()
+    assert np.linalg.norm(rebuilt - image) < 1e-8 * np.linalg.norm(image)
+
+
+@pytest.mark.parametrize("entry_id", ["2x3x4-1", "2x3x4-3"])
+def test_default_interval_closes_on_l_eps_rows(entry_id):
+    """The rows where ALS misses the certified rank even at the default
+    budget now close at [4, 4]."""
+    t = s.catalog_build(entry_id)
+    for seed in range(4):
+        image = s.apply_slocc(t, *s.random_slocc(t.shape, 60 + seed, cond_bound=100))
+        interval = s.rank_interval(image)
+        assert (interval.lower, interval.upper) == (4, 4), seed
+
+
+@pytest.mark.parametrize("name, r", [("w", 2), ("2x3x4-4", 4)])
+def test_pencil_construction_below_rank_never_succeeds(name, r):
+    t = s.catalog_build(name)
+    for seed in range(10):
+        image = s.apply_slocc(t, *s.random_slocc(t.shape, 80 + seed, cond_bound=100))
+        for exponent in (-150, 0, 150):
+            scaled = image * 10.0**exponent
+            core, bases = rank._compress_support(scaled)
+            assert rank._pencil_construction(scaled, core, bases, r, 1e-8) is None, seed
+
+
+def test_interval_below_rank_falls_back_to_als(monkeypatch):
+    """With the lower bound forced below the rank, the construction fails
+    there, ALS runs at that R, and the construction closes one higher."""
+    monkeypatch.setattr(rank, "classify_222", lambda t: "GHZclass")
+
+    def borderline(t, *args, **kwargs):
+        return dataclasses.replace(s.pencil_invariants(t, *args, **kwargs), borderline=True)
+
+    monkeypatch.setattr(rank, "pencil_invariants", borderline)
+    for name, lower in (("w", 2), ("2x3x4-4", 4)):
+        with counted_cp_als() as ranks:
+            interval = s.rank_interval(s.catalog_build(name), restarts=1, max_iter=50)
+        assert ranks == [lower], name
+        assert (interval.lower, interval.upper) == (lower, lower + 1), name
+        assert interval.certificate_upper.detail == "padded pencil construction", name
 
 
 @pytest.mark.parametrize("entry_id", ["2x3x3-1", "2x3x3-2", "3x3x3-diag"])

@@ -2,7 +2,9 @@
 
 Only the multi-start searches need ``scipy.optimize``; ``product_range`` and
 ``detpoly`` call it through their module-level name ``least_squares``, which
-is where a wrapper (the benchmark's tracer) replaces it.
+is where a wrapper (the benchmark's tracer) replaces it.  Rank intervals
+load no scipy module at all: the padded-pencil construction is numpy only,
+and CP-ALS solves through ``numpy.linalg.lapack_lite.zgelsd``.
 """
 
 import os
@@ -40,6 +42,14 @@ for name in ("2x3x4-4", "3x3x3-perm"):
     slocc3.rank_lower_bound(slocc3.catalog_build(name))
     if loaded():
         sys.exit(f"rank_lower_bound({name}): loaded {loaded()[:3]}")
+image = slocc3.apply_slocc(slocc3.catalog_build("2x3x4-1"),
+                           *slocc3.random_slocc((2, 3, 4), 7, cond_bound=100))
+# 3x3x3-perm has no mode of dim 2 and takes the CP-ALS path
+for name, t in (("ghz", slocc3.ghz_state()), ("2x3x4-1 image", image),
+                ("3x3x3-perm", slocc3.catalog_build("3x3x3-perm"))):
+    slocc3.rank_interval(t, restarts=2, max_iter=300)
+    if loaded():
+        sys.exit(f"rank_interval({name}): loaded {loaded()[:3]}")
 print("ok")
 """
 
@@ -51,6 +61,22 @@ def test_import_and_solver_free_commands_load_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+def test_rank_cli_loads_no_scipy():
+    """``python -m slocc3 rank`` in a fresh interpreter imports no scipy
+    module, as the interpreter's own import log shows."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "slocc3", "rank",
+                           "--ket", "|000>+|111>", "--dims", "2,2,2"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "rank interval: [2, 2]" in proc.stdout
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "slocc3.rank" in imported
+    assert not [m for m in imported if m == "scipy" or m.startswith("scipy.")]
 
 
 def _count_solver_calls(monkeypatch):
