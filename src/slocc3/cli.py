@@ -89,11 +89,13 @@ def _load_tensor(args, ket_attr="ket", dims_attr="dims", file_attr="file"):
     raise ValueError("provide either --ket with --dims or a tensor JSON file")
 
 
-def _emit(args, json_doc: str, text_lines):
+def _emit(args, json_doc, text_lines):
+    """Print the output format asked for; ``json_doc`` and ``text_lines`` are
+    zero-argument callables, so only that format is built."""
     if args.output == "json":
-        print(json_doc)
+        print(json_doc())
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -220,14 +222,14 @@ def _run(args) -> int:
 
     if cmd == "parse":
         t = parse_ket(args.ket, _parse_dims(args.dims), normalize=args.normalize)
-        _emit(args, tensor_to_json(t),
-              [f"dims: {t.shape}", f"state: {print_ket(t)}"])
+        _emit(args, lambda: tensor_to_json(t),
+              lambda: [f"dims: {t.shape}", f"state: {print_ket(t)}"])
         return EXIT_OK
 
     if cmd == "print":
         t = _load_tensor(args)
         text = print_ket(t, precision=args.precision)
-        _emit(args, json.dumps({"ket": text}), [text])
+        _emit(args, lambda: json.dumps({"ket": text}), lambda: [text])
         return EXIT_OK
 
     if cmd == "rank":
@@ -240,7 +242,7 @@ def _run(args) -> int:
             seed=args.seed,
             tol=args.tol_als,
         )
-        _emit(args, interval.to_json(), [
+        _emit(args, interval.to_json, lambda: [
             f"rank interval: [{interval.lower}, {interval.upper}]",
             f"lower bound: {interval.certificate_lower}",
             f"upper bound: {interval.certificate_upper.detail}, "
@@ -252,7 +254,7 @@ def _run(args) -> int:
     if cmd == "detpoly":
         t = _load_tensor(args)
         f = det_poly(t)
-        _emit(args, f.to_json(), [f.to_text()])
+        _emit(args, f.to_json, lambda: [f.to_text()])
         return EXIT_OK
 
     if cmd == "detpoly-equiv":
@@ -265,11 +267,9 @@ def _run(args) -> int:
             seed=args.seed,
             tol=args.tol_equiv,
         )
-        lines = [f"verdict: {verdict.kind}"]
-        if verdict.residual is not None:
-            lines.append(f"residual: {verdict.residual:.6e}")
-        lines.append(verdict.detail)
-        _emit(args, verdict.to_json(), lines)
+        residual = [] if verdict.residual is None else [f"residual: {verdict.residual:.6e}"]
+        _emit(args, verdict.to_json,
+              lambda: [f"verdict: {verdict.kind}", *residual, verdict.detail])
         if args.strict and verdict.kind == "NoCandidateFound":
             return EXIT_INCONCLUSIVE
         return EXIT_OK
@@ -279,7 +279,7 @@ def _run(args) -> int:
         traced = PARTY_SETS[args.traced]
         rho = reduced_density(t, t.shape, traced)
         kept = [d for i, d in enumerate(t.shape) if i not in traced]
-        _emit(args, density_to_json(rho, kept), [
+        _emit(args, lambda: density_to_json(rho, kept), lambda: [
             f"reduced density on parties "
             f"{[p for p in 'ABC' if PARTY_SETS[p][0] not in traced]}",
             np.array_str(np.round(rho, 6)),
@@ -293,7 +293,7 @@ def _run(args) -> int:
             t, args.traced, tol=args.tol_minor,
             starts=_restarts(args, 16), seed=args.seed,
         )
-        _emit(args, report.to_json(), [
+        _emit(args, report.to_json, lambda: [
             f"independent product vectors: {report.independent_count}",
             f"exactness: {report.exactness}"
             + (" (continuum)" if report.continuum else ""),
@@ -310,7 +310,7 @@ def _run(args) -> int:
             t1, t2, args.traced, tol=args.tol_minor,
             starts=_restarts(args, 16), seed=args.seed,
         )
-        _emit(args, json.dumps({"verdict": verdict}), [f"verdict: {verdict}"])
+        _emit(args, lambda: json.dumps({"verdict": verdict}), lambda: [f"verdict: {verdict}"])
         if args.strict and verdict == "Inconclusive":
             return EXIT_INCONCLUSIVE
         return EXIT_OK
@@ -321,7 +321,7 @@ def _run(args) -> int:
         b = matrix_from_json(_read_text(args.b))
         c = matrix_from_json(_read_text(args.c))
         out = apply_slocc(t, a, b, c)
-        _emit(args, tensor_to_json(out), [print_ket(out, precision=12)])
+        _emit(args, lambda: tensor_to_json(out), lambda: [print_ket(out, precision=12)])
         return EXIT_OK
 
     if cmd == "classify2mn":
@@ -334,27 +334,26 @@ def _run(args) -> int:
         ]
         if res.matched:
             lines.insert(1, f"representative: {res.entry.ket_text}")
-        _emit(args, res.to_json(), lines)
+        _emit(args, res.to_json, lambda: lines)
         return EXIT_OK
 
     if cmd == "catalog":
         if args.action == "list":
             entries = cat.catalog_list()
-            doc = json.dumps([json.loads(e.to_json()) for e in entries])
-            _emit(args, doc, [f"{e.id:12s} {str(e.system):12s} {e.ket_text}"
-                              for e in entries])
+            _emit(args, lambda: json.dumps([json.loads(e.to_json()) for e in entries]),
+                  lambda: [f"{e.id:12s} {str(e.system):12s} {e.ket_text}" for e in entries])
             return EXIT_OK
         if args.id is None:
             raise ValueError(f"catalog {args.action} requires an id")
         entry = cat.catalog_get(args.id)
         if args.action == "get":
-            _emit(args, entry.to_json(), [
+            _emit(args, entry.to_json, lambda: [
                 f"id: {entry.id}", f"system: {entry.system}",
                 f"ket: {entry.ket_text}", f"rank_note: {entry.rank_note}",
             ])
         else:
             t = entry.build()
-            _emit(args, tensor_to_json(t), [print_ket(t)])
+            _emit(args, lambda: tensor_to_json(t), lambda: [print_ket(t)])
         return EXIT_OK
 
     if cmd == "lhrgm":
@@ -373,7 +372,7 @@ def _run(args) -> int:
             args.kind, args.m, args.n, base,
             a=_parse_complex(args.a), b=_parse_complex(args.b), chi=chi,
         )
-        _emit(args, tensor_to_json(out), [print_ket(out)])
+        _emit(args, lambda: tensor_to_json(out), lambda: [print_ket(out)])
         return EXIT_OK
 
     if cmd == "build335":
@@ -391,7 +390,7 @@ def _run(args) -> int:
             _parse_cvector(args.beta),
             _parse_cvector(args.gamma),
         )
-        _emit(args, tensor_to_json(out), [print_ket(out)])
+        _emit(args, lambda: tensor_to_json(out), lambda: [print_ket(out)])
         return EXIT_OK
 
     raise ValueError(f"unknown command {cmd!r}")

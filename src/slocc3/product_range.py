@@ -3,10 +3,16 @@
 Vectors of C^M tensor C^N reshaped as M x N matrices turn "product vector"
 into "rank-1 matrix", so counting linearly independent product states in the
 range of a reduced density matrix becomes finding the rank-1 locus of a
-matrix subspace.  The range is the column space of the state's unfolding,
-cut like the local ranks (``tensor.column_space``).  k = 1, 2 and 3 are
-decided exactly: k = 2 from the pencil's eigen-points, k = 3 from two random
-combinations of the 2x2-minor quadrics through a resultant quartic, and both
+matrix subspace.  Each matrix is factored once.  One batched SVD per mode
+of the states' unfoldings gives the local ranks and, from the (kept x
+traced) unfolding, the range as its leading left singular vectors, so the
+range dimension is the traced party's local rank by construction
+(``_ranks_and_ranges``).  One SVD of a subspace's basis gives its
+independence check, its pseudo-inverse and an orthonormal basis
+(``MatrixSubspace``).  k = 1, 2 and 3 are decided exactly in that
+orthonormal basis: k = 2 from the roots of the pencil's 2x2 minor forms,
+written in closed form (``_pencil_forms``), k = 3 from two random
+combinations of the minor quadrics through a resultant quartic, and both
 through one rank-1 screen (``_screen``).  k >= 4, and a k = 2 or 3 subspace
 the screen leaves undecided or whose quartic vanishes, go to a seeded
 multi-start Levenberg-Marquardt search with a closed-form Jacobian, whose
@@ -22,9 +28,9 @@ from functools import cache
 
 import numpy as np
 
-from .pencil import EIGEN_CLUSTER_RADIUS, _candidate_points, _minor_forms
-from .tensor import (as_tensor, column_space, complex_to_pairs, least_squares, local_ranks,
-                     matrix_rank_tol)
+from .pencil import EIGEN_CLUSTER_RADIUS, _candidate_points
+from .tensor import (DEFAULT_RANK_TOL, _rank_of_spectrum, as_tensor, complex_to_pairs,
+                     least_squares, matrix_rank_tol)
 
 MINOR_TOL = 1e-7
 RECONSTRUCT_TOL = 1e-8
@@ -56,6 +62,8 @@ class MatrixSubspace:
     stack: np.ndarray = field(init=False, repr=False, compare=False)
     # (k, m*n): least-squares coefficients of a flattened matrix are pinv @ vec
     pinv: np.ndarray = field(init=False, repr=False, compare=False)
+    # (k, m*n): orthonormal rows spanning the same space
+    ortho: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.basis = [np.asarray(b, dtype=complex) for b in self.basis]
@@ -66,9 +74,14 @@ class MatrixSubspace:
             if b.shape != (self.m, self.n):
                 raise ValueError(f"basis matrix shape {b.shape} != ({self.m},{self.n})")
         self.stack = np.stack([b.ravel() for b in self.basis])
-        if matrix_rank_tol(self.stack, 1e-9) != k:
+        # the SVD np.linalg.pinv(stack.T) takes, and its arithmetic, so pinv
+        # is bit-identical to it; stack = vh^H diag(s) u^H, so u^H is an
+        # orthonormal basis of the span
+        u, s, vh = np.linalg.svd(self.stack.T.conj(), full_matrices=False)
+        if _rank_of_spectrum(s, 1e-9) != k:
             raise ValueError("basis matrices are linearly dependent")
-        self.pinv = np.linalg.pinv(self.stack.T)
+        self.pinv = vh.T @ ((1 / s)[:, None] * u.T)
+        self.ortho = u.T.conj()
 
     @property
     def dim(self) -> int:
@@ -152,9 +165,26 @@ def _cmul(x, y) -> np.ndarray:
     return out
 
 
-def _all_minors(mat) -> np.ndarray:
-    a, d, b, c = _minor_entries(mat)
+def _all_minors(mats) -> np.ndarray:
+    """Every 2x2 minor of each matrix in a stack (..., m, n), in
+    ``_minor_index`` order; shape (..., minor count)."""
+    a, d, b, c = np.moveaxis(_minor_entries(mats), -2, 0)
     return _cmul(a, d) - _cmul(b, c)
+
+
+def _pencil_forms(pair) -> np.ndarray:
+    """Binary forms of the 2x2 minors of x*B1 + y*B2, ``pair`` = (B1, B2).
+
+    Laid out as ``pencil._minor_forms(B1, B2, 2)``: a row per minor in
+    ``_minor_index`` order, holding the coefficients of x^2, xy and y^2.
+    With (a_j, d_j, b_j, c_j) the minor's entries of B1 (j = 0) and B2
+    (j = 1) they are a0 d0 - b0 c0, a0 d1 + a1 d0 - b0 c1 - b1 c0 and
+    a1 d1 - b1 c1.
+    """
+    (a0, d0, b0, c0), (a1, d1, b1, c1) = _minor_entries(pair)
+    return np.stack([_cmul(a0, d0) - _cmul(b0, c0),
+                     _cmul(a0, d1) + _cmul(a1, d0) - _cmul(b0, c1) - _cmul(b1, c0),
+                     _cmul(a1, d1) - _cmul(b1, c1)], axis=1)
 
 
 def _rank_one_factors(mat):
@@ -215,12 +245,14 @@ def find_product_vectors(space: MatrixSubspace, tol: float = MINOR_TOL,
                          starts: int = 16, seed: int = 0) -> ProductVectorReport:
     """Find rank-1 members of a matrix subspace.
 
-    k = 1: the basis matrix either is rank 1 or is not.  k = 2: candidates
-    are the eigen-points of the pencil x*B1 + y*B2 (``pencil._candidate_points``);
-    a pencil whose minors vanish identically is flagged as a continuum.
-    k = 3: candidates are the at most 4 common zeros of two random
-    combinations of the minor quadrics (``_exact_k3``; ``seed`` fixes them).
-    Both go through one screen (``_screen``), exact only if it decides every
+    k = 1: the basis matrix either is rank 1 or is not.  k = 2: with B1, B2
+    the subspace's orthonormal basis, candidates are the roots of the
+    largest closed-form minor form of the pencil x*B1 + y*B2
+    (``_pencil_forms``, ``pencil._candidate_points``); a pencil whose minors
+    vanish identically is flagged as a continuum.  k = 3: candidates are the
+    at most 4 common zeros of two random combinations of the minor quadrics
+    of the orthonormal basis (``_exact_k3``; ``seed`` fixes them).  Both go
+    through one screen (``_screen``), exact only if it decides every
     candidate.  k >= 4, and an undecided k = 2 or 3 subspace: seeded
     multi-start Levenberg-Marquardt (trust-region reflective when there are
     fewer equations than unknowns) on the normalised minor equations, a
@@ -270,26 +302,25 @@ def _exact_k1(space, tol):
 
 
 def _exact_k2(space, tol):
-    """Every rank-1 member of a pencil x*B1 + y*B2, or None if undecided:
-    they are among the roots of any 2x2 minor form that does not vanish."""
-    b1 = space.basis[0] / np.linalg.norm(space.basis[0])
-    b2 = space.basis[1] / np.linalg.norm(space.basis[1])
-    norm_space = MatrixSubspace(space.m, space.n, [b1, b2])
+    """Every rank-1 member of a pencil x*B1 + y*B2 (the orthonormal basis),
+    or None if undecided: they are among the roots of any 2x2 minor form
+    that does not vanish."""
     if min(space.m, space.n) < 2:
         # a one-row or one-column space: every member is rank <= 1
-        return _continuum_report(norm_space, tol)
-    forms = _minor_forms(b1, b2, 2)
+        return _continuum_report(space, tol)
+    forms = _pencil_forms(space.ortho.reshape(2, space.m, space.n))
     if np.max(np.abs(forms)) <= 1e-12:
-        return _continuum_report(norm_space, tol)
+        return _continuum_report(space, tol)
     points = _candidate_points(forms, EIGEN_CLUSTER_RADIUS)
-    return _screen(norm_space, [np.array(p) for p in points], tol, PENCIL_REJECT_MARGIN)
+    return _screen(space, points, tol, PENCIL_REJECT_MARGIN)
 
 
 def _continuum_report(space, tol):
     """Every pencil member is rank <= 1; sample a few and report a lower bound."""
+    samples = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0], [1.0, 1.0j]])
     found = []
-    for c in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0], [1.0, 1.0j]):
-        cand = _accept_candidate(space, np.array(c, dtype=complex), tol)
+    for member in samples @ space.ortho:
+        cand = _accept_candidate(space, space.pinv @ member, tol)
         if cand is not None and not _dedup(found, cand[2]):
             found.append(cand)
     return _report(found, "LowerBound", continuum=True,
@@ -354,16 +385,16 @@ def _exact_k3(space, tol, seed):
     a x^2 + b(y) x + c(y), the resultant in x is the quartic
     (a1 c2 - a2 c1)^2 - (a1 b2 - a2 b1)(b1 c2 - b2 c1) in y (Cox, Little &
     O'Shea, Using Algebraic Geometry, ch. 3), and x is the common root of the
-    two quadratics.  A root whose member has a minor above the rejection
-    margin is discarded; every other root must pass ``_accept_candidate``.
+    two quadratics.  The quadrics are those of the subspace's orthonormal
+    basis, and the candidates are coordinates in it.  A root whose member
+    has a minor above the rejection margin is discarded; every other root
+    must pass ``_accept_candidate``.
     The count is exact only when the quartic is not identically zero, keeps
     its degree, and every root is accepted or discarded; otherwise None is
     returned.  ``seed`` fixes the combinations and H.
     """
     m, n = space.m, space.n
-    ortho = np.linalg.qr(space.stack.T)[0].T.reshape(3, m, n)
-    space = MatrixSubspace(m, n, list(ortho))
-    quads = _minor_quadrics(ortho)
+    quads = _minor_quadrics(space.ortho.reshape(3, m, n))
     rng = np.random.default_rng(np.random.SeedSequence([seed, m, n, 3]))
     mix = rng.standard_normal((2, len(quads))) + 1j * rng.standard_normal((2, len(quads)))
     h = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
@@ -400,16 +431,17 @@ def _exact_k3(space, tol, seed):
 
 def _screen(space, candidates, tol, margin, detail=""):
     """Exact report from candidates that include every rank-1 member, or
-    None: a candidate whose unit-norm member has a minor above
-    max(tol, margin) is discarded, every other one must pass
-    ``_accept_candidate``."""
+    None.  ``candidates`` are coordinates in the orthonormal basis; all
+    their unit-norm members go through one minor evaluation, a candidate
+    with a minor above max(tol, margin) is discarded, and every other one
+    must pass ``_accept_candidate``."""
     margin = max(tol, margin)
+    members = np.asarray(candidates, dtype=complex) @ space.ortho
+    units = members / np.linalg.norm(members, axis=1, keepdims=True)
+    peaks = np.max(np.abs(_all_minors(units.reshape(-1, space.m, space.n))), axis=1)
     found = []
-    for coeffs in candidates:
-        member = space.member(coeffs)
-        if np.max(np.abs(_all_minors(member / np.linalg.norm(member)))) > margin:
-            continue  # clearly not a rank-1 member
-        cand = _accept_candidate(space, coeffs, tol)
+    for member in members[peaks <= margin]:
+        cand = _accept_candidate(space, space.pinv @ member, tol)
         if cand is None:
             return None
         if not _dedup(found, cand[2]):
@@ -467,25 +499,55 @@ def _party_index(party) -> int:
     return p
 
 
+def _ranks_and_ranges(states, p):
+    """Local ranks of each state in a stack (count, n1, n2, n3) of one shape,
+    and an orthonormal basis (columns) of the range of its reduced density
+    with party ``p`` traced out.
+
+    One batched SVD per mode: singular values only for the two kept modes,
+    and the left singular vectors of the (kept x traced) unfolding X, whose
+    column space is the range of X X^dagger.  Every rank is decided by the
+    rule of ``local_ranks``, so the range dimension is the traced party's
+    local rank at any nonzero scale.  Returns a (ranks, basis) pair per state.
+    """
+    count, *dims = states.shape
+    ranks = np.empty((count, 3), dtype=int)
+    for q in range(3):
+        if q != p:
+            unfold = np.moveaxis(states, q + 1, 1).reshape(count, dims[q], -1)
+            spectra = np.linalg.svd(unfold, compute_uv=False)
+            ranks[:, q] = [_rank_of_spectrum(s, DEFAULT_RANK_TOL) for s in spectra]
+    x = np.moveaxis(states, p + 1, -1).reshape(count, -1, dims[p])
+    u, spectra, _ = np.linalg.svd(x, full_matrices=False)
+    ranks[:, p] = [_rank_of_spectrum(s, DEFAULT_RANK_TOL) for s in spectra]
+    return [(tuple(r.tolist()), ui[:, :r[p]]) for r, ui in zip(ranks, u)]
+
+
+def _range_report(shape, p, basis, tol, starts, seed) -> ProductVectorReport:
+    kept = [d for i, d in enumerate(shape) if i != p]
+    if basis.shape[1] == 0:
+        raise ValueError("reduced density matrix has empty range")
+    space = MatrixSubspace(kept[0], kept[1], list(basis.T.reshape(-1, *kept)))
+    return find_product_vectors(space, tol=tol, starts=starts, seed=seed)
+
+
 def range_product_count(psi, traced_party, tol: float = MINOR_TOL,
                         starts: int = 16, seed: int = 0) -> ProductVectorReport:
     """Count product vectors in the range of the reduced density matrix
     obtained by tracing out one party of a tripartite pure state.
 
     The range of X X^dagger is the column space of the unfolding X (rows the
-    kept parties, columns the traced one), taken from the SVD of X with the
-    rule of ``local_ranks``, so its dimension is the traced party's local
-    rank at any nonzero scale.
+    kept parties, columns the traced one): the leading left singular vectors
+    of the one SVD of X, cut by the rule of ``local_ranks``, so its dimension
+    is the traced party's local rank at any nonzero scale
+    (``_ranks_and_ranges``).  A 2-dimensional range is decided from the
+    closed-form minor forms of its pencil, a 3-dimensional one from the
+    resultant of two minor quadrics (see ``find_product_vectors``).
     """
     psi = as_tensor(psi)
     p = _party_index(traced_party)
-    kept = [d for i, d in enumerate(psi.shape) if i != p]
-    x = np.moveaxis(psi, p, -1).reshape(kept[0] * kept[1], psi.shape[p])
-    basis = [vec.reshape(kept) for vec in column_space(x).T]
-    if not basis:
-        raise ValueError("reduced density matrix has empty range")
-    space = MatrixSubspace(kept[0], kept[1], basis)
-    return find_product_vectors(space, tol=tol, starts=starts, seed=seed)
+    [(_, basis)] = _ranks_and_ranges(psi[None], p)
+    return _range_report(psi.shape, p, basis, tol, starts, seed)
 
 
 def range_criterion_compare(s1, s2, traced_party, tol: float = MINOR_TOL,
@@ -494,16 +556,22 @@ def range_criterion_compare(s1, s2, traced_party, tol: float = MINOR_TOL,
 
     Returns "Inequivalent" when the local ranks differ, or when both product
     counts are exact and disagree; otherwise "Inconclusive".  A lower-bound
-    report never certifies inequivalence.
+    report never certifies inequivalence.  The two states are factored
+    together, one batched SVD per mode: its spectra give the local ranks and
+    the traced mode's left singular vectors the two ranges
+    (``_ranks_and_ranges``); the counts are then those of
+    ``range_product_count``.
     """
     s1 = as_tensor(s1)
     s2 = as_tensor(s2)
     if s1.shape != s2.shape:
         raise ValueError("states must share party dims")
-    if local_ranks(s1) != local_ranks(s2):
+    p = _party_index(traced_party)
+    (ranks1, basis1), (ranks2, basis2) = _ranks_and_ranges(np.stack([s1, s2]), p)
+    if ranks1 != ranks2:
         return "Inequivalent"
-    r1 = range_product_count(s1, traced_party, tol=tol, starts=starts, seed=seed)
-    r2 = range_product_count(s2, traced_party, tol=tol, starts=starts, seed=seed)
+    r1 = _range_report(s1.shape, p, basis1, tol, starts, seed)
+    r2 = _range_report(s2.shape, p, basis2, tol, starts, seed)
     if (
         r1.exactness == "Exact"
         and r2.exactness == "Exact"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import slocc3 as s
+from slocc3 import cli
 from slocc3.cli import main
 
 
@@ -81,6 +82,23 @@ def test_ptrace_json(capsys):
     doc = json.loads(out)
     assert doc["party_dims"] == [2, 2]
     assert doc["rows"] == 4
+
+
+def test_only_the_requested_format_is_built(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an output format that was not asked for")
+
+    ket = ["--ket", "|000>+|111>", "--dims", "2,2,2"]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "print_ket", refuse)
+        patch.setattr(cli.np, "array_str", refuse)
+        assert run_cli(["ptrace", *ket, "--traced", "A", "--output", "json"], capsys)[0] == 0
+        assert run_cli(["parse", *ket, "--output", "json"], capsys)[0] == 0
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "density_to_json", refuse)
+        patch.setattr(cli, "tensor_to_json", refuse)
+        assert run_cli(["ptrace", *ket, "--traced", "A"], capsys)[0] == 0
+        assert run_cli(["parse", *ket], capsys)[0] == 0
 
 
 def test_product_count_w(capsys):

@@ -1,5 +1,6 @@
 """Tests for product-vector search and the range-criterion comparison."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -20,8 +21,11 @@ from slocc3.product_range import (
     _accept_candidate,
     _exact_k3,
     _minor_residual,
+    _pencil_forms,
+    _ranks_and_ranges,
     _search,
 )
+from slocc3.pencil import _minor_forms
 
 # the per-minor loops the vectorised kernel replaced, kept as references
 
@@ -55,6 +59,49 @@ def test_minor_kernel_matches_loop_exactly(shape):
         got, ref = _all_minors(mat), _all_minors_loop(mat)
         assert got.shape == ref.shape == (count,)
         assert (got == ref).all()
+
+
+def test_minor_kernel_on_a_stack_matches_each_matrix_exactly():
+    rng = np.random.default_rng(5)
+    for shape in KERNEL_SHAPES:
+        mats = _random_complex(rng, (2, 3) + shape)
+        got = _all_minors(mats)
+        for i, j in np.ndindex(2, 3):
+            assert (got[i, j] == _all_minors(mats[i, j])).all()
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 3)])
+def test_closed_form_pencil_forms_match_determinant_kernel(shape):
+    rng = np.random.default_rng(shape[0] * 10 + shape[1])
+    for _ in range(10):
+        b1, b2 = _random_complex(rng, shape), _random_complex(rng, shape)
+        got, ref = _pencil_forms(np.stack([b1, b2])), _minor_forms(b1, b2, 2)
+        assert got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("m,n,k", [(2, 2, 1), (2, 2, 2), (3, 3, 2), (3, 3, 3), (3, 4, 3), (4, 4, 5)])
+def test_subspace_factorisation(m, n, k):
+    """One SVD gives np.linalg.pinv's pseudo-inverse bit for bit, and an
+    orthonormal basis of the same span."""
+    rng = np.random.default_rng(m * 100 + n * 10 + k)
+    for scale in (1e-150, 1.0, 1e150):
+        space = MatrixSubspace(m, n, list(scale * _random_complex(rng, (k, m, n))))
+        assert (space.pinv == np.linalg.pinv(space.stack.T)).all()
+        np.testing.assert_allclose(space.ortho @ space.ortho.conj().T, np.eye(k), atol=1e-14)
+        # the basis is reproduced from its projection onto the orthonormal rows
+        proj = (space.stack @ space.ortho.conj().T) @ space.ortho
+        np.testing.assert_allclose(proj, space.stack, rtol=0,
+                                   atol=1e-13 * np.abs(space.stack).max())
+
+
+def test_subspace_rejects_dependent_bases():
+    rng = np.random.default_rng(8)
+    b1, b2 = _random_complex(rng, (3, 3)), _random_complex(rng, (3, 3))
+    for basis in ([b1, b2, b1 - 2j * b2], [b1, b1 * (1 + 1e-12)], [b1, np.zeros((3, 3))],
+                  [np.zeros((2, 2))]):
+        with pytest.raises(ValueError, match="dependent"):
+            MatrixSubspace(basis[0].shape[0], basis[0].shape[1], basis)
 
 
 # (2, 2, 3) has fewer residual rows than unknowns, so the search uses trf
@@ -498,3 +545,73 @@ def test_k3_count_invariant_under_slocc_and_scale(name, map_seed, exponent, seed
     image = s.apply_slocc(t, *s.random_slocc(t.shape, map_seed, cond_bound=20))
     report = s.range_product_count(image * 10.0**exponent, "A", seed=seed)
     assert (report.independent_count, report.exactness) == (count, exactness)
+
+
+# --- the comparison against its public composition --------------------------
+
+# the range-criterion benchmark's random dims
+IMAGE_DIMS = ((2, 2, 2), (3, 3, 3), (2, 3, 3), (3, 3, 4), (2, 3, 4))
+
+
+def _compare_sources():
+    rng = np.random.default_rng(41)
+    sources = {f"random {d}": _random_complex(rng, d) for d in IMAGE_DIMS}
+    for entry in s.catalog_list(table_only=True):
+        if entry.system[0] == 2 and min(entry.system) >= 2:
+            sources[entry.id] = entry.build()
+    for name in ("3x3x3-diag", "3x3x3-perm"):
+        sources[name] = s.catalog_build(name)
+    return sources
+
+
+COMPARE_SOURCES = _compare_sources()
+# two table rows of one system are inequivalent
+CATALOG_PAIRS = [
+    (e1.id, e2.id) for e1, e2 in itertools.combinations(s.catalog_list(table_only=True), 2)
+    if e1.system == e2.system and e1.system[0] == 2 and min(e1.system) >= 2
+]
+
+
+def _composed_verdict(s1, s2, party, **kwargs):
+    """range_criterion_compare written with the public functions only."""
+    if s.local_ranks(s1) != s.local_ranks(s2):
+        return "Inequivalent"
+    r1 = s.range_product_count(s1, party, **kwargs)
+    r2 = s.range_product_count(s2, party, **kwargs)
+    if "LowerBound" in (r1.exactness, r2.exactness):
+        return "Inconclusive"
+    return "Inequivalent" if r1.independent_count != r2.independent_count else "Inconclusive"
+
+
+def _image(t, map_seed, exponent):
+    return s.apply_slocc(t, *s.random_slocc(t.shape, map_seed, cond_bound=100)) * 10.0**exponent
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(COMPARE_SOURCES)),
+       map_seed=st.integers(0, 2**31 - 1),
+       exponent=st.integers(-150, 150),
+       party=st.sampled_from("ABC"),
+       seed=st.integers(0, 2**31 - 1))
+def test_range_compare_of_an_image_is_never_inequivalent(name, map_seed, exponent, party, seed):
+    t = COMPARE_SOURCES[name]
+    image = _image(t, map_seed, exponent)
+    verdict = s.range_criterion_compare(t, image, party, starts=4, seed=seed)
+    assert verdict == "Inconclusive"
+    assert verdict == _composed_verdict(t, image, party, starts=4, seed=seed)
+    p = "ABC".index(party)
+    [(ranks, basis)] = _ranks_and_ranges(image[None], p)
+    assert ranks == s.local_ranks(t)
+    assert basis.shape[1] == s.local_ranks(t)[p]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(pair=st.sampled_from(CATALOG_PAIRS),
+       map_seeds=st.tuples(st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1)),
+       exponent=st.integers(-150, 150),
+       party=st.sampled_from("ABC"))
+def test_range_compare_of_catalog_pairs_is_its_public_composition(pair, map_seeds, exponent,
+                                                                  party):
+    s1, s2 = (_image(s.catalog_build(i), seed, exponent) for i, seed in zip(pair, map_seeds))
+    verdict = s.range_criterion_compare(s1, s2, party, starts=4, seed=1)
+    assert verdict == _composed_verdict(s1, s2, party, starts=4, seed=1)
