@@ -14,7 +14,7 @@ import string
 
 import numpy as np
 
-from .tensor import complex_to_pairs
+from .tensor import column_space, complex_to_pairs
 
 EIGEN_RANK_TOL = 1e-9
 # input checks of partial_trace, relative to the largest entry modulus and
@@ -137,18 +137,13 @@ def reduced_density(psi, party_dims, traced) -> np.ndarray:
 def range_basis(rho, tol: float = EIGEN_RANK_TOL):
     """Orthonormal basis of the column space of a Hermitian PSD matrix.
 
-    Eigenvectors with eigenvalue above tol times the largest, in descending
-    eigenvalue order.
+    Left singular vectors of ``rho`` (:func:`tensor.column_space`): for a
+    PSD matrix these are eigenvectors, kept when their eigenvalue is above
+    tol times the largest, in descending eigenvalue order.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    rho = np.asarray(rho, dtype=complex)
-    vals, vecs = np.linalg.eigh(rho)
-    vals, vecs = vals[::-1], vecs[:, ::-1]
-    if vals.size == 0 or vals[0] <= 0:
-        return []
-    keep = vals > tol * vals[0]
-    return [vecs[:, i].copy() for i in range(len(vals)) if keep[i]]
+    return list(column_space(rho, tol).T)
 
 
 def density_to_json(rho, party_dims) -> str:

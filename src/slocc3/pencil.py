@@ -10,12 +10,16 @@ scaled to unit norm:
 
 * minimal indices from nullities of block Sylvester matrices (the dimension
   of degree-d polynomial null vectors),
-* candidate eigen-points from the roots of a largest maximal-order minor,
-  verified by an actual rank drop; the binary forms of all those minors
-  come from one batched call of ``detpoly.det_coefficients``,
+* candidate eigen-points from the roots of one compressed determinant
+  det(W (x*S0 + y*S1) V), W and V fixed r x M and N x r isometries (r the
+  normal rank), verified by an actual rank drop: any such compression is
+  singular wherever the pencil drops below rank r, and its binary form is
+  one call of ``detpoly.det_coefficients``,
 * the partition at a point from nullities of jet (block bidiagonal)
-  matrices relative to their value at a generic point, which cancels the
-  contribution of the singular blocks.
+  matrices less their reference value k*(N - r) for the k-jet: each of the
+  N - r blocks L_eps has full row rank at every point, so its k-jet has
+  nullity k, while the blocks L_eta^T and the regular part away from its
+  eigen-points add nothing.
 
 Local one-party maps on the 2-dimensional mode act as Moebius maps on the
 parameter line: they move eigenvalues but preserve the partition data and
@@ -26,7 +30,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -144,28 +147,25 @@ def _minimal_indices(s0, s1, count: int, tol) -> tuple:
     raise ArithmeticError("minimal index extraction did not terminate")
 
 
-def _minor_forms(s0, s1, r) -> np.ndarray:
-    """Binary forms in (x, y) of all r x r minors of x*S0 + y*S1.
-
-    Row i is the minor on the i-th (rows, cols) pair in ``combinations``
-    order, rows outer; entry j is the coefficient of x^(r-j) y^j.
-    """
-    m, n = s0.shape
-    rows = np.array(list(combinations(range(m), r)))
-    cols = np.array(list(combinations(range(n), r)))
-    idx = (rows[:, None, :, None], cols[None, :, None, :])
-    return det_coefficients(s1[idx], s0[idx]).reshape(-1, r + 1)
+def _compressed_form(s0, s1, r) -> np.ndarray:
+    """Binary form of det(W (x*S0 + y*S1) V) for fixed isometries W (r x m)
+    and V (n x r); entry j is the coefficient of x^(r-j) y^j.  It vanishes
+    wherever the pencil has rank below r, and possibly elsewhere."""
+    rng = np.random.default_rng(1979)
+    w, v = (np.linalg.qr(rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r)))[0]
+            for d in s0.shape)
+    w = w.conj().T
+    return det_coefficients(w @ s1 @ v, w @ s0 @ v)
 
 
-def _candidate_points(forms, cluster_radius):
-    """Eigen-point candidates: clustered roots of the largest of the minor
-    ``forms`` (rows as from ``_minor_forms``) plus the point at infinity.
-    For maximal-order minors every true rank-drop point is among them.  Each
-    root cluster is replaced by its centroid, which approximates a multiple
-    root far better than its individual perturbed roots."""
-    best = np.argmax(np.max(np.abs(forms), axis=1))
+def _candidate_points(form, cluster_radius):
+    """Eigen-point candidates: clustered roots of the binary ``form``
+    (coefficients of x^(r-j) y^j, as from ``_compressed_form``) plus the
+    point at infinity, so every point where the form vanishes is among
+    them.  Each root cluster is replaced by its centroid, which approximates
+    a multiple root far better than its individual perturbed roots."""
     points = [(0.0 + 0.0j, 1.0 + 0.0j)]  # infinity is always checked
-    coeffs = forms[best][::-1].copy()  # descending in y after x = 1
+    coeffs = form[::-1].copy()  # descending in y after x = 1
     while coeffs.size > 1 and abs(coeffs[0]) <= 1e-12 * np.max(np.abs(coeffs)):
         coeffs = coeffs[1:]
     if coeffs.size > 1:
@@ -229,11 +229,15 @@ def _partition_from_weyr(deltas):
     return tuple(sorted(parts, reverse=True))
 
 
-def _divisor_structure(s0, s1, forms, r, total_divisor, tol, cluster_radius):
-    """Eigen-points and their partitions for one choice of cluster radius;
-    ``forms`` are the pencil's r x r minor forms."""
+def _divisor_structure(s0, s1, form, r, total_divisor, tol, cluster_radius):
+    """Eigen-points and their partitions for one choice of cluster radius.
+
+    A root of the compressed determinant ``form`` is an eigen-point when the
+    pencil drops below rank ``r`` there.  Its partition comes from the jet
+    nullities less k*(n - r): the n - r blocks L_eps have full row rank at
+    every point, so their k-jet has nullity k each."""
     notes = []
-    candidates = _candidate_points(forms, cluster_radius)
+    candidates = _candidate_points(form, cluster_radius)
     points = []
     for cand in candidates:
         if all(_chordal(cand, q) > cluster_radius for q in points):
@@ -245,22 +249,7 @@ def _divisor_structure(s0, s1, forms, r, total_divisor, tol, cluster_radius):
         if _rank(_pencil_at(s0, s1, x / sc, y / sc), tol) < r:
             drops.append(pt)
 
-    rng = np.random.default_rng(912)
-    generic = None
-    for _ in range(32):
-        v = rng.standard_normal(4)
-        cand = (complex(v[0], v[1]), complex(v[2], v[3]))
-        sc = np.hypot(abs(cand[0]), abs(cand[1]))
-        cand = (cand[0] / sc, cand[1] / sc)
-        if all(_chordal(cand, q) > 1e-3 for q in drops) and (
-            _rank(_pencil_at(s0, s1, *cand), tol) == r
-        ):
-            generic = cand
-            break
-    if generic is None:
-        raise ArithmeticError("could not find a generic pencil point")
-
-    base = _jet_nullities(s0, s1, generic, total_divisor, tol)
+    base = [k * (s0.shape[1] - r) for k in range(1, total_divisor + 1)]
     finite = []
     infinite = ()
     assigned = 0
@@ -316,13 +305,13 @@ def pencil_invariants(t, tol: float = PENCIL_RANK_TOL) -> PencilInvariants:
     finite = []
     infinite = ()
     if total_divisor > 0:
-        forms = _minor_forms(s0, s1, r)
+        form = _compressed_form(s0, s1, r)
         # clustered multiple roots are recovered through their centroid; if
         # the fine radius leaves a multiple root split (its degree identity
         # then fails) retry once with a coarser radius
         for radius in (EIGEN_CLUSTER_RADIUS, 1e-4):
             finite, infinite, assigned, attempt_notes = _divisor_structure(
-                s0, s1, forms, r, total_divisor, tol, radius
+                s0, s1, form, r, total_divisor, tol, radius
             )
             if assigned == total_divisor:
                 notes.extend(attempt_notes)

@@ -175,11 +175,10 @@ def _all_minors(mats) -> np.ndarray:
 def _pencil_forms(pair) -> np.ndarray:
     """Binary forms of the 2x2 minors of x*B1 + y*B2, ``pair`` = (B1, B2).
 
-    Laid out as ``pencil._minor_forms(B1, B2, 2)``: a row per minor in
-    ``_minor_index`` order, holding the coefficients of x^2, xy and y^2.
-    With (a_j, d_j, b_j, c_j) the minor's entries of B1 (j = 0) and B2
-    (j = 1) they are a0 d0 - b0 c0, a0 d1 + a1 d0 - b0 c1 - b1 c0 and
-    a1 d1 - b1 c1.
+    A row per minor in ``_minor_index`` order, holding the coefficients of
+    x^2, xy and y^2.  With (a_j, d_j, b_j, c_j) the minor's entries of B1
+    (j = 0) and B2 (j = 1) they are a0 d0 - b0 c0,
+    a0 d1 + a1 d0 - b0 c1 - b1 c0 and a1 d1 - b1 c1.
     """
     (a0, d0, b0, c0), (a1, d1, b1, c1) = _minor_entries(pair)
     return np.stack([_cmul(a0, d0) - _cmul(b0, c0),
@@ -311,7 +310,8 @@ def _exact_k2(space, tol):
     forms = _pencil_forms(space.ortho.reshape(2, space.m, space.n))
     if np.max(np.abs(forms)) <= 1e-12:
         return _continuum_report(space, tol)
-    points = _candidate_points(forms, EIGEN_CLUSTER_RADIUS)
+    best = np.argmax(np.max(np.abs(forms), axis=1))
+    points = _candidate_points(forms[best], EIGEN_CLUSTER_RADIUS)
     return _screen(space, points, tol, PENCIL_REJECT_MARGIN)
 
 

@@ -4,9 +4,12 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import slocc3 as s
-from slocc3.pencil import _minor_forms
+import slocc3.pencil as pencil
+from slocc3.detpoly import det_coefficients
 
 
 def _binary_form_det(s0, s1, rows, cols) -> np.ndarray:
@@ -43,18 +46,18 @@ def _binary_form_det(s0, s1, rows, cols) -> np.ndarray:
 
 @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (3, 3), (4, 4), (4, 5), (5, 4)])
 def test_minor_forms_match_permutation_expansion(shape):
-    """The batched DFT forms equal the r!-term expansion for r = 1..4."""
+    """``det_coefficients`` on each r x r minor's pencil, r = 1..4, equals the
+    r!-term expansion."""
     rng = np.random.default_rng(sum(shape))
     m, n = shape
     s0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     s1 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     for r in range(1, min(m, n, 4) + 1):
-        ref = np.array([
-            _binary_form_det(s0, s1, rows, cols)
-            for rows in combinations(range(m), r)
-            for cols in combinations(range(n), r)
-        ])
-        forms = _minor_forms(s0, s1, r)
+        pairs = [(rows, cols) for rows in combinations(range(m), r)
+                 for cols in combinations(range(n), r)]
+        ref = np.array([_binary_form_det(s0, s1, rows, cols) for rows, cols in pairs])
+        forms = np.array([det_coefficients(s1[np.ix_(rows, cols)], s0[np.ix_(rows, cols)])
+                          for rows, cols in pairs])
         assert forms.shape == ref.shape
         np.testing.assert_allclose(forms, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
@@ -185,6 +188,49 @@ def test_triple_eigenvalue_survives_float_perturbation():
     inv = s.pencil_invariants(s.apply_slocc(t, *maps))
     assert inv.all_partitions() == ((3,),)
     assert not inv.borderline
+
+
+def test_split_reference_point_image_keeps_triple_block():
+    """0.05 from this image's triple eigenvalue the 3-jet's smallest singular
+    value is 8e-10, below the rank tolerance, so reference nullities taken at
+    a point there read partition (2,); the pencil is one block of size 3."""
+    maps = s.random_slocc((2, 3, 3), 10050, cond_bound=20)
+    inv = s.pencil_invariants(s.apply_slocc(s.catalog_build("2x3x3-4"), *maps))
+    assert inv.all_partitions() == ((3,),)
+    assert not inv.borderline, inv.condition_note
+
+
+def test_one_compressed_determinant_per_call(monkeypatch):
+    """Eigen-points come from one unbatched r x r determinant form."""
+    calls = []
+    det = pencil.det_coefficients
+
+    def counted(*slices):
+        calls.append([np.shape(x) for x in slices])
+        return det(*slices)
+
+    monkeypatch.setattr(pencil, "det_coefficients", counted)
+    t = s.catalog_build("2x3x5-1")  # L1 + L1 + one 1x1 regular block: normal rank 3
+    inv = s.pencil_invariants(s.apply_slocc(t, *s.random_slocc(t.shape, 3, cond_bound=20)))
+    assert inv.all_partitions() == ((1,),)
+    assert calls == [[(3, 3), (3, 3)]]
+
+
+TABLE_ROWS = [e.id for e in s.catalog_list(table_only=True)
+              if e.system[0] == 2 and min(e.system) >= 2]
+
+
+@pytest.mark.parametrize("entry_id", TABLE_ROWS)
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(map_seed=st.integers(0, 2**31 - 1),
+       cond=st.sampled_from([20.0, 100.0]),
+       exponent=st.integers(-150, 150))
+def test_signature_invariant_under_slocc_and_scale(entry_id, map_seed, cond, exponent):
+    t = s.catalog_build(entry_id)
+    image = s.apply_slocc(t, *s.random_slocc(t.shape, map_seed, cond_bound=cond))
+    inv = s.pencil_invariants(image * 10.0**exponent)
+    assert not inv.borderline, inv.condition_note
+    assert inv.signature() == s.pencil_invariants(t).signature()
 
 
 def test_2x1x1_pencil_drops_rank_at_its_root():

@@ -25,7 +25,6 @@ from slocc3.product_range import (
     _ranks_and_ranges,
     _search,
 )
-from slocc3.pencil import _minor_forms
 
 # the per-minor loops the vectorised kernel replaced, kept as references
 
@@ -72,10 +71,22 @@ def test_minor_kernel_on_a_stack_matches_each_matrix_exactly():
 
 @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 3)])
 def test_closed_form_pencil_forms_match_determinant_kernel(shape):
+    """Reference: the two-term permutation expansion of each 2x2 minor of
+    x*B1 + y*B2, in ``_minor_index`` order (row pairs outer)."""
     rng = np.random.default_rng(shape[0] * 10 + shape[1])
+    m, n = shape
     for _ in range(10):
         b1, b2 = _random_complex(rng, shape), _random_complex(rng, shape)
-        got, ref = _pencil_forms(np.stack([b1, b2])), _minor_forms(b1, b2, 2)
+
+        def lin(i, j):
+            return np.array([b1[i, j], b2[i, j]])
+
+        ref = np.array([
+            np.convolve(lin(r1, c1), lin(r2, c2)) - np.convolve(lin(r1, c2), lin(r2, c1))
+            for r1, r2 in itertools.combinations(range(m), 2)
+            for c1, c2 in itertools.combinations(range(n), 2)
+        ])
+        got = _pencil_forms(np.stack([b1, b2]))
         assert got.shape == ref.shape
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
 

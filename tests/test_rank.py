@@ -338,8 +338,10 @@ def test_rank_lower_bound_certificates():
 
 
 def test_rank_lower_bound_on_split_triple_root_image():
-    """The uncompressed pencil of this image splits its triple root and is
-    borderline; on the support it is one Jordan block of size 3."""
+    """0.05 from this image's triple eigenvalue the 3-jet's smallest singular
+    value falls below the rank tolerance, so reference nullities taken at a
+    point there read partition (2,) and borderline, not a split root; on the
+    support it is one Jordan block of size 3."""
     maps = s.random_slocc((2, 3, 3), 10050, cond_bound=20)
     image = s.apply_slocc(s.catalog_build("2x3x3-4"), *maps)
     assert s.rank_lower_bound(image) == (4, "JaJa")
