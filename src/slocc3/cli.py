@@ -116,8 +116,9 @@ def _add_tensor_source(p):
 
 def _positive(args, name):
     val = getattr(args, name.replace("-", "_"), None)
-    if val is not None and val <= 0:
-        raise ValueError(f"--{name} must be positive")
+    # written so that NaN, which compares false with everything, fails
+    if val is not None and not 0 < val < float("inf"):
+        raise ValueError(f"--{name} must be positive and finite")
     return val
 
 

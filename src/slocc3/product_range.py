@@ -3,21 +3,20 @@
 Vectors of C^M tensor C^N reshaped as M x N matrices turn "product vector"
 into "rank-1 matrix", so counting linearly independent product states in the
 range of a reduced density matrix becomes finding the rank-1 locus of a
-matrix subspace.  Each matrix is factored once.  One batched SVD per mode
-of the states' unfoldings gives the local ranks and, from the (kept x
-traced) unfolding, the range as its leading left singular vectors, so the
-range dimension is the traced party's local rank by construction
-(``_ranks_and_ranges``).  One SVD of a subspace's basis gives its
-independence check, its pseudo-inverse and an orthonormal basis
-(``MatrixSubspace``).  k = 1, 2 and 3 are decided exactly in that
-orthonormal basis: k = 2 from the roots of the pencil's 2x2 minor forms,
-written in closed form (``_pencil_forms``), k = 3 from two random
-combinations of the minor quadrics through a resultant quartic, and both
-through one rank-1 screen (``_screen``).  k >= 4, and a k = 2 or 3 subspace
-the screen leaves undecided or whose quartic vanishes, go to a seeded
-multi-start Levenberg-Marquardt search with a closed-form Jacobian, whose
-result is a lower bound, never an exact count.  All paths evaluate the
-minors with one vectorised kernel (``_minor_entries``).
+matrix subspace.  Subspaces of one shape and dimension are decided as one
+stack; ``range_criterion_compare`` stacks its two states' ranges, which
+come with the local ranks from one batched SVD per mode
+(``_ranks_and_ranges``), and ``find_product_vectors`` is the stack of one.
+One batched SVD of the bases gives each subspace's independence check,
+pseudo-inverse and orthonormal basis (``_factor``).  k = 1, 2 and 3 are
+decided exactly in that basis (``_exact``): k = 2 from the roots of the
+pencil's closed-form 2x2 minor forms (``_pencil_forms``), k = 3 from two
+random combinations of the minor quadrics through a resultant quartic
+(``_k3_points``), and the whole stack's candidates through one rank-1
+screen and one batched polish and check (``_accept``).  k >= 4, and a
+subspace the screen leaves undecided, go to a seeded multi-start
+Levenberg-Marquardt search, a lower bound, never an exact count.  All
+paths evaluate the minors with one vectorised kernel (``_minor_entries``).
 """
 
 from __future__ import annotations
@@ -74,14 +73,19 @@ class MatrixSubspace:
             if b.shape != (self.m, self.n):
                 raise ValueError(f"basis matrix shape {b.shape} != ({self.m},{self.n})")
         self.stack = np.stack([b.ravel() for b in self.basis])
-        # the SVD np.linalg.pinv(stack.T) takes, and its arithmetic, so pinv
-        # is bit-identical to it; stack = vh^H diag(s) u^H, so u^H is an
-        # orthonormal basis of the span
-        u, s, vh = np.linalg.svd(self.stack.T.conj(), full_matrices=False)
-        if _rank_of_spectrum(s, 1e-9) != k:
-            raise ValueError("basis matrices are linearly dependent")
-        self.pinv = vh.T @ ((1 / s)[:, None] * u.T)
-        self.ortho = u.T.conj()
+        [self.pinv], [self.ortho] = _factor(self.stack[None])
+
+    @classmethod
+    def _stacked(cls, m, n, stacks) -> list:
+        """Subspaces with the valid bases ``stacks`` (count, k, m*n), factored together."""
+        pinvs, orthos = _factor(stacks)
+        spaces = []
+        for stack, pinv, ortho in zip(stacks, pinvs, orthos):
+            space = cls.__new__(cls)
+            space.m, space.n, space.basis = m, n, list(stack.reshape(-1, m, n))
+            space.stack, space.pinv, space.ortho = stack, pinv, ortho
+            spaces.append(space)
+        return spaces
 
     @property
     def dim(self) -> int:
@@ -89,6 +93,18 @@ class MatrixSubspace:
 
     def member(self, coeffs) -> np.ndarray:
         return (np.asarray(coeffs, dtype=complex) @ self.stack).reshape(self.m, self.n)
+
+
+def _factor(stacks):
+    """Pseudo-inverses and orthonormal bases of a stack (count, k, m*n) of
+    bases by one batched SVD: the one ``np.linalg.pinv(stack.T)`` takes, and
+    its arithmetic, so pinv is bit-identical to it; stack = vh^H diag(s) u^H,
+    so u^H is an orthonormal basis of the span."""
+    u, s, vh = np.linalg.svd(stacks.conj().transpose(0, 2, 1), full_matrices=False)
+    if any(_rank_of_spectrum(si, 1e-9) != stacks.shape[1] for si in s):
+        raise ValueError("basis matrices are linearly dependent")
+    uh = u.transpose(0, 2, 1)
+    return vh.transpose(0, 2, 1) @ ((1 / s)[:, :, None] * uh), uh.conj()
 
 
 @dataclass
@@ -172,118 +188,106 @@ def _all_minors(mats) -> np.ndarray:
     return _cmul(a, d) - _cmul(b, c)
 
 
-def _pencil_forms(pair) -> np.ndarray:
-    """Binary forms of the 2x2 minors of x*B1 + y*B2, ``pair`` = (B1, B2).
+def _pencil_forms(pairs) -> np.ndarray:
+    """Binary forms of the 2x2 minors of x*B1 + y*B2, ``pairs`` (..., 2, m, n).
 
     A row per minor in ``_minor_index`` order, holding the coefficients of
     x^2, xy and y^2.  With (a_j, d_j, b_j, c_j) the minor's entries of B1
     (j = 0) and B2 (j = 1) they are a0 d0 - b0 c0,
     a0 d1 + a1 d0 - b0 c1 - b1 c0 and a1 d1 - b1 c1.
     """
-    (a0, d0, b0, c0), (a1, d1, b1, c1) = _minor_entries(pair)
+    (a0, d0, b0, c0), (a1, d1, b1, c1) = np.moveaxis(_minor_entries(pairs), (-3, -2), (0, 1))
     return np.stack([_cmul(a0, d0) - _cmul(b0, c0),
                      _cmul(a0, d1) + _cmul(a1, d0) - _cmul(b0, c1) - _cmul(b1, c0),
-                     _cmul(a1, d1) - _cmul(b1, c1)], axis=1)
+                     _cmul(a1, d1) - _cmul(b1, c1)], axis=-1)
 
 
-def _rank_one_factors(mat):
-    """Split a (near) rank-1 matrix into (u, v) with outer(u, v) ~ mat."""
-    uu, ss, vh = np.linalg.svd(mat)
-    return uu[:, 0] * ss[0], vh[0].copy()
+def _accept(spaces, owner, coeffs, tol) -> list:
+    """Polish candidates and keep those that are genuine rank-1 members.
 
-
-def _polish(space: MatrixSubspace, coeffs, iters: int = 4):
-    """Alternate rank-1 truncation and projection back onto the subspace."""
-    c = np.asarray(coeffs, dtype=complex)
-    for _ in range(iters):
-        m = space.member(c)
-        norm = np.linalg.norm(m)
-        if norm == 0:
-            return None
-        uu, ss, vh = np.linalg.svd(m / norm)
-        rank1 = ss[0] * np.outer(uu[:, 0], vh[0])
-        c = space.pinv @ rank1.ravel()
-    norm = np.linalg.norm(c)
-    return c / norm if norm > 0 else None
-
-
-def _accept_candidate(space: MatrixSubspace, coeffs, tol: float):
-    """Polish a candidate and keep it only if it is a genuine rank-1 member.
-
-    Two checks decide: every 2x2 minor of the normalised member is at most
-    ``tol``, and the member is within ``RECONSTRUCT_TOL`` of its rank-1 part.
-    The minor check is what enforces a caller's ``tol`` below
-    ``RECONSTRUCT_TOL``: a member whose second singular value lies between
-    ``tol`` and ``RECONSTRUCT_TOL`` passes the reconstruction check.
+    ``coeffs[i]`` are coordinates in the basis of ``spaces[owner[i]]``.  A
+    round is one batched SVD of the unit members; each member whose second
+    singular value is above 1e-14 of its first is truncated to rank 1 and
+    projected back through the pseudo-inverse, at most 4 times.  A member
+    below 1e-12 of its coordinates' norm is dropped.  On the final SVD,
+    every minor must be at most ``tol`` (which enforces a ``tol`` below
+    ``RECONSTRUCT_TOL``) and the unit member within ``RECONSTRUCT_TOL`` of
+    its rank-1 part.  Returns (u, v, unit member) or None per candidate.
     """
-    c = _polish(space, coeffs)
-    if c is None:
-        return None
-    m = space.member(c)
-    norm = np.linalg.norm(m)
-    if norm < 1e-12:
-        return None
-    m_hat = m / norm
-    minors = _all_minors(m_hat)
-    if minors.size and np.max(np.abs(minors)) > tol:
-        return None
-    u, v = _rank_one_factors(m_hat)
-    if np.linalg.norm(np.outer(u, v) - m_hat) > RECONSTRUCT_TOL:
-        return None
-    return u, v, m_hat
+    if len(owner) == 0:
+        return []
+    m, n = spaces[0].m, spaces[0].n
+    c = np.array(coeffs, dtype=complex)
+    stacks = np.stack([space.stack for space in spaces])[owner]
+    pinvs = np.stack([space.pinv for space in spaces])[owner]
+    units = np.zeros((len(c), m, n), dtype=complex)
+    u, v = np.zeros((len(c), m), dtype=complex), np.zeros((len(c), n), dtype=complex)
+    idx = np.arange(len(c))
+    for projections in range(5):
+        members = (c[idx, None] @ stacks[idx])[:, 0]
+        norms = np.linalg.norm(members, axis=1)
+        ok = norms >= 1e-12 * np.linalg.norm(c[idx], axis=1)
+        units[idx[~ok]] = np.nan  # fails both checks
+        idx = idx[ok]
+        units[idx] = (members[ok] / norms[ok, None]).reshape(-1, m, n)
+        uu, ss, vh = np.linalg.svd(units[idx], full_matrices=False)
+        u[idx], v[idx] = uu[:, :, 0] * ss[:, :1], vh[:, 0]
+        idx = idx[np.any(ss[:, 1:] > 1e-14 * ss[:, :1], axis=1)]
+        if projections == 4 or not idx.size:
+            break
+        rank1 = (u[idx, :, None] * v[idx, None, :]).reshape(-1, m * n, 1)
+        c[idx] = (pinvs[idx] @ rank1)[:, :, 0]
+    good = ((np.max(np.abs(_all_minors(units)), axis=1, initial=0.0) <= tol)
+            & (np.linalg.norm(u[:, :, None] * v[:, None, :] - units, axis=(1, 2))
+               <= RECONSTRUCT_TOL))
+    return [(u[i], v[i], units[i]) if good[i] else None for i in range(len(c))]
 
 
-def _dedup(found, new_mhat) -> bool:
-    for _, _, m_hat in found:
-        if abs(np.vdot(m_hat, new_mhat)) > 1.0 - 1e-6:
-            return True
-    return False
+def _check_args(tol, starts):
+    # a NaN tol would fail every comparison: no candidate, yet an exact count
+    if not (tol >= 0 and starts >= 0):
+        raise ValueError(f"tol and starts must be non-negative, got {tol!r} and {starts!r}")
 
 
 def find_product_vectors(space: MatrixSubspace, tol: float = MINOR_TOL,
                          starts: int = 16, seed: int = 0) -> ProductVectorReport:
-    """Find rank-1 members of a matrix subspace.
+    """Find rank-1 members of a matrix subspace, decided as a stack of one.
 
-    k = 1: the basis matrix either is rank 1 or is not.  k = 2: with B1, B2
-    the subspace's orthonormal basis, candidates are the roots of the
-    largest closed-form minor form of the pencil x*B1 + y*B2
-    (``_pencil_forms``, ``pencil._candidate_points``); a pencil whose minors
-    vanish identically is flagged as a continuum.  k = 3: candidates are the
-    at most 4 common zeros of two random combinations of the minor quadrics
-    of the orthonormal basis (``_exact_k3``; ``seed`` fixes them).  Both go
-    through one screen (``_screen``), exact only if it decides every
-    candidate.  k >= 4, and an undecided k = 2 or 3 subspace: seeded
-    multi-start Levenberg-Marquardt (trust-region reflective when there are
-    fewer equations than unknowns) on the normalised minor equations, a
-    lower bound.  Every candidate is polished by alternating rank-1
-    truncation with projection through the cached pseudo-inverse, and is
-    kept only if all its minors are below ``tol`` and it reconstructs as an
-    outer product.
+    k = 1: the basis matrix either is rank 1 or is not.  k = 2: candidates
+    are the roots of the largest minor form of the orthonormal pencil, or a
+    continuum when every minor vanishes.  k = 3: the at most 4 common zeros
+    of two random combinations of the minor quadrics (``seed`` fixes them).
+    Both are exact only if one screen decides every candidate (``_exact``).
+    k >= 4, and an undecided k = 2 or 3 subspace: seeded multi-start
+    Levenberg-Marquardt (trust-region reflective when there are fewer
+    equations than unknowns) on the normalised minor equations, a lower
+    bound.  Every candidate is polished by rank-1 truncation and projection
+    in one batched ``_accept``, and kept only if its minors are below
+    ``tol`` and it reconstructs as an outer product.  Raises ValueError for
+    a NaN or negative ``tol`` or negative ``starts``.
     """
-    k = space.dim
-    if k == 1:
-        return _exact_k1(space, tol)
-    report = None
-    if k == 2:
-        report = _exact_k2(space, tol)
-    elif k == 3:
-        report = _exact_k3(space, tol, seed)
-    if report is not None:
-        return report
-    return _search(space, tol, starts, seed)
+    _check_args(tol, starts)
+    [report] = _reports([space], tol, starts, seed)
+    return report
 
 
-def _span_count(found) -> int:
-    if not found:
-        return 0
-    stack = np.stack([m.ravel() for _, _, m in found])
-    return matrix_rank_tol(stack, 1e-9)
+def _reports(spaces, tol, starts, seed) -> list:
+    """Per subspace of a stack, its ``_exact`` report or its own search's."""
+    return [_search(space, tol, starts, seed) if report is None else report
+            for space, report in zip(spaces, _exact(spaces, tol, seed))]
 
 
-def _report(found, exactness, continuum=False, detail="") -> ProductVectorReport:
+def _report(cands, exactness, continuum=False, detail="") -> ProductVectorReport:
+    """Report of the accepted candidates (the ones not None), in order,
+    without repeats of a member, and the rank of their span."""
+    found = []
+    for cand in cands:
+        if cand is not None and all(abs(np.vdot(m_hat, cand[2])) <= 1.0 - 1e-6
+                                    for _, _, m_hat in found):
+            found.append(cand)
     return ProductVectorReport(
         vectors=[(u, v) for u, v, _ in found],
-        independent_count=_span_count(found),
+        independent_count=matrix_rank_tol([m.ravel() for _, _, m in found], 1e-9),
         exactness=exactness,
         continuum=continuum,
         detail=detail,
@@ -293,38 +297,63 @@ def _report(found, exactness, continuum=False, detail="") -> ProductVectorReport
 def _exact_k1(space, tol):
     b = space.basis[0]
     b_hat = b / np.linalg.norm(b)
-    minors = _all_minors(b_hat)
-    if minors.size == 0 or np.max(np.abs(minors)) <= tol:
-        u, v = _rank_one_factors(b_hat)
-        return _report([(u, v, b_hat)], "Exact")
+    if np.max(np.abs(_all_minors(b_hat)), initial=0.0) <= tol:
+        uu, ss, vh = np.linalg.svd(b_hat)
+        return _report([(uu[:, 0] * ss[0], vh[0], b_hat)], "Exact")
     return _report([], "Exact", detail="single basis matrix has rank >= 2")
 
 
-def _exact_k2(space, tol):
-    """Every rank-1 member of a pencil x*B1 + y*B2 (the orthonormal basis),
-    or None if undecided: they are among the roots of any 2x2 minor form
-    that does not vanish."""
-    if min(space.m, space.n) < 2:
-        # a one-row or one-column space: every member is rank <= 1
-        return _continuum_report(space, tol)
-    forms = _pencil_forms(space.ortho.reshape(2, space.m, space.n))
-    if np.max(np.abs(forms)) <= 1e-12:
-        return _continuum_report(space, tol)
-    best = np.argmax(np.max(np.abs(forms), axis=1))
-    points = _candidate_points(forms[best], EIGEN_CLUSTER_RADIUS)
-    return _screen(space, points, tol, PENCIL_REJECT_MARGIN)
+# members x*B1 + y*B2 sampled from a pencil whose every member is rank <= 1
+_PENCIL_SAMPLES = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0], [1.0, 1.0j]])
 
 
-def _continuum_report(space, tol):
-    """Every pencil member is rank <= 1; sample a few and report a lower bound."""
-    samples = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0], [1.0, 1.0j]])
-    found = []
-    for member in samples @ space.ortho:
-        cand = _accept_candidate(space, space.pinv @ member, tol)
-        if cand is not None and not _dedup(found, cand[2]):
-            found.append(cand)
-    return _report(found, "LowerBound", continuum=True,
-                   detail="every member of the pencil is a product vector")
+def _exact(spaces, tol, seed) -> list:
+    """Per subspace of a stack of one shape and dimension k, its exact
+    report, or None where only the search can decide.
+
+    k = 2 and 3 get coordinates in each orthonormal basis that include every
+    rank-1 member: the roots of a nonzero minor form of the pencil, or
+    ``_k3_points``.  One minor evaluation discards those with a minor above
+    max(tol, margin), and one ``_accept`` takes the rest; a count is exact
+    only if each candidate is discarded or accepted.  A pencil whose every
+    member is rank <= 1 reports its accepted ``_PENCIL_SAMPLES`` as a lower
+    bound and a continuum.
+    """
+    k, m, n = spaces[0].dim, spaces[0].m, spaces[0].n
+    if k == 1:
+        return [_exact_k1(space, tol) for space in spaces]
+    if k > 3:
+        return [None] * len(spaces)
+    orthos = np.stack([space.ortho for space in spaces]).reshape(-1, k, m, n)
+    if k == 2:
+        forms = _pencil_forms(orthos)
+        peaks = np.max(np.abs(forms), axis=-1)
+        points = [_PENCIL_SAMPLES if peak.max(initial=0.0) <= 1e-12 else
+                  np.array(_candidate_points(form[np.argmax(peak)], EIGEN_CLUSTER_RADIUS))
+                  for form, peak in zip(forms, peaks)]
+        margin, detail = PENCIL_REJECT_MARGIN, ""
+    else:
+        points = _k3_points(orthos, seed)
+        margin, detail = REJECT_MARGIN, "common zeros of two minor quadrics"
+    decided = [i for i, p in enumerate(points) if p is not None]
+    if not decided:
+        return [None] * len(spaces)
+    owner = np.repeat(decided, [len(points[i]) for i in decided])
+    members = np.concatenate([points[i] @ spaces[i].ortho for i in decided])
+    units = members / np.linalg.norm(members, axis=1, keepdims=True)
+    peaks = np.max(np.abs(_all_minors(units.reshape(-1, m, n))), axis=1, initial=0.0)
+    owner, members = owner[peaks <= max(tol, margin)], members[peaks <= max(tol, margin)]
+    pinvs = np.stack([space.pinv for space in spaces])[owner]
+    accepted = _accept(spaces, owner, (pinvs @ members[:, :, None])[:, :, 0], tol)
+    reports = [None] * len(spaces)
+    for i in decided:
+        cands = [accepted[j] for j in np.flatnonzero(owner == i)]
+        if points[i] is _PENCIL_SAMPLES:
+            reports[i] = _report(cands, "LowerBound", continuum=True,
+                                 detail="every member of the pencil is a product vector")
+        elif None not in cands:
+            reports[i] = _report(cands, "Exact", detail=detail)
+    return reports
 
 
 def _minor_quadrics(basis) -> np.ndarray:
@@ -332,12 +361,12 @@ def _minor_quadrics(basis) -> np.ndarray:
 
     The minors of M(c) = sum_j c_j B_j are q_i(c) = c^T A_i c with
     A_i = sym(B_a[:, i] B_d[:, i]^T - B_b[:, i] B_c[:, i]^T), where B_a .. B_c
-    are the kernel's gathered entries of the basis (k, m, n).  Shape
-    (count, k, k).
+    are the kernel's gathered entries of the basis (..., k, m, n).  Shape
+    (..., count, k, k).
     """
-    ga, gd, gb, gc = _minor_entries(basis).transpose(1, 2, 0)
-    a = ga[:, :, None] * gd[:, None, :] - gb[:, :, None] * gc[:, None, :]
-    return 0.5 * (a + a.transpose(0, 2, 1))
+    ga, gd, gb, gc = np.moveaxis(_minor_entries(basis), (-3, -2), (-1, 0))
+    a = ga[..., :, None] * gd[..., None, :] - gb[..., :, None] * gc[..., None, :]
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 def _minor_form(basis) -> np.ndarray:
@@ -374,8 +403,9 @@ def _minor_residual(x, form):
     return np.concatenate([res, [norm - 1.0]]), jac
 
 
-def _exact_k3(space, tol, seed):
-    """Every rank-1 member of a 3-dimensional subspace, or None if undecided.
+def _k3_points(orthos, seed) -> list:
+    """Candidates for every rank-1 member of each 3-dimensional subspace of
+    a stack (count, 3, m, n) of orthonormal bases, or None if undecided.
 
     The rank-1 members are the common zeros on P^2 of the minor quadrics
     q_i(c) = c^T A_i c.  Two random combinations Q_a, Q_b of them meet in at
@@ -385,21 +415,22 @@ def _exact_k3(space, tol, seed):
     a x^2 + b(y) x + c(y), the resultant in x is the quartic
     (a1 c2 - a2 c1)^2 - (a1 b2 - a2 b1)(b1 c2 - b2 c1) in y (Cox, Little &
     O'Shea, Using Algebraic Geometry, ch. 3), and x is the common root of the
-    two quadratics.  The quadrics are those of the subspace's orthonormal
-    basis, and the candidates are coordinates in it.  A root whose member
-    has a minor above the rejection margin is discarded; every other root
-    must pass ``_accept_candidate``.
-    The count is exact only when the quartic is not identically zero, keeps
-    its degree, and every root is accepted or discarded; otherwise None is
-    returned.  ``seed`` fixes the combinations and H.
+    two quadratics.  None if the quartic vanishes or loses its degree.
+    ``seed`` fixes the combinations and H; they depend only on (seed, m, n),
+    so the stack shares them.
     """
-    m, n = space.m, space.n
-    quads = _minor_quadrics(space.ortho.reshape(3, m, n))
+    count, _, m, n = orthos.shape
+    quads = _minor_quadrics(orthos)
     rng = np.random.default_rng(np.random.SeedSequence([seed, m, n, 3]))
-    mix = rng.standard_normal((2, len(quads))) + 1j * rng.standard_normal((2, len(quads)))
+    mix = rng.standard_normal((2, quads.shape[1])) + 1j * rng.standard_normal((2, quads.shape[1]))
     h = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
-    # Q_a, Q_b in the w coordinates, shape (2, 3, 3)
-    q = h.T @ np.tensordot(mix, quads, 1) @ h
+    # Q_a, Q_b of each subspace in the w coordinates, shape (count, 2, 3, 3)
+    qs = h.T @ (mix @ quads.reshape(count, -1, 9)).reshape(count, 2, 3, 3) @ h
+    return [_chart_zeros(q, h) for q in qs]
+
+
+def _chart_zeros(q, h):
+    """Common zeros c = H (x, y, 1) of ``q`` = (Q_a, Q_b), or None."""
     a = q[:, 0, 0]
     b = 2.0 * q[:, 0, 1:]
     c = np.stack([q[:, 1, 1], 2.0 * q[:, 1, 2], q[:, 2, 2]], axis=1)
@@ -412,8 +443,7 @@ def _exact_k3(space, tol, seed):
         return None  # a shared component: a curve of common zeros, or Q_a ~ Q_b
     if abs(quartic[0]) <= 1e-12 * peak:
         return None  # a root at infinity, i.e. a common zero off the chart
-
-    candidates = []
+    points = []
     for y in np.roots(quartic):
         by, cy = b @ [y, 1.0], c @ [y * y, y, 1.0]
         den = a[0] * by[1] - a[1] * by[0]
@@ -424,29 +454,8 @@ def _exact_k3(space, tol, seed):
             xs = np.roots([a[0], by[0], cy[0]])
             if len(xs) == 0:
                 return None
-        candidates += [h @ np.array([x, y, 1.0]) for x in xs]
-    return _screen(space, candidates, tol, REJECT_MARGIN,
-                   detail="common zeros of two minor quadrics")
-
-
-def _screen(space, candidates, tol, margin, detail=""):
-    """Exact report from candidates that include every rank-1 member, or
-    None.  ``candidates`` are coordinates in the orthonormal basis; all
-    their unit-norm members go through one minor evaluation, a candidate
-    with a minor above max(tol, margin) is discarded, and every other one
-    must pass ``_accept_candidate``."""
-    margin = max(tol, margin)
-    members = np.asarray(candidates, dtype=complex) @ space.ortho
-    units = members / np.linalg.norm(members, axis=1, keepdims=True)
-    peaks = np.max(np.abs(_all_minors(units.reshape(-1, space.m, space.n))), axis=1)
-    found = []
-    for member in members[peaks <= margin]:
-        cand = _accept_candidate(space, space.pinv @ member, tol)
-        if cand is None:
-            return None
-        if not _dedup(found, cand[2]):
-            found.append(cand)
-    return _report(found, "Exact", detail=detail)
+        points += [(x, y, 1.0) for x in xs]
+    return np.array(points) @ h.T
 
 
 def _search(space, tol, starts, seed):
@@ -467,7 +476,7 @@ def _search(space, tol, starts, seed):
             residual(x)
         return last["jac"]
 
-    found = []
+    ends = []
     root_seq = np.random.SeedSequence([seed, space.m, space.n, k])
     for child in root_seq.spawn(starts):
         rng = np.random.default_rng(child)
@@ -476,11 +485,8 @@ def _search(space, tol, starts, seed):
         x0 = np.concatenate([c0.real, c0.imag])
         sol = least_squares(residual, x0, jac=jacobian, method=method, xtol=1e-15,
                             ftol=1e-15, gtol=1e-15, max_nfev=2000)
-        c = sol.x[:k] + 1j * sol.x[k:]
-        cand = _accept_candidate(space, c, tol)
-        if cand is not None and not _dedup(found, cand[2]):
-            found.append(cand)
-    return _report(found, "LowerBound",
+        ends.append(sol.x[:k] + 1j * sol.x[k:])
+    return _report(_accept([space], np.zeros(len(ends), dtype=int), ends, tol), "LowerBound",
                    detail=f"multi-start search with {starts} starts")
 
 
@@ -523,12 +529,13 @@ def _ranks_and_ranges(states, p):
     return [(tuple(r.tolist()), ui[:, :r[p]]) for r, ui in zip(ranks, u)]
 
 
-def _range_report(shape, p, basis, tol, starts, seed) -> ProductVectorReport:
-    kept = [d for i, d in enumerate(shape) if i != p]
-    if basis.shape[1] == 0:
+def _range_spaces(shape, p, bases) -> list:
+    """Subspaces of the kept parties' matrices spanned by each range basis
+    (columns) of a stack (count, m*n, k), factored together."""
+    if bases.shape[2] == 0:
         raise ValueError("reduced density matrix has empty range")
-    space = MatrixSubspace(kept[0], kept[1], list(basis.T.reshape(-1, *kept)))
-    return find_product_vectors(space, tol=tol, starts=starts, seed=seed)
+    m, n = (d for i, d in enumerate(shape) if i != p)
+    return MatrixSubspace._stacked(m, n, np.ascontiguousarray(bases.transpose(0, 2, 1)))
 
 
 def range_product_count(psi, traced_party, tol: float = MINOR_TOL,
@@ -547,7 +554,8 @@ def range_product_count(psi, traced_party, tol: float = MINOR_TOL,
     psi = as_tensor(psi)
     p = _party_index(traced_party)
     [(_, basis)] = _ranks_and_ranges(psi[None], p)
-    return _range_report(psi.shape, p, basis, tol, starts, seed)
+    [space] = _range_spaces(psi.shape, p, basis[None])
+    return find_product_vectors(space, tol=tol, starts=starts, seed=seed)
 
 
 def range_criterion_compare(s1, s2, traced_party, tol: float = MINOR_TOL,
@@ -556,12 +564,15 @@ def range_criterion_compare(s1, s2, traced_party, tol: float = MINOR_TOL,
 
     Returns "Inequivalent" when the local ranks differ, or when both product
     counts are exact and disagree; otherwise "Inconclusive".  A lower-bound
-    report never certifies inequivalence.  The two states are factored
-    together, one batched SVD per mode: its spectra give the local ranks and
-    the traced mode's left singular vectors the two ranges
-    (``_ranks_and_ranges``); the counts are then those of
-    ``range_product_count``.
+    report never certifies inequivalence.  The two states are decided as
+    one stack: one batched SVD per mode gives the local ranks and the two
+    ranges (``_ranks_and_ranges``), and once the ranks agree, one screen and
+    one ``_accept`` decide both ranges (``_exact``); a range left undecided
+    goes to its own search.  The counts are those of
+    ``range_product_count``, and the arguments are checked as in
+    ``find_product_vectors``.
     """
+    _check_args(tol, starts)
     s1 = as_tensor(s1)
     s2 = as_tensor(s2)
     if s1.shape != s2.shape:
@@ -570,8 +581,8 @@ def range_criterion_compare(s1, s2, traced_party, tol: float = MINOR_TOL,
     (ranks1, basis1), (ranks2, basis2) = _ranks_and_ranges(np.stack([s1, s2]), p)
     if ranks1 != ranks2:
         return "Inequivalent"
-    r1 = _range_report(s1.shape, p, basis1, tol, starts, seed)
-    r2 = _range_report(s2.shape, p, basis2, tol, starts, seed)
+    spaces = _range_spaces(s1.shape, p, np.stack([basis1, basis2]))
+    r1, r2 = _reports(spaces, tol, starts, seed)
     if (
         r1.exactness == "Exact"
         and r2.exactness == "Exact"

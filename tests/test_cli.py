@@ -251,6 +251,29 @@ def test_nonpositive_counts_rejected(argv, tmp_path, capsys):
     assert "must be positive" in captured.err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rank", "--ket", "|000>+|111>", "--dims", "2,2,2", "--tol-als"],
+        ["detpoly-equiv", "T1", "T1", "--tol-equiv"],
+        ["product-count", "--ket", "|000>+|111>+|222>", "--dims", "3,3,3",
+         "--traced", "A", "--tol-minor"],
+        ["range-compare", "T1", "T1", "--traced", "A", "--tol-minor"],
+    ],
+)
+def test_non_finite_tolerances_rejected(argv, value, tmp_path, capsys):
+    """A NaN tolerance compares false with every minor, so product-count
+    would report 0 exact product vectors for a range that holds 3."""
+    path = tmp_path / "t.json"
+    path.write_text(s.tensor_to_json(s.parse_ket("|000>+|111>+|222>", (3, 3, 3))))
+    code = main([str(path) if a == "T1" else a for a in argv] + [value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "must be positive and finite" in captured.err
+
+
 def _run_subprocess(args, interpreter_flags=()):
     return subprocess.run(
         [sys.executable, *interpreter_flags, "-m", "slocc3"] + args,

@@ -12,14 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slocc3 as s
+import slocc3.product_range as pr
 from slocc3.product_range import (
     MINOR_TOL,
     RECONSTRUCT_TOL,
     MatrixSubspace,
     _all_minors,
     _minor_form,
-    _accept_candidate,
-    _exact_k3,
+    _accept,
+    _exact,
     _minor_residual,
     _pencil_forms,
     _ranks_and_ranges,
@@ -198,12 +199,119 @@ def test_accept_candidate_minor_check_enforces_caller_tol():
     """diag(1, 1e-10) reconstructs from its rank-1 part within RECONSTRUCT_TOL,
     so only the minor check rejects it at a tol below its 1e-10 minor."""
     space = MatrixSubspace(2, 2, [np.diag([1.0, 1e-10])])
-    assert _accept_candidate(space, np.array([1.0]), 1e-12) is None
-    accepted = _accept_candidate(space, np.array([1.0]), MINOR_TOL)
+    assert _accept([space], [0], [[1.0]], 1e-12) == [None]
+    [accepted] = _accept([space], [0], [[1.0]], MINOR_TOL)
     assert accepted is not None
     u, v, m_hat = accepted
     np.testing.assert_allclose(m_hat, np.diag([1.0, 1e-10]), rtol=0, atol=1e-15)
     assert np.linalg.norm(np.outer(u, v) - m_hat) <= RECONSTRUCT_TOL
+
+
+def _accept_candidate_loop(space, coeffs, tol):
+    """The per-candidate polish and checks that ``_accept`` batches, kept
+    as its reference: always 4 rounds of rank-1 truncation and projection."""
+    c = np.asarray(coeffs, dtype=complex)
+    for _ in range(4):
+        m = space.member(c)
+        if np.linalg.norm(m) == 0:
+            return None
+        uu, ss, vh = np.linalg.svd(m / np.linalg.norm(m))
+        c = space.pinv @ (ss[0] * np.outer(uu[:, 0], vh[0])).ravel()
+    if np.linalg.norm(c) == 0:
+        return None
+    m = space.member(c / np.linalg.norm(c))
+    if np.linalg.norm(m) < 1e-12:
+        return None
+    m_hat = m / np.linalg.norm(m)
+    if np.max(np.abs(_all_minors(m_hat)), initial=0.0) > tol:
+        return None
+    uu, ss, vh = np.linalg.svd(m_hat)
+    u, v = uu[:, 0] * ss[0], vh[0]
+    if np.linalg.norm(np.outer(u, v) - m_hat) > RECONSTRUCT_TOL:
+        return None
+    return u, v, m_hat
+
+
+def _recorded_accept(monkeypatch):
+    """Replace ``_accept`` by a wrapper that records each call's arguments."""
+    calls = []
+    real = pr._accept
+
+    def recording(spaces, owner, coeffs, tol):
+        calls.append((spaces, np.asarray(owner), np.asarray(coeffs), tol))
+        return real(spaces, owner, coeffs, tol)
+
+    monkeypatch.setattr(pr, "_accept", recording)
+    return calls
+
+
+def _accept_cases():
+    rng = np.random.default_rng(17)
+    yield "1x4 continuum pencil", MatrixSubspace(1, 4, list(_random_complex(rng, (2, 1, 4)))), 2
+    planted = [np.outer(_random_complex(rng, 3), _random_complex(rng, 3)) for _ in range(3)]
+    yield "planted k = 4 search", MatrixSubspace(3, 3, planted + [_random_complex(rng, (3, 3))]), 3
+
+
+ACCEPT_CASES = list(_accept_cases())
+
+
+@pytest.mark.parametrize("name,space,count", ACCEPT_CASES, ids=[c[0] for c in ACCEPT_CASES])
+def test_batched_accept_reports_the_per_candidate_vectors(monkeypatch, name, space, count):
+    """The continuum samples and the search's end points go through one
+    batched accept, which reports the vectors the per-candidate polish
+    reports on the same candidates, in the same order."""
+    calls = _recorded_accept(monkeypatch)
+    report = s.find_product_vectors(space, seed=1)
+    [(spaces, owner, coeffs, tol)] = calls
+    assert spaces == [space] and (owner == 0).all() and tol == MINOR_TOL
+    expected = []
+    for c in coeffs:
+        cand = _accept_candidate_loop(space, c, tol)
+        if cand is not None and all(abs(np.vdot(m, cand[2])) <= 1.0 - 1e-6
+                                    for _, _, m in expected):
+            expected.append(cand)
+    assert report.independent_count == count
+    assert len(report.vectors) == len(expected) >= count
+    for (u, v), (eu, ev, _) in zip(report.vectors, expected):
+        np.testing.assert_allclose(u, eu, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(v, ev, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("pair", ["3x3x3-diag vs perm", "2x2x2 image"])
+def test_range_compare_accepts_both_states_in_one_call(monkeypatch, pair):
+    """Both ranges' screened candidates go through one ``_accept``; every
+    candidate of perm's range, which holds no product vector, is discarded
+    by the screen before it."""
+    if pair == "2x2x2 image":
+        s1 = s.ghz_state()
+        s2 = s.apply_slocc(s1, *s.random_slocc((2, 2, 2), 4, cond_bound=20))
+        expect, owners = "Inconclusive", {0, 1}
+    else:
+        s1, s2 = s.catalog_build("3x3x3-diag"), s.catalog_build("3x3x3-perm")
+        expect, owners = "Inequivalent", {0}
+    calls = _recorded_accept(monkeypatch)
+    assert s.range_criterion_compare(s1, s2, "A") == expect
+    [(spaces, owner, _, _)] = calls
+    assert len(spaces) == 2 and set(owner.tolist()) == owners
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1e-7])
+def test_nan_or_negative_tol_rejected(tol):
+    ghz = s.ghz_state()
+    space = MatrixSubspace(2, 2, [np.eye(2), np.diag([1.0, -1.0])])
+    with pytest.raises(ValueError, match="tol"):
+        s.find_product_vectors(space, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        s.range_product_count(ghz, "A", tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        s.range_criterion_compare(ghz, ghz, "A", tol=tol)
+
+
+def test_negative_starts_rejected():
+    space = _range_space(_diag_plus_random_slab(np.random.default_rng(6)))
+    assert space.dim == 4
+    with pytest.raises(ValueError, match="starts"):
+        s.find_product_vectors(space, starts=-1)
 
 
 def test_continuum_pencil_flagged():
@@ -468,7 +576,7 @@ def test_exact_k3_counts(name, space, count):
 
 def test_exact_k3_count_at_least_search_count():
     for seed, (name, space, _) in enumerate(K3_CASES):
-        exact = _exact_k3(space, MINOR_TOL, seed)
+        exact = _exact([space], MINOR_TOL, seed)[0]
         assert exact is not None, name
         search = _search(space, MINOR_TOL, 4, seed)
         assert exact.independent_count >= search.independent_count, name
@@ -503,7 +611,7 @@ def test_k3_continuum_falls_back_to_search(name, basis):
     so the quartic vanishes and only a lower bound remains."""
     space = MatrixSubspace(3, 3, basis)
     for seed in range(3):
-        assert _exact_k3(space, MINOR_TOL, seed) is None
+        assert _exact([space], MINOR_TOL, seed)[0] is None
     report = s.find_product_vectors(space, starts=4)
     assert report.exactness == "LowerBound"
     assert "multi-start search" in report.detail
@@ -518,12 +626,12 @@ def test_k3_undecided_root_falls_back_to_search():
     image = s.apply_slocc(entry.build(), *s.random_slocc(entry.system, 53, cond_bound=50))
     space = _range_space(image, party=1)
     assert space.dim == 3
-    assert _exact_k3(space, MINOR_TOL, 3) is None
+    assert _exact([space], MINOR_TOL, 3)[0] is None
     report = s.find_product_vectors(space, seed=3)
     assert report.exactness == "LowerBound"
     assert report.independent_count == 1
     # other combinations decide the same subspace exactly
-    exact = _exact_k3(space, MINOR_TOL, 1)
+    exact = _exact([space], MINOR_TOL, 1)[0]
     assert exact is not None and exact.independent_count == 1
 
 
