@@ -7,27 +7,32 @@ matrix subspace.  Subspaces of one shape and dimension are decided as one
 stack; ``range_criterion_compare`` stacks its two states' ranges, which
 come with the local ranks from one batched SVD per mode
 (``_ranks_and_ranges``), and ``find_product_vectors`` is the stack of one.
-One batched SVD of the bases gives each subspace's independence check,
-pseudo-inverse and orthonormal basis (``_factor``).  k = 1, 2 and 3 are
-decided exactly in that basis (``_exact``): k = 2 from the roots of the
-pencil's closed-form 2x2 minor forms (``_pencil_forms``), k = 3 from two
-random combinations of the minor quadrics through a resultant quartic
-(``_k3_points``), and the whole stack's candidates through one rank-1
-screen and one batched polish and check (``_accept``).  k >= 4, and a
-subspace the screen leaves undecided, go to a seeded multi-start
-Levenberg-Marquardt search, a lower bound, never an exact count.  All
-paths evaluate the minors with one vectorised kernel (``_minor_entries``).
+A range basis is the orthonormal left singular vectors of that SVD, so it
+is its own orthonormal basis and its conjugate its pseudo-inverse, with no
+second factorisation; a user's basis gets both from one SVD (``_factor``).
+k = 1, 2 and 3 are decided exactly in the orthonormal basis (``_exact``):
+k = 2 from the roots of the largest of the pencil's closed-form 2x2 minor
+forms (``_pencil_forms``) by the stable quadratic formula
+(``_quadratic_points``), k = 3 from two random combinations of the minor
+quadrics through a resultant quartic, whose roots for the whole stack come
+from one ``eigvals`` of the stacked companion matrices (``_chart_zeros``),
+and the whole stack's candidates through one rank-1 screen and one batched
+polish and check (``_accept``).  k >= 4, and a subspace the screen leaves
+undecided, go to a seeded multi-start Levenberg-Marquardt search, a lower
+bound, never an exact count.  All paths evaluate the minors with one
+vectorised kernel (``_minor_entries``).
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
 
-from .pencil import EIGEN_CLUSTER_RADIUS, _candidate_points
+from .pencil import EIGEN_CLUSTER_RADIUS, _chordal
 from .tensor import (DEFAULT_RANK_TOL, _rank_of_spectrum, as_tensor, complex_to_pairs,
                      least_squares, matrix_rank_tol)
 
@@ -73,17 +78,18 @@ class MatrixSubspace:
             if b.shape != (self.m, self.n):
                 raise ValueError(f"basis matrix shape {b.shape} != ({self.m},{self.n})")
         self.stack = np.stack([b.ravel() for b in self.basis])
-        [self.pinv], [self.ortho] = _factor(self.stack[None])
+        self.pinv, self.ortho = _factor(self.stack)
 
     @classmethod
-    def _stacked(cls, m, n, stacks) -> list:
-        """Subspaces with the valid bases ``stacks`` (count, k, m*n), factored together."""
-        pinvs, orthos = _factor(stacks)
+    def _orthonormal(cls, m, n, stacks) -> list:
+        """Subspaces with the orthonormal bases ``stacks`` (count, k, m*n),
+        rows r_i with r_i . conj(r_j) = delta_ij: each is its own orthonormal
+        basis and its conjugate is its pseudo-inverse, so nothing is factored."""
         spaces = []
-        for stack, pinv, ortho in zip(stacks, pinvs, orthos):
+        for stack in stacks:
             space = cls.__new__(cls)
             space.m, space.n, space.basis = m, n, list(stack.reshape(-1, m, n))
-            space.stack, space.pinv, space.ortho = stack, pinv, ortho
+            space.stack, space.pinv, space.ortho = stack, stack.conj(), stack
             spaces.append(space)
         return spaces
 
@@ -95,16 +101,15 @@ class MatrixSubspace:
         return (np.asarray(coeffs, dtype=complex) @ self.stack).reshape(self.m, self.n)
 
 
-def _factor(stacks):
-    """Pseudo-inverses and orthonormal bases of a stack (count, k, m*n) of
-    bases by one batched SVD: the one ``np.linalg.pinv(stack.T)`` takes, and
-    its arithmetic, so pinv is bit-identical to it; stack = vh^H diag(s) u^H,
-    so u^H is an orthonormal basis of the span."""
-    u, s, vh = np.linalg.svd(stacks.conj().transpose(0, 2, 1), full_matrices=False)
-    if any(_rank_of_spectrum(si, 1e-9) != stacks.shape[1] for si in s):
+def _factor(stack):
+    """Pseudo-inverse and orthonormal basis of a basis (k, m*n) by one SVD:
+    the one ``np.linalg.pinv(stack.T)`` takes, and its arithmetic, so pinv
+    is bit-identical to it; stack = vh^H diag(s) u^H, so u^H is an
+    orthonormal basis of the span."""
+    u, s, vh = np.linalg.svd(stack.conj().T, full_matrices=False)
+    if _rank_of_spectrum(s, 1e-9) != len(stack):
         raise ValueError("basis matrices are linearly dependent")
-    uh = u.transpose(0, 2, 1)
-    return vh.transpose(0, 2, 1) @ ((1 / s)[:, :, None] * uh), uh.conj()
+    return vh.T @ ((1 / s)[:, None] * u.T), u.T.conj()
 
 
 @dataclass
@@ -188,18 +193,33 @@ def _all_minors(mats) -> np.ndarray:
     return _cmul(a, d) - _cmul(b, c)
 
 
+@cache
+def _form_index(m: int, n: int) -> np.ndarray:
+    """Flat positions in a pair (2, m, n) of the factors of the eight
+    products a0 d0, b0 c0, a0 d1, a1 d0, b0 c1, b1 c0, a1 d1, b1 c1 that
+    ``_pencil_forms`` sums.  Shape (2, 8, minor count): left, then right
+    factors; read-only, since every caller shares it."""
+    a, d, b, c = _minor_index(m, n)
+    a1, d1, b1, c1 = _minor_index(m, n) + m * n
+    idx = np.array([[a, b, a, a1, b, b1, a1, b1], [d, c, d1, d, c1, c, d1, c1]])
+    idx.setflags(write=False)
+    return idx
+
+
 def _pencil_forms(pairs) -> np.ndarray:
     """Binary forms of the 2x2 minors of x*B1 + y*B2, ``pairs`` (..., 2, m, n).
 
     A row per minor in ``_minor_index`` order, holding the coefficients of
     x^2, xy and y^2.  With (a_j, d_j, b_j, c_j) the minor's entries of B1
     (j = 0) and B2 (j = 1) they are a0 d0 - b0 c0,
-    a0 d1 + a1 d0 - b0 c1 - b1 c0 and a1 d1 - b1 c1.
+    a0 d1 + a1 d0 - b0 c1 - b1 c0 and a1 d1 - b1 c1, summed in that order
+    from one ``_cmul`` of every pair's eight products.
     """
-    (a0, d0, b0, c0), (a1, d1, b1, c1) = np.moveaxis(_minor_entries(pairs), (-3, -2), (0, 1))
-    return np.stack([_cmul(a0, d0) - _cmul(b0, c0),
-                     _cmul(a0, d1) + _cmul(a1, d0) - _cmul(b0, c1) - _cmul(b1, c0),
-                     _cmul(a1, d1) - _cmul(b1, c1)], axis=-1)
+    *batch, _, m, n = np.shape(pairs)
+    flat = np.asarray(pairs, dtype=complex).reshape(*batch, 2 * m * n)
+    left, right = _form_index(m, n)
+    p = np.moveaxis(_cmul(flat[..., left], flat[..., right]), -2, 0)
+    return np.stack([p[0] - p[1], p[2] + p[3] - p[4] - p[5], p[6] - p[7]], axis=-1)
 
 
 def _accept(spaces, owner, coeffs, tol) -> list:
@@ -208,8 +228,10 @@ def _accept(spaces, owner, coeffs, tol) -> list:
     ``coeffs[i]`` are coordinates in the basis of ``spaces[owner[i]]``.  A
     round is one batched SVD of the unit members; each member whose second
     singular value is above 1e-14 of its first is truncated to rank 1 and
-    projected back through the pseudo-inverse, at most 4 times.  A member
-    below 1e-12 of its coordinates' norm is dropped.  On the final SVD,
+    projected back through the pseudo-inverse, at most 4 times.  A zero
+    member is dropped: the basis passed the independence check, so only
+    coordinates that are zero or lost to round-off give one, at any scale
+    of the basis.  On the final SVD,
     every minor must be at most ``tol`` (which enforces a ``tol`` below
     ``RECONSTRUCT_TOL``) and the unit member within ``RECONSTRUCT_TOL`` of
     its rank-1 part.  Returns (u, v, unit member) or None per candidate.
@@ -226,7 +248,7 @@ def _accept(spaces, owner, coeffs, tol) -> list:
     for projections in range(5):
         members = (c[idx, None] @ stacks[idx])[:, 0]
         norms = np.linalg.norm(members, axis=1)
-        ok = norms >= 1e-12 * np.linalg.norm(c[idx], axis=1)
+        ok = norms > 0.0
         units[idx[~ok]] = np.nan  # fails both checks
         idx = idx[ok]
         units[idx] = (members[ok] / norms[ok, None]).reshape(-1, m, n)
@@ -254,10 +276,14 @@ def find_product_vectors(space: MatrixSubspace, tol: float = MINOR_TOL,
     """Find rank-1 members of a matrix subspace, decided as a stack of one.
 
     k = 1: the basis matrix either is rank 1 or is not.  k = 2: candidates
-    are the roots of the largest minor form of the orthonormal pencil, or a
-    continuum when every minor vanishes.  k = 3: the at most 4 common zeros
-    of two random combinations of the minor quadrics (``seed`` fixes them).
-    Both are exact only if one screen decides every candidate (``_exact``).
+    are the point at infinity and the roots of the largest minor form of
+    the orthonormal pencil by the stable quadratic formula, or a continuum
+    when every minor vanishes.  k = 3: the at most 4 common zeros of two
+    random combinations of the minor quadrics (``seed`` fixes them), the
+    roots of their resultant quartic from one companion eigensolve for the
+    whole stack.  Both are exact only if one screen decides every candidate
+    (``_exact``); every decision is made on unit-norm members, so the count
+    does not depend on the scale of the basis.
     k >= 4, and an undecided k = 2 or 3 subspace: seeded multi-start
     Levenberg-Marquardt (trust-region reflective when there are fewer
     equations than unknowns) on the normalised minor equations, a lower
@@ -295,8 +321,7 @@ def _report(cands, exactness, continuum=False, detail="") -> ProductVectorReport
 
 
 def _exact_k1(space, tol):
-    b = space.basis[0]
-    b_hat = b / np.linalg.norm(b)
+    b_hat = space.ortho[0].reshape(space.m, space.n)  # unit, at any scale of the basis
     if np.max(np.abs(_all_minors(b_hat)), initial=0.0) <= tol:
         uu, ss, vh = np.linalg.svd(b_hat)
         return _report([(uu[:, 0] * ss[0], vh[0], b_hat)], "Exact")
@@ -312,8 +337,8 @@ def _exact(spaces, tol, seed) -> list:
     report, or None where only the search can decide.
 
     k = 2 and 3 get coordinates in each orthonormal basis that include every
-    rank-1 member: the roots of a nonzero minor form of the pencil, or
-    ``_k3_points``.  One minor evaluation discards those with a minor above
+    rank-1 member: the roots of the pencil's largest minor form
+    (``_quadratic_points``), or ``_k3_points``.  One minor evaluation discards those with a minor above
     max(tol, margin), and one ``_accept`` takes the rest; a count is exact
     only if each candidate is discarded or accepted.  A pencil whose every
     member is rank <= 1 reports its accepted ``_PENCIL_SAMPLES`` as a lower
@@ -327,10 +352,12 @@ def _exact(spaces, tol, seed) -> list:
     orthos = np.stack([space.ortho for space in spaces]).reshape(-1, k, m, n)
     if k == 2:
         forms = _pencil_forms(orthos)
+        if not forms.shape[1]:  # a 1 x n or m x 1 pencil has no 2x2 minor
+            forms = np.zeros((len(spaces), 1, 3), dtype=complex)
         peaks = np.max(np.abs(forms), axis=-1)
-        points = [_PENCIL_SAMPLES if peak.max(initial=0.0) <= 1e-12 else
-                  np.array(_candidate_points(form[np.argmax(peak)], EIGEN_CLUSTER_RADIUS))
-                  for form, peak in zip(forms, peaks)]
+        largest = np.arange(len(spaces)), np.argmax(peaks, axis=1)
+        points = [_PENCIL_SAMPLES if peak <= 1e-12 else _quadratic_points(form)
+                  for form, peak in zip(forms[largest].tolist(), peaks[largest])]
         margin, detail = PENCIL_REJECT_MARGIN, ""
     else:
         points = _k3_points(orthos, seed)
@@ -354,6 +381,32 @@ def _exact(spaces, tol, seed) -> list:
         elif None not in cands:
             reports[i] = _report(cands, "Exact", detail=detail)
     return reports
+
+
+def _quadratic_points(form) -> np.ndarray:
+    """Points (x, y) that include every zero of the binary quadratic
+    ``form`` (coefficients c0, c1, c2 of x^2, xy and y^2), the ones
+    ``pencil._candidate_points`` gives without ``np.roots``: the point at
+    infinity (0, 1), then (1, y) at the roots of c0 + c1 y + c2 y^2.  The
+    stable quadratic formula takes them as q / c2 and c0 / q with
+    q = -(c1 + sqrt(c1^2 - 4 c2 c0)) / 2, the square root's sign chosen so
+    that it does not cancel c1; two roots within ``EIGEN_CLUSTER_RADIUS`` in
+    chordal distance become their centroid -c1 / (2 c2).  A coefficient at
+    most 1e-12 of the largest drops the degree.  Shape (points, 2)."""
+    c0, c1, c2 = form
+    peak = max(abs(c0), abs(c1), abs(c2))
+    points = [(0.0, 1.0)]
+    if abs(c2) > 1e-12 * peak:
+        root = cmath.sqrt(c1 * c1 - 4.0 * c2 * c0)
+        q = -0.5 * (c1 + root if (c1.conjugate() * root).real >= 0.0 else c1 - root)
+        # q = 0 only when c1 = c0 = 0: a double root at 0
+        ys = (q / c2, c0 / q) if q else (0.0, 0.0)
+        if _chordal((1.0, ys[0]), (1.0, ys[1])) <= EIGEN_CLUSTER_RADIUS:
+            ys = (-c1 / (2.0 * c2),)
+        points += [(1.0, y) for y in ys]
+    elif abs(c1) > 1e-12 * peak:
+        points.append((1.0, -c0 / c1))
+    return np.array(points, dtype=complex)
 
 
 def _minor_quadrics(basis) -> np.ndarray:
@@ -426,41 +479,80 @@ def _k3_points(orthos, seed) -> list:
     h = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
     # Q_a, Q_b of each subspace in the w coordinates, shape (count, 2, 3, 3)
     qs = h.T @ (mix @ quads.reshape(count, -1, 9)).reshape(count, 2, 3, 3) @ h
-    return [_chart_zeros(q, h) for q in qs]
+    return _chart_zeros(qs, h)
 
 
-def _chart_zeros(q, h):
-    """Common zeros c = H (x, y, 1) of ``q`` = (Q_a, Q_b), or None."""
-    a = q[:, 0, 0]
-    b = 2.0 * q[:, 0, 1:]
-    c = np.stack([q[:, 1, 1], 2.0 * q[:, 1, 2], q[:, 2, 2]], axis=1)
-    ac = a[0] * c[1] - a[1] * c[0]
-    ab = a[0] * b[1] - a[1] * b[0]
-    bc = np.convolve(b[0], c[1]) - np.convolve(b[1], c[0])
-    quartic = np.convolve(ac, ac) - np.convolve(ab, bc)
-    peak = np.max(np.abs(quartic))
-    if peak <= RESULTANT_ZERO_TOL * np.prod(np.sum(np.abs(q) ** 2, axis=(1, 2))):
-        return None  # a shared component: a curve of common zeros, or Q_a ~ Q_b
-    if abs(quartic[0]) <= 1e-12 * peak:
-        return None  # a root at infinity, i.e. a common zero off the chart
-    points = []
-    for y in np.roots(quartic):
-        by, cy = b @ [y, 1.0], c @ [y * y, y, 1.0]
-        den = a[0] * by[1] - a[1] * by[0]
-        if abs(den) > 1e-8 * (abs(a[0] * by[1]) + abs(a[1] * by[0])):
-            xs = [-(a[0] * cy[1] - a[1] * cy[0]) / den]
+def _polymul(p, q) -> np.ndarray:
+    """Products of polynomials (descending coefficients on the last axis)."""
+    out = np.zeros(p.shape[:-1] + (p.shape[-1] + q.shape[-1] - 1,), dtype=complex)
+    for i in range(p.shape[-1]):
+        out[..., i:i + q.shape[-1]] += p[..., i, None] * q
+    return out
+
+
+def _chart_zeros(qs, h) -> list:
+    """Common zeros c = H (x, y, 1) of each pair ``qs[i]`` = (Q_a, Q_b) of a
+    stack (count, 2, 3, 3), or None.
+
+    Every pair's resultant quartic is formed at once, and the quartics that
+    neither vanish nor lose their degree are solved by one ``eigvals`` of
+    their stacked companion matrices (the ones ``np.roots`` builds); x is
+    back-substituted for every (pair, root) at once.  A root where the two
+    quadratics in x are proportional takes the roots of Q_a's there (None
+    if it has none).
+    """
+    a0, a1 = qs[:, :1, 0, 0], qs[:, 1:, 0, 0]
+    b = 2.0 * qs[:, :, 0, 1:]
+    c = np.stack([qs[:, :, 1, 1], 2.0 * qs[:, :, 1, 2], qs[:, :, 2, 2]], axis=-1)
+    ac = a0 * c[:, 1] - a1 * c[:, 0]
+    ab = a0 * b[:, 1] - a1 * b[:, 0]
+    bc = _polymul(b[:, 0], c[:, 1]) - _polymul(b[:, 1], c[:, 0])
+    quartics = _polymul(ac, ac) - _polymul(ab, bc)
+    peaks = np.max(np.abs(quartics), axis=1)
+    # a vanishing quartic is a shared component (a curve of common zeros, or
+    # Q_a ~ Q_b); a vanishing leading coefficient a root at infinity, i.e. a
+    # common zero off the chart
+    solved = np.flatnonzero(
+        (peaks > RESULTANT_ZERO_TOL * np.prod(np.sum(np.abs(qs) ** 2, axis=(2, 3)), axis=1))
+        & (np.abs(quartics[:, 0]) > 1e-12 * peaks))
+    points = [None] * len(qs)
+    if not solved.size:
+        return points
+    a0, a1, b, c, quartics = a0[solved], a1[solved], b[solved], c[solved], quartics[solved]
+    companion = np.zeros((len(solved), 4, 4), dtype=complex)
+    companion[:, 0] = -quartics[:, 1:] / quartics[:, :1]
+    companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
+    ys = np.linalg.eigvals(companion)[:, None, :]  # (solved, 1, root)
+    by = b[:, :, :1] * ys + b[:, :, 1:]  # (solved, quadric, root)
+    cy = c[:, :, :1] * (ys * ys) + c[:, :, 1:2] * ys + c[:, :, 2:]
+    den = a0 * by[:, 1] - a1 * by[:, 0]
+    single = np.abs(den) > 1e-8 * (np.abs(a0 * by[:, 1]) + np.abs(a1 * by[:, 0]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xs = -(a0 * cy[:, 1] - a1 * cy[:, 0]) / den
+    ys = ys[:, 0]
+    charts = np.stack([xs, ys, np.ones_like(ys)], axis=-1) @ h.T
+    for j, i in enumerate(solved):
+        if single[j].all():
+            points[i] = charts[j]
+            continue
+        # the two quadratics in x are proportional at some y: the roots of Q_a there
+        chart = []
+        for x, y, ok, by_a, cy_a in zip(xs[j], ys[j], single[j], by[j, 0], cy[j, 0]):
+            roots = [x] if ok else np.roots([a0[j, 0], by_a, cy_a])
+            if len(roots) == 0:
+                break
+            chart += [(root, y, 1.0) for root in roots]
         else:
-            # the two quadratics in x are proportional at this y
-            xs = np.roots([a[0], by[0], cy[0]])
-            if len(xs) == 0:
-                return None
-        points += [(x, y, 1.0) for x in xs]
-    return np.array(points) @ h.T
+            points[i] = np.array(chart) @ h.T
+    return points
 
 
 def _search(space, tol, starts, seed):
+    """Multi-start search in the coordinates of the orthonormal basis, so
+    its residuals do not depend on the scale of the basis; the end points go
+    to ``_accept`` in the coordinates of the basis itself."""
     k = space.dim
-    form = _minor_form(space.stack.reshape(k, space.m, space.n))
+    form = _minor_form(space.ortho.reshape(k, space.m, space.n))
     method = "lm" if form.shape[0] + 1 >= 2 * k else "trf"
     # least_squares asks for the Jacobian at the point it evaluated last,
     # so each evaluation keeps its Jacobian for that call
@@ -486,6 +578,7 @@ def _search(space, tol, starts, seed):
         sol = least_squares(residual, x0, jac=jacobian, method=method, xtol=1e-15,
                             ftol=1e-15, gtol=1e-15, max_nfev=2000)
         ends.append(sol.x[:k] + 1j * sol.x[k:])
+    ends = np.array(ends).reshape(-1, k) @ space.ortho @ space.pinv.T
     return _report(_accept([space], np.zeros(len(ends), dtype=int), ends, tol), "LowerBound",
                    detail=f"multi-start search with {starts} starts")
 
@@ -513,29 +606,28 @@ def _ranks_and_ranges(states, p):
     One batched SVD per mode: singular values only for the two kept modes,
     and the left singular vectors of the (kept x traced) unfolding X, whose
     column space is the range of X X^dagger.  Every rank is decided by the
-    rule of ``local_ranks``, so the range dimension is the traced party's
-    local rank at any nonzero scale.  Returns a (ranks, basis) pair per state.
+    rule of ``local_ranks``, for the whole stack at once, so the range
+    dimension is the traced party's local rank at any nonzero scale.
+    Returns a (ranks, basis) pair per state.
     """
     count, *dims = states.shape
-    ranks = np.empty((count, 3), dtype=int)
-    for q in range(3):
-        if q != p:
-            unfold = np.moveaxis(states, q + 1, 1).reshape(count, dims[q], -1)
-            spectra = np.linalg.svd(unfold, compute_uv=False)
-            ranks[:, q] = [_rank_of_spectrum(s, DEFAULT_RANK_TOL) for s in spectra]
+    spectra = [np.linalg.svd(np.moveaxis(states, q + 1, 1).reshape(count, dims[q], -1),
+                             compute_uv=False) if q != p else None for q in range(3)]
     x = np.moveaxis(states, p + 1, -1).reshape(count, -1, dims[p])
-    u, spectra, _ = np.linalg.svd(x, full_matrices=False)
-    ranks[:, p] = [_rank_of_spectrum(s, DEFAULT_RANK_TOL) for s in spectra]
+    u, spectra[p], _ = np.linalg.svd(x, full_matrices=False)
+    # the rule of _rank_of_spectrum, over the stack (s[:, 0] = 0 gives rank 0)
+    ranks = np.stack([(s > DEFAULT_RANK_TOL * s[:, :1]).sum(axis=1) for s in spectra], axis=1)
     return [(tuple(r.tolist()), ui[:, :r[p]]) for r, ui in zip(ranks, u)]
 
 
 def _range_spaces(shape, p, bases) -> list:
     """Subspaces of the kept parties' matrices spanned by each range basis
-    (columns) of a stack (count, m*n, k), factored together."""
+    of a stack (count, m*n, k) of orthonormal columns, which serve as their
+    own orthonormal basis and pseudo-inverse."""
     if bases.shape[2] == 0:
         raise ValueError("reduced density matrix has empty range")
     m, n = (d for i, d in enumerate(shape) if i != p)
-    return MatrixSubspace._stacked(m, n, np.ascontiguousarray(bases.transpose(0, 2, 1)))
+    return MatrixSubspace._orthonormal(m, n, np.ascontiguousarray(bases.transpose(0, 2, 1)))
 
 
 def range_product_count(psi, traced_party, tol: float = MINOR_TOL,
@@ -547,9 +639,12 @@ def range_product_count(psi, traced_party, tol: float = MINOR_TOL,
     kept parties, columns the traced one): the leading left singular vectors
     of the one SVD of X, cut by the rule of ``local_ranks``, so its dimension
     is the traced party's local rank at any nonzero scale
-    (``_ranks_and_ranges``).  A 2-dimensional range is decided from the
-    closed-form minor forms of its pencil, a 3-dimensional one from the
-    resultant of two minor quadrics (see ``find_product_vectors``).
+    (``_ranks_and_ranges``).  Those vectors are orthonormal, so they are the
+    subspace's basis, orthonormal basis and (conjugated) pseudo-inverse with
+    no second factorisation.  A 2-dimensional range is decided from the
+    roots of the largest closed-form minor form of its pencil by the
+    quadratic formula, a 3-dimensional one from the companion eigenvalues of
+    the resultant of two minor quadrics (see ``find_product_vectors``).
     """
     psi = as_tensor(psi)
     p = _party_index(traced_party)

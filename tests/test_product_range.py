@@ -13,16 +13,23 @@ from hypothesis import strategies as st
 
 import slocc3 as s
 import slocc3.product_range as pr
+from slocc3.pencil import EIGEN_CLUSTER_RADIUS, _candidate_points
 from slocc3.product_range import (
     MINOR_TOL,
     RECONSTRUCT_TOL,
+    RESULTANT_ZERO_TOL,
     MatrixSubspace,
     _all_minors,
+    _chart_zeros,
+    _cmul,
+    _minor_entries,
     _minor_form,
     _accept,
     _exact,
     _minor_residual,
     _pencil_forms,
+    _quadratic_points,
+    _range_spaces,
     _ranks_and_ranges,
     _search,
 )
@@ -734,3 +741,201 @@ def test_range_compare_of_catalog_pairs_is_its_public_composition(pair, map_seed
     s1, s2 = (_image(s.catalog_build(i), seed, exponent) for i, seed in zip(pair, map_seeds))
     verdict = s.range_criterion_compare(s1, s2, party, starts=4, seed=1)
     assert verdict == _composed_verdict(s1, s2, party, starts=4, seed=1)
+
+
+# --- closed-form candidates and call counts -----------------------------------
+
+
+def test_pencil_forms_are_bit_identical_to_per_coefficient_products():
+    """One ``_cmul`` over the eight stacked products sums them in the order
+    of the per-coefficient formula, so every form is bit-identical to it."""
+    rng = np.random.default_rng(23)
+    for shape in ((3, 2, 2, 3), (2, 3, 4), (2, 1, 4), (5, 2, 4, 4)):
+        pairs = _random_complex(rng, shape)
+        (a0, d0, b0, c0), (a1, d1, b1, c1) = np.moveaxis(_minor_entries(pairs), (-3, -2), (0, 1))
+        ref = np.stack([_cmul(a0, d0) - _cmul(b0, c0),
+                        _cmul(a0, d1) + _cmul(a1, d0) - _cmul(b0, c1) - _cmul(b1, c0),
+                        _cmul(a1, d1) - _cmul(b1, c1)], axis=-1)
+        got = _pencil_forms(pairs)
+        assert got.shape == ref.shape and (got == ref).all()
+
+
+def _quadratic_forms():
+    """(name, coefficients of x^2, xy, y^2)."""
+    rng = np.random.default_rng(29)
+    for i in range(20):
+        yield f"random {i}", _random_complex(rng, 3)
+    for i, r in enumerate(_random_complex(rng, 3)):
+        c2 = _random_complex(rng, ())
+        yield f"double root {i}", np.array([c2 * r * r, -2.0 * c2 * r, c2])
+    c0, c1 = _random_complex(rng, 2)
+    yield "root at 0", np.array([0.0, c1, 1.0 + 2.0j])
+    yield "c2 = 0", np.array([c0, c1, 0.0])
+    yield "c2 below 1e-12 of the peak", np.array([c0, c1, 1e-14 * abs(c1)])
+    yield "c1 = c2 = 0", np.array([c0, 0.0, 0.0])
+    yield "c1 = c0 = 0", np.array([0.0, 0.0, c1])
+    yield "zero form", np.zeros(3, dtype=complex)
+
+
+QUADRATIC_FORMS = list(_quadratic_forms())
+
+
+def _sorted_points(points):
+    points = np.asarray(points, dtype=complex)
+    return points[np.lexsort((points[:, 1].imag, points[:, 1].real, points[:, 0].real))]
+
+
+@pytest.mark.parametrize("name,form", QUADRATIC_FORMS, ids=[c[0] for c in QUADRATIC_FORMS])
+def test_quadratic_points_match_candidate_points(name, form):
+    """The stable quadratic formula gives the points that ``np.roots`` and
+    clustering give in ``pencil._candidate_points``, to 1e-12."""
+    got = _sorted_points(_quadratic_points(form.tolist()))
+    ref = _sorted_points(_candidate_points(form, EIGEN_CLUSTER_RADIUS))
+    assert got.shape == ref.shape
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
+def _chart_zeros_loop(q, h):
+    """The per-pair quartic, ``np.roots`` and back-substitution that
+    ``_chart_zeros`` batches, kept as its reference."""
+    a = q[:, 0, 0]
+    b = 2.0 * q[:, 0, 1:]
+    c = np.stack([q[:, 1, 1], 2.0 * q[:, 1, 2], q[:, 2, 2]], axis=1)
+    ac = a[0] * c[1] - a[1] * c[0]
+    ab = a[0] * b[1] - a[1] * b[0]
+    bc = np.convolve(b[0], c[1]) - np.convolve(b[1], c[0])
+    quartic = np.convolve(ac, ac) - np.convolve(ab, bc)
+    peak = np.max(np.abs(quartic))
+    if peak <= RESULTANT_ZERO_TOL * np.prod(np.sum(np.abs(q) ** 2, axis=(1, 2))):
+        return None
+    if abs(quartic[0]) <= 1e-12 * peak:
+        return None
+    points = []
+    for y in np.roots(quartic):
+        by, cy = b @ [y, 1.0], c @ [y * y, y, 1.0]
+        den = a[0] * by[1] - a[1] * by[0]
+        if abs(den) > 1e-8 * (abs(a[0] * by[1]) + abs(a[1] * by[0])):
+            xs = [-(a[0] * cy[1] - a[1] * cy[0]) / den]
+        else:
+            xs = np.roots([a[0], by[0], cy[0]])
+            if len(xs) == 0:
+                return None
+        points += [(x, y, 1.0) for x in xs]
+    return np.array(points) @ h.T
+
+
+def _sym(a):
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def _proportional_pair(seed):
+    """Gaussian-integer Q_a and Q_b = 2 Q_a + (y - w) L in (x, y, w): the
+    two zeros of Q_a on y = w share y = 1, where the quadratics in x are
+    proportional.  Every product is exact, so both paths see one quartic."""
+    rng = np.random.default_rng(seed)
+    qa = _sym(rng.integers(-3, 4, (3, 3)) + 1j * rng.integers(-3, 4, (3, 3)))
+    line = rng.integers(-3, 4, 3) + 1j * rng.integers(-3, 4, 3)
+    return np.array([qa, 2.0 * qa + _sym(np.outer([0.0, 1.0, -1.0], line))])
+
+
+def _chart_cases():
+    rng = np.random.default_rng(31)
+    h = np.linalg.qr(_random_complex(rng, (3, 3)))[0]
+    qs = _sym(_random_complex(rng, (6, 2, 3, 3)))
+    qs[2, 1] = (1.0 - 2.0j) * qs[2, 0]  # Q_a ~ Q_b: the quartic vanishes
+    yield "random stack", qs, h, 0
+    yield "proportional quadratics", np.stack([_proportional_pair(i) for i in range(4)]), np.eye(3), 8
+
+
+CHART_CASES = list(_chart_cases())
+
+
+@pytest.mark.parametrize("name,qs,h,fallbacks", CHART_CASES, ids=[c[0] for c in CHART_CASES])
+def test_batched_chart_zeros_match_per_pair_loop(monkeypatch, name, qs, h, fallbacks):
+    """One ``eigvals`` of the stacked companion matrices and a vectorised
+    back-substitution give the per-pair loop's zeros, in its order, to
+    1e-12; a root with proportional quadratics in x takes the loop's
+    ``np.roots`` fallback (two per pair of the proportional case)."""
+    ref = [_chart_zeros_loop(q, h) for q in qs]
+    roots = []
+    real = np.roots
+    monkeypatch.setattr(np, "roots", lambda p: roots.append(p) or real(p))
+    got = _chart_zeros(qs, h)
+    assert len(roots) == fallbacks
+    assert [p is None for p in got] == [p is None for p in ref]
+    assert any(p is not None for p in ref)
+    for g, r in zip(got, ref):
+        if r is not None:
+            assert g.shape == r.shape
+            np.testing.assert_allclose(g, r, rtol=0, atol=1e-12 * max(1.0, np.abs(r).max()))
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("dims,eigvals", [((3, 3, 3), 1), ((2, 3, 4), 0), ((2, 2, 2), 0)])
+def test_range_compare_candidates_need_one_eigensolve(monkeypatch, dims, eigvals):
+    """A k = 3 pair takes both states' quartic roots from one ``eigvals``
+    call, a k = 2 pair its roots in closed form; neither calls ``np.roots``."""
+    t = _random_complex(np.random.default_rng(37), dims)
+    image = s.apply_slocc(t, *s.random_slocc(dims, 5, cond_bound=20))
+    eig_calls = _counting(monkeypatch, np.linalg, "eigvals")
+    root_calls = _counting(monkeypatch, np, "roots")
+    assert s.range_criterion_compare(t, image, "A") == "Inconclusive"
+    assert (len(eig_calls), len(root_calls)) == (eigvals, 0)
+
+
+def test_range_spaces_take_the_range_basis_without_an_svd(monkeypatch):
+    """The range's orthonormal columns are the subspace's orthonormal basis
+    and, conjugated, its pseudo-inverse: no second factorisation."""
+    t = _random_complex(np.random.default_rng(39), (3, 3, 4))
+    [(_, basis)] = _ranks_and_ranges(t[None], 0)
+    svd_calls = _counting(monkeypatch, np.linalg, "svd")
+    [space] = _range_spaces(t.shape, 0, basis[None])
+    assert not svd_calls
+    assert space.ortho is space.stack and (space.pinv == space.stack.conj()).all()
+    assert (space.stack == basis.T).all()
+    np.testing.assert_allclose(space.pinv @ space.stack.T, np.eye(3), rtol=0, atol=1e-14)
+
+
+SCALE_EXPONENTS = [-200, -170, -13, 0, 150, 200]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("exponent", SCALE_EXPONENTS)
+def test_planted_rank_one_count_is_exact_at_every_scale(k, exponent):
+    """k rank-1 matrices u_i v_i^T span a subspace with exactly k product
+    vectors at any scale of the basis (at 1e-170 and beyond the norm of a
+    basis matrix under- or overflows)."""
+    rng = np.random.default_rng(43)
+    u, v = _random_complex(rng, (3, 3)), _random_complex(rng, (3, 3))
+    space = MatrixSubspace(3, 3, [10.0**exponent * np.outer(u[i], v[i]) for i in range(k)])
+    with np.errstate(all="raise"):
+        report = s.find_product_vectors(space)
+    assert (report.independent_count, report.exactness) == (k, "Exact")
+    for fu, fv in report.vectors:
+        m = np.outer(fu, fv)
+        assert np.linalg.norm(space.member(space.pinv @ m.ravel()) - m) <= RECONSTRUCT_TOL
+
+
+@pytest.mark.parametrize("exponent", SCALE_EXPONENTS)
+def test_search_count_does_not_depend_on_scale(exponent):
+    """The k = 4 search runs in the orthonormal basis: three planted rank-1
+    matrices and a random one give the same lower bound at every scale (the
+    user basis's minor form under- or overflows beyond 1e-13 and 1e150)."""
+    rng = np.random.default_rng(47)
+    basis = [np.outer(_random_complex(rng, 3), _random_complex(rng, 3)) for _ in range(3)]
+    basis.append(_random_complex(rng, (3, 3)))
+    space = MatrixSubspace(3, 3, [10.0**exponent * b for b in basis])
+    with np.errstate(all="raise"):
+        report = s.find_product_vectors(space, seed=1)
+    assert (report.independent_count, report.exactness) == (3, "LowerBound")
