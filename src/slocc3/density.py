@@ -123,7 +123,7 @@ def reduced_density(psi, party_dims, traced) -> np.ndarray:
 
     Formed without the full density matrix: with X the unfolding of psi whose
     rows are the kept parties and whose columns are the traced ones, the
-    reduced density is X X^dagger.
+    reduced density is X X^dagger; ArithmeticError if it over/underflows.
     """
     party_dims, traced, keep = _split_parties(party_dims, traced)
     psi = np.asarray(psi, dtype=complex).reshape(party_dims)
@@ -131,7 +131,11 @@ def reduced_density(psi, party_dims, traced) -> np.ndarray:
         raise ValueError("zero state has no density matrix")
     rows = int(np.prod([party_dims[i] for i in keep]))
     x = psi.transpose(keep + traced).reshape(rows, -1)
-    return x @ x.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        rho = x @ x.conj().T
+    if not (np.all(np.isfinite(rho)) and np.any(rho)):
+        raise ArithmeticError("reduced density over- or underflows at this scale of the state")
+    return rho
 
 
 def range_basis(rho, tol: float = EIGEN_RANK_TOL):
@@ -143,6 +147,8 @@ def range_basis(rho, tol: float = EIGEN_RANK_TOL):
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("matrix entries must be finite")
     return list(column_space(rho, tol).T)
 
 

@@ -411,15 +411,8 @@ def detpoly_equiv_test(
         else:
             g0 = random_nonsingular(3, np.random.SeedSequence([seed, r]), cond_bound=100.0)
         x0 = np.concatenate([g0.real.ravel(), g0.imag.ravel()])
-        if forward:
-            residual = _value_residual(t1, lead1, w2, x0)
-        else:
-            residual = _value_residual(t2, lead2, w1, x0)
-        # not lm: from identical residuals, scipy's lm steps differ between
-        # processes when the Jacobian is ill-conditioned, as for forms with
-        # a continuous stabilizer (x*y*z, every quadric)
-        sol = least_squares(residual, x0, method="trf", xtol=1e-15, ftol=1e-15,
-                            gtol=1e-15, max_nfev=4000)
+        t, lead, target = (t1, lead1, w2) if forward else (t2, lead2, w1)
+        sol = least_squares(_value_residual(t, lead, target, x0), x0, max_nfev=4000)
         g = (sol.x[:9] + 1j * sol.x[9:]).reshape(3, 3)
         if not is_nonsingular(g):
             continue
@@ -427,8 +420,7 @@ def detpoly_equiv_test(
             g = np.linalg.inv(g)
         res = contract_residual(g)
         if res < best_res:
-            best_res = res
-            best_g = g
+            best_res, best_g = res, g
         if best_res < tol:
             break
 

@@ -46,9 +46,9 @@ class PencilInvariants:
 
     ``finite_divisors`` maps each finite eigenvalue (of S0 + lambda*S1) to
     its partition of block sizes; ``infinite_partition`` is the partition at
-    the point (0 : 1).  ``borderline`` is set when a rank decision was
-    within a factor of ten of its tolerance or a consistency check needed
-    slack, signalling that the structure should not be trusted blindly.
+    the point (0 : 1).  ``borderline`` is set when the divisor degrees
+    found do not sum to the expected total at either clustering radius, so
+    a root was missed; ``condition_note`` then gives the sum found.
     """
 
     shape: tuple

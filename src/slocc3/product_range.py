@@ -285,8 +285,7 @@ def find_product_vectors(space: MatrixSubspace, tol: float = MINOR_TOL,
     (``_exact``); every decision is made on unit-norm members, so the count
     does not depend on the scale of the basis.
     k >= 4, and an undecided k = 2 or 3 subspace: seeded multi-start
-    Levenberg-Marquardt (trust-region reflective when there are fewer
-    equations than unknowns) on the normalised minor equations, a lower
+    Levenberg-Marquardt on the normalised minor equations, a lower
     bound.  Every candidate is polished by rank-1 truncation and projection
     in one batched ``_accept``, and kept only if its minors are below
     ``tol`` and it reconstructs as an outer product.  Raises ValueError for
@@ -553,21 +552,6 @@ def _search(space, tol, starts, seed):
     to ``_accept`` in the coordinates of the basis itself."""
     k = space.dim
     form = _minor_form(space.ortho.reshape(k, space.m, space.n))
-    method = "lm" if form.shape[0] + 1 >= 2 * k else "trf"
-    # least_squares asks for the Jacobian at the point it evaluated last,
-    # so each evaluation keeps its Jacobian for that call
-    last = {}
-
-    def residual(x):
-        last["x"] = x.copy()
-        res, last["jac"] = _minor_residual(x, form)
-        return res
-
-    def jacobian(x):
-        if not np.array_equal(last.get("x"), x):
-            residual(x)
-        return last["jac"]
-
     ends = []
     root_seq = np.random.SeedSequence([seed, space.m, space.n, k])
     for child in root_seq.spawn(starts):
@@ -575,8 +559,8 @@ def _search(space, tol, starts, seed):
         c0 = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         c0 /= np.linalg.norm(c0)
         x0 = np.concatenate([c0.real, c0.imag])
-        sol = least_squares(residual, x0, jac=jacobian, method=method, xtol=1e-15,
-                            ftol=1e-15, gtol=1e-15, max_nfev=2000)
+        sol = least_squares(lambda x: _minor_residual(x, form)[0], x0,
+                            jac=lambda x: _minor_residual(x, form)[1], max_nfev=2000)
         ends.append(sol.x[:k] + 1j * sol.x[k:])
     ends = np.array(ends).reshape(-1, k) @ space.ortho @ space.pinv.T
     return _report(_accept([space], np.zeros(len(ends), dtype=int), ends, tol), "LowerBound",

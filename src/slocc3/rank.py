@@ -447,7 +447,7 @@ def cp_als(t, r: int, restarts: int = 32, max_iter: int = 2000, seed: int = 0,
 
     Each factor update is a linear least-squares solve by LAPACK ``zgelsd``
     (the SVD-based routine behind ``np.linalg.lstsq``), called through
-    ``numpy.linalg.lapack_lite.zgelsd``, so no scipy module is loaded.  It
+    ``numpy.linalg.lapack_lite.zgelsd`` directly.  It
     cuts off singular values below ``eps * max(rows, R)`` times the largest,
     the cutoff ``np.linalg.lstsq`` uses with ``rcond=None``.
 

@@ -10,26 +10,54 @@ computational basis.
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 
 DEFAULT_RANK_TOL = 1e-9
+EPS = np.finfo(float).eps
 
 # kron_regroup refuses to build tensors bigger than this many entries
 MAX_REGROUP_SIZE = 10**6
 
 
-def least_squares(*args, **kwargs):
-    """``scipy.optimize.least_squares``, imported on its first call.
+def least_squares(fun, x0, jac=None, max_nfev: int = 1000) -> SimpleNamespace:
+    """Levenberg-Marquardt minimisation of |fun(x)|^2 over real vectors x.
 
-    Importing ``scipy.optimize`` costs most of ``import slocc3``, and only
-    the multi-start searches need it.  ``product_range`` and ``detpoly``
-    bind this name at module level and call through it, so a wrapper set on
-    either module (as ``bench/spans.py`` sets) sees every solver call.
+    Steps solve (J^T J + lam D) p = -J^T r, D the largest diag(J^T J) so far
+    (Moré's form of Marquardt's scaling); lam is quartered after an accepted
+    step, quadrupled after a rejected one.  J is ``jac(x)`` or forward
+    differences, counted in ``nfev``.  Stops at cost 0, when a step lowers
+    the cost by at most 1e-15 of it, when the next step is below round-off,
+    or at ``max_nfev``.  Callers bind it by module name for a tracer to wrap.
     """
-    from scipy.optimize import least_squares as solve
-
-    return solve(*args, **kwargs)
+    x = np.array(x0, dtype=float)
+    r = fun(x)
+    cost, nfev, lam, d, done = r @ r, 1, 1e-3, np.zeros(x.size), False
+    while not done and cost > 0 and nfev < max_nfev:
+        if jac is None:
+            h = np.sqrt(EPS) * np.maximum(1.0, np.abs(x))
+            j = np.column_stack([(fun(x + hi * e) - r) / hi for hi, e in zip(h, np.eye(x.size))])
+            nfev += x.size
+        else:
+            j = jac(x)
+        a, g = j.T @ j, j.T @ r
+        d = np.maximum(d, np.diag(a))
+        while nfev < max_nfev:
+            try:
+                step = np.linalg.solve(a + lam * np.diag(d), -g)
+            except np.linalg.LinAlgError:  # J^T J singular and lam below round-off
+                step = 0 * x
+            if done := np.linalg.norm(step) <= EPS * np.linalg.norm(x):
+                break
+            trial = fun(x + step)
+            nfev += 1
+            if trial @ trial < cost:
+                done = cost - trial @ trial <= 1e-15 * cost
+                x, r, cost, lam = x + step, trial, trial @ trial, lam / 4
+                break
+            lam *= 4
+    return SimpleNamespace(x=x, nfev=nfev)
 
 
 def as_tensor(data) -> np.ndarray:

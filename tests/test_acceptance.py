@@ -251,11 +251,16 @@ def test_criterion_10_cli_determinism(tmp_path):
     """Randomized CLI commands repeated with one seed are byte-identical."""
     start = time.time()
     t1, t2 = _t1_t2()
-    p1, p2 = tmp_path / "t1.json", tmp_path / "t2.json"
+    # t1 is 3x3x3-diag, whose determinant polynomial x*y*z has a continuous
+    # stabilizer, so the Jacobian of the substitution search is singular
+    image = s.apply_slocc(t1, *s.random_slocc((3, 3, 3), 4, cond_bound=100))
+    p1, p2, p3 = (tmp_path / f"t{i}.json" for i in (1, 2, 3))
     p1.write_text(s.tensor_to_json(t1))
     p2.write_text(s.tensor_to_json(t2))
+    p3.write_text(s.tensor_to_json(image))
     commands = RANDOMIZED_CLI_COMMANDS + [
         ["detpoly-equiv", str(p1), str(p2), "--seed", "0", "--output", "json"],
+        ["detpoly-equiv", str(p1), str(p3), "--seed", "0", "--output", "json"],
         ["range-compare", str(p1), str(p1), "--traced", "B", "--seed", "3",
          "--output", "json"],
     ]

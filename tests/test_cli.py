@@ -84,6 +84,17 @@ def test_ptrace_json(capsys):
     assert doc["rows"] == 4
 
 
+@pytest.mark.parametrize("scale", [1e170, 1e-170])
+def test_ptrace_out_of_range_scale_is_a_numeric_error(tmp_path, capsys, scale):
+    """The reduced density of a state at 1e+-170 over- or underflows: exit 3
+    and no payload, never Infinity/NaN in the JSON."""
+    path = tmp_path / "t.json"
+    path.write_text(s.tensor_to_json(s.ghz_state() * scale))
+    code, out = run_cli(["ptrace", str(path), "--traced", "A", "--output", "json"], capsys)
+    assert code == cli.EXIT_NUMERIC == 3
+    assert out == ""
+
+
 def test_only_the_requested_format_is_built(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("built an output format that was not asked for")

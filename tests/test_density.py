@@ -175,6 +175,24 @@ def test_reduced_density_matches_partial_trace_of_density():
         s.reduced_density(np.ones((2, 2)), (2, 2), [0, 1])
 
 
+@pytest.mark.parametrize("scale", [1e170, 1e-170])
+def test_reduced_density_out_of_range_scale_raises(scale):
+    """X X^dagger overflows at 1e170 and underflows to zero at 1e-170; both
+    raise instead of returning inf/NaN or the zero matrix."""
+    with pytest.raises(ArithmeticError):
+        s.reduced_density(s.ghz_state() * scale, (2, 2, 2), [0])
+    np.testing.assert_allclose(s.reduced_density(s.ghz_state() * scale**0.5, (2, 2, 2), [0]),
+                               scale * s.reduced_density(s.ghz_state(), (2, 2, 2), [0]))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_range_basis_rejects_non_finite(bad):
+    rho = np.eye(4, dtype=complex)
+    rho[1, 1] = bad
+    with pytest.raises(ValueError):
+        s.range_basis(rho)
+
+
 def test_range_basis_rank_one():
     psi = np.array([1.0, 2.0, 0.0]) / np.sqrt(5)
     basis = s.range_basis(s.density_of(psi))

@@ -1,10 +1,12 @@
-"""The least-squares solver is loaded on the first search, not on import.
+"""No command and no search loads scipy.
 
-Only the multi-start searches need ``scipy.optimize``; ``product_range`` and
-``detpoly`` call it through their module-level name ``least_squares``, which
-is where a wrapper (the benchmark's tracer) replaces it.  Rank intervals
-load no scipy module at all: the padded-pencil construction is numpy only,
-and CP-ALS solves through ``numpy.linalg.lapack_lite.zgelsd``.
+Both multi-start searches, the product-vector search for k >= 4 and the
+determinant-polynomial substitution test, run the numpy Levenberg-Marquardt
+loop ``tensor.least_squares``.  ``product_range`` and ``detpoly`` call it
+through their module-level name ``least_squares``, which is where a wrapper
+(the benchmark's tracer) replaces it.  Rank intervals are numpy only as
+well: the padded-pencil construction, and CP-ALS through
+``numpy.linalg.lapack_lite.zgelsd``.
 """
 
 import os
@@ -21,6 +23,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 NO_SCIPY_SCRIPT = """
 import contextlib, io, sys
+import numpy as np
 import slocc3, slocc3.cli
 
 def loaded():
@@ -50,6 +53,16 @@ for name, t in (("ghz", slocc3.ghz_state()), ("2x3x4-1 image", image),
     slocc3.rank_interval(t, restarts=2, max_iter=300)
     if loaded():
         sys.exit(f"rank_interval({name}): loaded {loaded()[:3]}")
+rng = np.random.default_rng(3)
+planted = [np.outer(rng.standard_normal(3), rng.standard_normal(3)) for _ in range(3)]
+space = slocc3.MatrixSubspace(3, 3, planted + [rng.standard_normal((3, 3))])
+report = slocc3.find_product_vectors(space, starts=3, seed=5)
+if report.exactness != "LowerBound" or loaded():
+    sys.exit(f"k = 4 search: {report.exactness}, loaded {loaded()[:3]}")
+other = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+verdict = slocc3.detpoly_equiv_test(slocc3.catalog_build("3x3x3-diag"), other, restarts=2)
+if verdict.kind != "NoCandidateFound" or loaded():
+    sys.exit(f"detpoly search: {verdict.kind}, loaded {loaded()[:3]}")
 print("ok")
 """
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import slocc3 as s
+from slocc3.tensor import least_squares
 
 
 def random_tensor(rng, dims):
@@ -237,3 +238,62 @@ def test_complex_json_decoders_invert_the_encoders():
     for name, decode in decoders.items():
         with pytest.raises(ValueError):
             decode(docs[name].replace("0.1", "NaN", 1))
+
+
+def _rosenbrock(x):
+    return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+
+def _rosenbrock_jac(x):
+    return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+
+@pytest.mark.parametrize("jac", [_rosenbrock_jac, None])
+def test_least_squares_reaches_a_zero_residual(jac):
+    sol = least_squares(_rosenbrock, np.array([-1.2, 1.0]), jac=jac)
+    np.testing.assert_allclose(sol.x, [1.0, 1.0], atol=1e-7)
+    assert sol.nfev < 200
+
+
+def test_least_squares_stops_at_cost_zero():
+    """A start at an exact zero takes one evaluation, not more steps."""
+    sol = least_squares(_rosenbrock, np.array([1.0, 1.0]), jac=_rosenbrock_jac)
+    assert sol.nfev == 1
+    np.testing.assert_array_equal(sol.x, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("jac", [lambda x: np.array([[1.0], [0.0]]), None])
+def test_least_squares_stops_at_a_nonzero_minimum(jac):
+    """r(x) = [x0, 1] has minimum cost 1 at x0 = 0: the search stops once the
+    cost stops falling, far below its evaluation budget."""
+    sol = least_squares(lambda x: np.array([x[0], 1.0]), np.array([3.0]), jac=jac,
+                        max_nfev=4000)
+    assert abs(sol.x[0]) < 1e-7
+    assert sol.nfev < 100
+
+
+def test_least_squares_counts_difference_quotients():
+    """Without ``jac`` each Jacobian costs x.size evaluations, all in nfev."""
+    calls = []
+
+    def fun(x):
+        calls.append(x.copy())
+        return _rosenbrock(x)
+
+    x0 = np.array([-1.2, 1.0])
+    for budget in (1 + x0.size, 2 + x0.size):
+        calls.clear()
+        sol = least_squares(fun, x0, max_nfev=budget)
+        assert sol.nfev == len(calls) == budget
+    np.testing.assert_array_equal(calls[0], x0)
+    sol = least_squares(fun, x0, jac=_rosenbrock_jac, max_nfev=3)
+    assert sol.nfev == 3
+
+
+@pytest.mark.parametrize("jac", [_rosenbrock_jac, None])
+def test_least_squares_is_deterministic(jac):
+    """Equal seeds give equal starts, and equal starts bit-identical ends."""
+    ends = [least_squares(_rosenbrock, np.random.default_rng(8).standard_normal(2), jac=jac)
+            for _ in range(2)]
+    np.testing.assert_array_equal(ends[0].x, ends[1].x)
+    assert ends[0].nfev == ends[1].nfev
