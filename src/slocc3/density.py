@@ -14,7 +14,7 @@ import string
 
 import numpy as np
 
-from .tensor import column_space, complex_to_pairs
+from .tensor import check_tol, column_space, complex_to_pairs
 
 EIGEN_RANK_TOL = 1e-9
 # input checks of partial_trace, relative to the largest entry modulus and
@@ -145,8 +145,7 @@ def range_basis(rho, tol: float = EIGEN_RANK_TOL):
     PSD matrix these are eigenvectors, kept when their eigenvalue is above
     tol times the largest, in descending eigenvalue order.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tol(tol)
     if not np.all(np.isfinite(rho)):
         raise ValueError("matrix entries must be finite")
     return list(column_space(rho, tol).T)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detpoly import det_coefficients
-from .tensor import as_tensor, complex_to_pairs
+from .tensor import as_tensor, check_tol, complex_to_pairs
 
 PENCIL_RANK_TOL = 1e-8
 EIGEN_CLUSTER_RADIUS = 1e-6
@@ -276,6 +276,7 @@ def pencil_invariants(t, tol: float = PENCIL_RANK_TOL) -> PencilInvariants:
     decisions count singular values above ``tol`` and eigen-points are
     clustered at chordal radius 1e-6.
     """
+    check_tol(tol)
     t = as_tensor(t)
     if t.shape[0] != 2:
         raise ValueError(f"pencil requires mode-1 dimension 2, got {t.shape[0]}")

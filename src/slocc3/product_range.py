@@ -3,24 +3,24 @@
 Vectors of C^M tensor C^N reshaped as M x N matrices turn "product vector"
 into "rank-1 matrix", so counting linearly independent product states in the
 range of a reduced density matrix becomes finding the rank-1 locus of a
-matrix subspace.  Subspaces of one shape and dimension are decided as one
-stack; ``range_criterion_compare`` stacks its two states' ranges, which
-come with the local ranks from one batched SVD per mode
-(``_ranks_and_ranges``), and ``find_product_vectors`` is the stack of one.
-A range basis is the orthonormal left singular vectors of that SVD, so it
-is its own orthonormal basis and its conjugate its pseudo-inverse, with no
-second factorisation; a user's basis gets both from one SVD (``_factor``).
-k = 1, 2 and 3 are decided exactly in the orthonormal basis (``_exact``):
-k = 2 from the roots of the largest of the pencil's closed-form 2x2 minor
-forms (``_pencil_forms``) by the stable quadratic formula
+matrix subspace.  Every decision is made in an orthonormal basis of the
+subspace, and subspaces of one shape and dimension k are decided as one
+stack (count, k, m, n) of such bases, with candidates as coordinates in
+them.  ``range_criterion_compare`` stacks its two states' ranges, whose
+orthonormal rows come with the local ranks from one batched SVD per mode
+(``_ranks_and_ranges``); ``find_product_vectors`` decides the orthonormal
+basis of a user's subspace (``MatrixSubspace.ortho``) as a stack of one.
+k = 1, 2 and 3 are decided exactly (``_exact``): k = 2 from the roots of
+the largest minor form of the pencil by the stable quadratic formula
 (``_quadratic_points``), k = 3 from two random combinations of the minor
 quadrics through a resultant quartic, whose roots for the whole stack come
 from one ``eigvals`` of the stacked companion matrices (``_chart_zeros``),
 and the whole stack's candidates through one rank-1 screen and one batched
 polish and check (``_accept``).  k >= 4, and a subspace the screen leaves
 undecided, go to a seeded multi-start Levenberg-Marquardt search, a lower
-bound, never an exact count.  All paths evaluate the minors with one
-vectorised kernel (``_minor_entries``).
+bound, never an exact count.  Every minor form comes from one kernel
+(``_minor_quadrics``) and every minor value from another (``_all_minors``),
+both over the gathered entries of ``_minor_entries``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from functools import cache
 import numpy as np
 
 from .pencil import EIGEN_CLUSTER_RADIUS, _chordal
-from .tensor import (DEFAULT_RANK_TOL, _rank_of_spectrum, as_tensor, complex_to_pairs,
+from .tensor import (DEFAULT_RANK_TOL, as_tensor, column_space, complex_to_pairs,
                      least_squares, matrix_rank_tol)
 
 MINOR_TOL = 1e-7
@@ -64,9 +64,8 @@ class MatrixSubspace:
     basis: list
     # (k, m*n): row j is basis[j] flattened
     stack: np.ndarray = field(init=False, repr=False, compare=False)
-    # (k, m*n): least-squares coefficients of a flattened matrix are pinv @ vec
-    pinv: np.ndarray = field(init=False, repr=False, compare=False)
-    # (k, m*n): orthonormal rows spanning the same space
+    # (k, m*n): orthonormal rows spanning the same space, the coordinates
+    # every decision is made in
     ortho: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -78,20 +77,9 @@ class MatrixSubspace:
             if b.shape != (self.m, self.n):
                 raise ValueError(f"basis matrix shape {b.shape} != ({self.m},{self.n})")
         self.stack = np.stack([b.ravel() for b in self.basis])
-        self.pinv, self.ortho = _factor(self.stack)
-
-    @classmethod
-    def _orthonormal(cls, m, n, stacks) -> list:
-        """Subspaces with the orthonormal bases ``stacks`` (count, k, m*n),
-        rows r_i with r_i . conj(r_j) = delta_ij: each is its own orthonormal
-        basis and its conjugate is its pseudo-inverse, so nothing is factored."""
-        spaces = []
-        for stack in stacks:
-            space = cls.__new__(cls)
-            space.m, space.n, space.basis = m, n, list(stack.reshape(-1, m, n))
-            space.stack, space.pinv, space.ortho = stack, stack.conj(), stack
-            spaces.append(space)
-        return spaces
+        self.ortho = column_space(self.stack.T, 1e-9).T
+        if len(self.ortho) != k:
+            raise ValueError("basis matrices are linearly dependent")
 
     @property
     def dim(self) -> int:
@@ -99,17 +87,6 @@ class MatrixSubspace:
 
     def member(self, coeffs) -> np.ndarray:
         return (np.asarray(coeffs, dtype=complex) @ self.stack).reshape(self.m, self.n)
-
-
-def _factor(stack):
-    """Pseudo-inverse and orthonormal basis of a basis (k, m*n) by one SVD:
-    the one ``np.linalg.pinv(stack.T)`` takes, and its arithmetic, so pinv
-    is bit-identical to it; stack = vh^H diag(s) u^H, so u^H is an
-    orthonormal basis of the span."""
-    u, s, vh = np.linalg.svd(stack.conj().T, full_matrices=False)
-    if _rank_of_spectrum(s, 1e-9) != len(stack):
-        raise ValueError("basis matrices are linearly dependent")
-    return vh.T @ ((1 / s)[:, None] * u.T), u.T.conj()
 
 
 @dataclass
@@ -193,60 +170,30 @@ def _all_minors(mats) -> np.ndarray:
     return _cmul(a, d) - _cmul(b, c)
 
 
-@cache
-def _form_index(m: int, n: int) -> np.ndarray:
-    """Flat positions in a pair (2, m, n) of the factors of the eight
-    products a0 d0, b0 c0, a0 d1, a1 d0, b0 c1, b1 c0, a1 d1, b1 c1 that
-    ``_pencil_forms`` sums.  Shape (2, 8, minor count): left, then right
-    factors; read-only, since every caller shares it."""
-    a, d, b, c = _minor_index(m, n)
-    a1, d1, b1, c1 = _minor_index(m, n) + m * n
-    idx = np.array([[a, b, a, a1, b, b1, a1, b1], [d, c, d1, d, c1, c, d1, c1]])
-    idx.setflags(write=False)
-    return idx
-
-
-def _pencil_forms(pairs) -> np.ndarray:
-    """Binary forms of the 2x2 minors of x*B1 + y*B2, ``pairs`` (..., 2, m, n).
-
-    A row per minor in ``_minor_index`` order, holding the coefficients of
-    x^2, xy and y^2.  With (a_j, d_j, b_j, c_j) the minor's entries of B1
-    (j = 0) and B2 (j = 1) they are a0 d0 - b0 c0,
-    a0 d1 + a1 d0 - b0 c1 - b1 c0 and a1 d1 - b1 c1, summed in that order
-    from one ``_cmul`` of every pair's eight products.
-    """
-    *batch, _, m, n = np.shape(pairs)
-    flat = np.asarray(pairs, dtype=complex).reshape(*batch, 2 * m * n)
-    left, right = _form_index(m, n)
-    p = np.moveaxis(_cmul(flat[..., left], flat[..., right]), -2, 0)
-    return np.stack([p[0] - p[1], p[2] + p[3] - p[4] - p[5], p[6] - p[7]], axis=-1)
-
-
-def _accept(spaces, owner, coeffs, tol) -> list:
+def _accept(orthos, owner, coeffs, tol) -> list:
     """Polish candidates and keep those that are genuine rank-1 members.
 
-    ``coeffs[i]`` are coordinates in the basis of ``spaces[owner[i]]``.  A
-    round is one batched SVD of the unit members; each member whose second
-    singular value is above 1e-14 of its first is truncated to rank 1 and
-    projected back through the pseudo-inverse, at most 4 times.  A zero
-    member is dropped: the basis passed the independence check, so only
-    coordinates that are zero or lost to round-off give one, at any scale
-    of the basis.  On the final SVD,
-    every minor must be at most ``tol`` (which enforces a ``tol`` below
-    ``RECONSTRUCT_TOL``) and the unit member within ``RECONSTRUCT_TOL`` of
-    its rank-1 part.  Returns (u, v, unit member) or None per candidate.
+    ``coeffs[i]`` are coordinates in the basis ``orthos[owner[i]]`` of a
+    stack (count, k, m, n) of orthonormal bases.  A round is one batched SVD
+    of the unit members; each member whose second singular value is above
+    1e-14 of its first is truncated to rank 1 and projected back onto its
+    subspace by the conjugate basis, at most 4 times.  A zero member is
+    dropped: the basis is orthonormal, so only zero coordinates give one.
+    On the final SVD, every minor must be at most ``tol`` (which enforces a
+    ``tol`` below ``RECONSTRUCT_TOL``) and the unit member within
+    ``RECONSTRUCT_TOL`` of its rank-1 part.  Returns (u, v, unit member) or
+    None per candidate.
     """
     if len(owner) == 0:
         return []
-    m, n = spaces[0].m, spaces[0].n
+    count, k, m, n = orthos.shape
+    bases = orthos.reshape(count, k, m * n)[owner]
     c = np.array(coeffs, dtype=complex)
-    stacks = np.stack([space.stack for space in spaces])[owner]
-    pinvs = np.stack([space.pinv for space in spaces])[owner]
     units = np.zeros((len(c), m, n), dtype=complex)
     u, v = np.zeros((len(c), m), dtype=complex), np.zeros((len(c), n), dtype=complex)
     idx = np.arange(len(c))
     for projections in range(5):
-        members = (c[idx, None] @ stacks[idx])[:, 0]
+        members = (c[idx, None] @ bases[idx])[:, 0]
         norms = np.linalg.norm(members, axis=1)
         ok = norms > 0.0
         units[idx[~ok]] = np.nan  # fails both checks
@@ -258,7 +205,7 @@ def _accept(spaces, owner, coeffs, tol) -> list:
         if projections == 4 or not idx.size:
             break
         rank1 = (u[idx, :, None] * v[idx, None, :]).reshape(-1, m * n, 1)
-        c[idx] = (pinvs[idx] @ rank1)[:, :, 0]
+        c[idx] = (bases[idx].conj() @ rank1)[:, :, 0]
     good = ((np.max(np.abs(_all_minors(units)), axis=1, initial=0.0) <= tol)
             & (np.linalg.norm(u[:, :, None] * v[:, None, :] - units, axis=(1, 2))
                <= RECONSTRUCT_TOL))
@@ -273,7 +220,8 @@ def _check_args(tol, starts):
 
 def find_product_vectors(space: MatrixSubspace, tol: float = MINOR_TOL,
                          starts: int = 16, seed: int = 0) -> ProductVectorReport:
-    """Find rank-1 members of a matrix subspace, decided as a stack of one.
+    """Find rank-1 members of a matrix subspace, decided in its orthonormal
+    basis ``space.ortho`` as a stack of one.
 
     k = 1: the basis matrix either is rank 1 or is not.  k = 2: candidates
     are the point at infinity and the roots of the largest minor form of
@@ -292,14 +240,17 @@ def find_product_vectors(space: MatrixSubspace, tol: float = MINOR_TOL,
     a NaN or negative ``tol`` or negative ``starts``.
     """
     _check_args(tol, starts)
-    [report] = _reports([space], tol, starts, seed)
+    [report] = _reports(space.ortho.reshape(1, space.dim, space.m, space.n), tol, starts, seed)
     return report
 
 
-def _reports(spaces, tol, starts, seed) -> list:
-    """Per subspace of a stack, its ``_exact`` report or its own search's."""
-    return [_search(space, tol, starts, seed) if report is None else report
-            for space, report in zip(spaces, _exact(spaces, tol, seed))]
+def _reports(orthos, tol, starts, seed) -> list:
+    """Per orthonormal basis of a stack (count, k, m, n), its ``_exact``
+    report or its own search's."""
+    if not orthos.shape[1]:  # only a zero state's range; a MatrixSubspace has k >= 1
+        raise ValueError("reduced density matrix has empty range")
+    return [_search(ortho, tol, starts, seed) if report is None else report
+            for ortho, report in zip(orthos, _exact(orthos, tol, seed))]
 
 
 def _report(cands, exactness, continuum=False, detail="") -> ProductVectorReport:
@@ -319,8 +270,8 @@ def _report(cands, exactness, continuum=False, detail="") -> ProductVectorReport
     )
 
 
-def _exact_k1(space, tol):
-    b_hat = space.ortho[0].reshape(space.m, space.n)  # unit, at any scale of the basis
+def _exact_k1(b_hat, tol):
+    """Report of the span of one unit matrix ``b_hat`` (m, n)."""
     if np.max(np.abs(_all_minors(b_hat)), initial=0.0) <= tol:
         uu, ss, vh = np.linalg.svd(b_hat)
         return _report([(uu[:, 0] * ss[0], vh[0], b_hat)], "Exact")
@@ -331,30 +282,31 @@ def _exact_k1(space, tol):
 _PENCIL_SAMPLES = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0], [1.0, 1.0j]])
 
 
-def _exact(spaces, tol, seed) -> list:
-    """Per subspace of a stack of one shape and dimension k, its exact
-    report, or None where only the search can decide.
+def _exact(orthos, tol, seed) -> list:
+    """Per orthonormal basis of a stack (count, k, m, n), its exact report,
+    or None where only the search can decide.
 
-    k = 2 and 3 get coordinates in each orthonormal basis that include every
-    rank-1 member: the roots of the pencil's largest minor form
-    (``_quadratic_points``), or ``_k3_points``.  One minor evaluation discards those with a minor above
-    max(tol, margin), and one ``_accept`` takes the rest; a count is exact
-    only if each candidate is discarded or accepted.  A pencil whose every
-    member is rank <= 1 reports its accepted ``_PENCIL_SAMPLES`` as a lower
-    bound and a continuum.
+    k = 2 and 3 get coordinates that include every rank-1 member: the roots
+    of the pencil's largest minor form (x^2, xy and y^2 coefficients
+    A_00, 2 A_01 and A_11 of its ``_minor_quadrics``) by
+    ``_quadratic_points``, or ``_k3_points``.  One minor evaluation discards
+    those with a minor above max(tol, margin), and one ``_accept`` takes the
+    rest; a count is exact only if each candidate is discarded or accepted.
+    A pencil whose every member is rank <= 1 reports its accepted
+    ``_PENCIL_SAMPLES`` as a lower bound and a continuum.
     """
-    k, m, n = spaces[0].dim, spaces[0].m, spaces[0].n
+    count, k, m, n = orthos.shape
     if k == 1:
-        return [_exact_k1(space, tol) for space in spaces]
+        return [_exact_k1(ortho[0], tol) for ortho in orthos]
     if k > 3:
-        return [None] * len(spaces)
-    orthos = np.stack([space.ortho for space in spaces]).reshape(-1, k, m, n)
+        return [None] * count
     if k == 2:
-        forms = _pencil_forms(orthos)
+        quads = _minor_quadrics(orthos)
+        forms = np.stack([quads[..., 0, 0], 2.0 * quads[..., 0, 1], quads[..., 1, 1]], axis=-1)
         if not forms.shape[1]:  # a 1 x n or m x 1 pencil has no 2x2 minor
-            forms = np.zeros((len(spaces), 1, 3), dtype=complex)
+            forms = np.zeros((count, 1, 3), dtype=complex)
         peaks = np.max(np.abs(forms), axis=-1)
-        largest = np.arange(len(spaces)), np.argmax(peaks, axis=1)
+        largest = np.arange(count), np.argmax(peaks, axis=1)
         points = [_PENCIL_SAMPLES if peak <= 1e-12 else _quadratic_points(form)
                   for form, peak in zip(forms[largest].tolist(), peaks[largest])]
         margin, detail = PENCIL_REJECT_MARGIN, ""
@@ -363,15 +315,16 @@ def _exact(spaces, tol, seed) -> list:
         margin, detail = REJECT_MARGIN, "common zeros of two minor quadrics"
     decided = [i for i, p in enumerate(points) if p is not None]
     if not decided:
-        return [None] * len(spaces)
+        return [None] * count
     owner = np.repeat(decided, [len(points[i]) for i in decided])
-    members = np.concatenate([points[i] @ spaces[i].ortho for i in decided])
+    coords = np.concatenate([points[i] for i in decided])
+    flat = orthos.reshape(count, k, m * n)
+    members = np.concatenate([points[i] @ flat[i] for i in decided])
     units = members / np.linalg.norm(members, axis=1, keepdims=True)
     peaks = np.max(np.abs(_all_minors(units.reshape(-1, m, n))), axis=1, initial=0.0)
-    owner, members = owner[peaks <= max(tol, margin)], members[peaks <= max(tol, margin)]
-    pinvs = np.stack([space.pinv for space in spaces])[owner]
-    accepted = _accept(spaces, owner, (pinvs @ members[:, :, None])[:, :, 0], tol)
-    reports = [None] * len(spaces)
+    owner, coords = owner[peaks <= max(tol, margin)], coords[peaks <= max(tol, margin)]
+    accepted = _accept(orthos, owner, coords, tol)
+    reports = [None] * count
     for i in decided:
         cands = [accepted[j] for j in np.flatnonzero(owner == i)]
         if points[i] is _PENCIL_SAMPLES:
@@ -546,14 +499,14 @@ def _chart_zeros(qs, h) -> list:
     return points
 
 
-def _search(space, tol, starts, seed):
-    """Multi-start search in the coordinates of the orthonormal basis, so
-    its residuals do not depend on the scale of the basis; the end points go
-    to ``_accept`` in the coordinates of the basis itself."""
-    k = space.dim
-    form = _minor_form(space.ortho.reshape(k, space.m, space.n))
+def _search(ortho, tol, starts, seed):
+    """Multi-start search in the coordinates of an orthonormal basis
+    (k, m, n), so its residuals do not depend on the scale of the subspace;
+    the end points go to ``_accept`` as the coordinates they are."""
+    k, m, n = ortho.shape
+    form = _minor_form(ortho)
     ends = []
-    root_seq = np.random.SeedSequence([seed, space.m, space.n, k])
+    root_seq = np.random.SeedSequence([seed, m, n, k])
     for child in root_seq.spawn(starts):
         rng = np.random.default_rng(child)
         c0 = rng.standard_normal(k) + 1j * rng.standard_normal(k)
@@ -562,8 +515,8 @@ def _search(space, tol, starts, seed):
         sol = least_squares(lambda x: _minor_residual(x, form)[0], x0,
                             jac=lambda x: _minor_residual(x, form)[1], max_nfev=2000)
         ends.append(sol.x[:k] + 1j * sol.x[k:])
-    ends = np.array(ends).reshape(-1, k) @ space.ortho @ space.pinv.T
-    return _report(_accept([space], np.zeros(len(ends), dtype=int), ends, tol), "LowerBound",
+    ends = np.array(ends).reshape(-1, k)
+    return _report(_accept(ortho[None], np.zeros(len(ends), dtype=int), ends, tol), "LowerBound",
                    detail=f"multi-start search with {starts} starts")
 
 
@@ -584,34 +537,25 @@ def _party_index(party) -> int:
 
 def _ranks_and_ranges(states, p):
     """Local ranks of each state in a stack (count, n1, n2, n3) of one shape,
-    and an orthonormal basis (columns) of the range of its reduced density
-    with party ``p`` traced out.
+    and an orthonormal basis of the range of its reduced density with party
+    ``p`` traced out, as rows reshaped to the kept parties' matrices.
 
     One batched SVD per mode: singular values only for the two kept modes,
     and the left singular vectors of the (kept x traced) unfolding X, whose
     column space is the range of X X^dagger.  Every rank is decided by the
     rule of ``local_ranks``, for the whole stack at once, so the range
     dimension is the traced party's local rank at any nonzero scale.
-    Returns a (ranks, basis) pair per state.
+    Returns a (ranks, range (k, m, n)) pair per state.
     """
     count, *dims = states.shape
     spectra = [np.linalg.svd(np.moveaxis(states, q + 1, 1).reshape(count, dims[q], -1),
                              compute_uv=False) if q != p else None for q in range(3)]
     x = np.moveaxis(states, p + 1, -1).reshape(count, -1, dims[p])
     u, spectra[p], _ = np.linalg.svd(x, full_matrices=False)
+    rows = np.swapaxes(u, 1, 2).reshape(count, -1, *(d for q, d in enumerate(dims) if q != p))
     # the rule of _rank_of_spectrum, over the stack (s[:, 0] = 0 gives rank 0)
     ranks = np.stack([(s > DEFAULT_RANK_TOL * s[:, :1]).sum(axis=1) for s in spectra], axis=1)
-    return [(tuple(r.tolist()), ui[:, :r[p]]) for r, ui in zip(ranks, u)]
-
-
-def _range_spaces(shape, p, bases) -> list:
-    """Subspaces of the kept parties' matrices spanned by each range basis
-    of a stack (count, m*n, k) of orthonormal columns, which serve as their
-    own orthonormal basis and pseudo-inverse."""
-    if bases.shape[2] == 0:
-        raise ValueError("reduced density matrix has empty range")
-    m, n = (d for i, d in enumerate(shape) if i != p)
-    return MatrixSubspace._orthonormal(m, n, np.ascontiguousarray(bases.transpose(0, 2, 1)))
+    return [(tuple(r.tolist()), ri[:r[p]]) for r, ri in zip(ranks, rows)]
 
 
 def range_product_count(psi, traced_party, tol: float = MINOR_TOL,
@@ -624,17 +568,17 @@ def range_product_count(psi, traced_party, tol: float = MINOR_TOL,
     of the one SVD of X, cut by the rule of ``local_ranks``, so its dimension
     is the traced party's local rank at any nonzero scale
     (``_ranks_and_ranges``).  Those vectors are orthonormal, so they are the
-    subspace's basis, orthonormal basis and (conjugated) pseudo-inverse with
-    no second factorisation.  A 2-dimensional range is decided from the
-    roots of the largest closed-form minor form of its pencil by the
-    quadratic formula, a 3-dimensional one from the companion eigenvalues of
-    the resultant of two minor quadrics (see ``find_product_vectors``).
+    basis every decision is made in, with no second factorisation.  A
+    2-dimensional range is decided from the roots of the largest minor form
+    of its pencil by the quadratic formula, a 3-dimensional one from the
+    companion eigenvalues of the resultant of two minor quadrics (see
+    ``find_product_vectors``); the arguments are checked as there.
     """
+    _check_args(tol, starts)
     psi = as_tensor(psi)
-    p = _party_index(traced_party)
-    [(_, basis)] = _ranks_and_ranges(psi[None], p)
-    [space] = _range_spaces(psi.shape, p, basis[None])
-    return find_product_vectors(space, tol=tol, starts=starts, seed=seed)
+    [(_, rows)] = _ranks_and_ranges(psi[None], _party_index(traced_party))
+    [report] = _reports(rows[None], tol, starts, seed)
+    return report
 
 
 def range_criterion_compare(s1, s2, traced_party, tol: float = MINOR_TOL,
@@ -648,8 +592,7 @@ def range_criterion_compare(s1, s2, traced_party, tol: float = MINOR_TOL,
     ranges (``_ranks_and_ranges``), and once the ranks agree, one screen and
     one ``_accept`` decide both ranges (``_exact``); a range left undecided
     goes to its own search.  The counts are those of
-    ``range_product_count``, and the arguments are checked as in
-    ``find_product_vectors``.
+    ``range_product_count``, and the arguments are checked as there.
     """
     _check_args(tol, starts)
     s1 = as_tensor(s1)
@@ -657,11 +600,10 @@ def range_criterion_compare(s1, s2, traced_party, tol: float = MINOR_TOL,
     if s1.shape != s2.shape:
         raise ValueError("states must share party dims")
     p = _party_index(traced_party)
-    (ranks1, basis1), (ranks2, basis2) = _ranks_and_ranges(np.stack([s1, s2]), p)
+    (ranks1, range1), (ranks2, range2) = _ranks_and_ranges(np.stack([s1, s2]), p)
     if ranks1 != ranks2:
         return "Inequivalent"
-    spaces = _range_spaces(s1.shape, p, np.stack([basis1, basis2]))
-    r1, r2 = _reports(spaces, tol, starts, seed)
+    r1, r2 = _reports(np.stack([range1, range2]), tol, starts, seed)
     if (
         r1.exactness == "Exact"
         and r2.exactness == "Exact"

@@ -26,7 +26,7 @@ from numpy.linalg import lapack_lite
 
 from . import catalog as _catalog
 from .pencil import pencil_invariants
-from .tensor import as_tensor, column_space, complex_to_pairs, local_ranks, unfold
+from .tensor import as_tensor, check_tol, column_space, complex_to_pairs, local_ranks, unfold
 
 BORDER_RANK_CAVEAT = (
     "numerical decomposition certificate: rank <= R at the stated residual; "
@@ -38,32 +38,16 @@ BORDER_RANK_CAVEAT = (
 
 
 def hyperdeterminant_222(t) -> complex:
-    """Cayley hyperdeterminant of a 2 x 2 x 2 tensor (degree 4 invariant)."""
+    """Cayley hyperdeterminant of a 2 x 2 x 2 tensor (degree 4 invariant):
+    the discriminant b^2 - 4ac of the binary quadratic
+    det(x t[0] + y t[1]) = a x^2 + b xy + c y^2."""
     t = as_tensor(t)
     if t.shape != (2, 2, 2):
         raise ValueError(f"expected dims (2, 2, 2), got {t.shape}")
-    a = {
-        (i, j, k): t[i, j, k] for i in range(2) for j in range(2) for k in range(2)
-    }
-    sq = (
-        a[0, 0, 0] ** 2 * a[1, 1, 1] ** 2
-        + a[0, 0, 1] ** 2 * a[1, 1, 0] ** 2
-        + a[0, 1, 0] ** 2 * a[1, 0, 1] ** 2
-        + a[1, 0, 0] ** 2 * a[0, 1, 1] ** 2
-    )
-    cross = (
-        a[0, 0, 0] * a[0, 0, 1] * a[1, 1, 0] * a[1, 1, 1]
-        + a[0, 0, 0] * a[0, 1, 0] * a[1, 0, 1] * a[1, 1, 1]
-        + a[0, 0, 0] * a[0, 1, 1] * a[1, 0, 0] * a[1, 1, 1]
-        + a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 1] * a[1, 1, 0]
-        + a[0, 0, 1] * a[0, 1, 1] * a[1, 0, 0] * a[1, 1, 0]
-        + a[0, 1, 0] * a[0, 1, 1] * a[1, 0, 0] * a[1, 0, 1]
-    )
-    quad = (
-        a[0, 0, 0] * a[0, 1, 1] * a[1, 0, 1] * a[1, 1, 0]
-        + a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 0] * a[1, 1, 1]
-    )
-    return complex(sq - 2 * cross + 4 * quad)
+    (p, q), (r, s) = t[0]  # x t[0] + y t[1] = [[x p + y e, x q + y f], [x r + y g, x s + y h]]
+    (e, f), (g, h) = t[1]
+    a, b, c = p * s - q * r, p * h + e * s - q * g - f * r, e * h - f * g
+    return complex(b * b - 4 * a * c)
 
 
 CLASS_RANKS = {
@@ -86,6 +70,7 @@ def classify_222(t, tol: float = 1e-10) -> str:
     of ``t`` divided by its largest entry modulus and compared with ``tol``,
     so the class is the same at every nonzero scale of ``t``.
     """
+    check_tol(tol)
     t = as_tensor(t)
     if t.shape != (2, 2, 2):
         raise ValueError(f"expected dims (2, 2, 2), got {t.shape}")
@@ -173,6 +158,7 @@ def rank_lower_bound(t, tol: float = 1e-9):
     * ``LocalRank``: the largest local rank, whenever neither argument
       gives more.
     """
+    check_tol(tol)
     t = as_tensor(t)
     return _lower_bound(t, _compress_support(t, tol)[0])
 

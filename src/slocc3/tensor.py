@@ -122,6 +122,13 @@ def refold(m, mode: int, dims) -> np.ndarray:
     return np.moveaxis(cube, 0, mode - 1).copy()
 
 
+def check_tol(tol) -> None:
+    """ValueError unless a rank tolerance is positive and finite; the chained
+    comparison is False for NaN, so NaN fails too."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
+
+
 def _rank_of_spectrum(s, tol) -> int:
     """Singular values (descending) above tol times the largest."""
     if s.size == 0 or s[0] == 0.0:
@@ -146,8 +153,7 @@ def column_space(m, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
 
 def local_ranks(t, tol: float = DEFAULT_RANK_TOL):
     """Ranks of the three mode unfoldings (the state's local ranks)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tol(tol)
     t = as_tensor(t)
     return tuple(matrix_rank_tol(unfold(t, m), tol) for m in (1, 2, 3))
 

@@ -21,15 +21,12 @@ from slocc3.product_range import (
     MatrixSubspace,
     _all_minors,
     _chart_zeros,
-    _cmul,
-    _minor_entries,
     _minor_form,
+    _minor_quadrics,
     _accept,
     _exact,
     _minor_residual,
-    _pencil_forms,
     _quadratic_points,
-    _range_spaces,
     _ranks_and_ranges,
     _search,
 )
@@ -52,6 +49,17 @@ def _all_minors_loop(mat) -> np.ndarray:
 
 def _random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _orthos(space) -> np.ndarray:
+    """The orthonormal basis of ``space`` as a stack of one (1, k, m, n)."""
+    return space.ortho.reshape(1, space.dim, space.m, space.n)
+
+
+def _in_span(space, mat) -> float:
+    """Distance of ``mat`` from its projection onto the orthonormal rows of ``space``."""
+    vec = np.ravel(mat)
+    return np.linalg.norm((space.ortho.conj() @ vec) @ space.ortho - vec)
 
 
 KERNEL_SHAPES = [(1, 4), (4, 1), (2, 2), (3, 3), (3, 4), (4, 3), (2, 6)]
@@ -79,8 +87,9 @@ def test_minor_kernel_on_a_stack_matches_each_matrix_exactly():
 
 @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 3)])
 def test_closed_form_pencil_forms_match_determinant_kernel(shape):
-    """Reference: the two-term permutation expansion of each 2x2 minor of
-    x*B1 + y*B2, in ``_minor_index`` order (row pairs outer)."""
+    """The binary forms (A_00, 2 A_01, A_11) of the minor quadrics of a
+    pencil x*B1 + y*B2.  Reference: the two-term permutation expansion of
+    each 2x2 minor, in ``_minor_index`` order (row pairs outer)."""
     rng = np.random.default_rng(shape[0] * 10 + shape[1])
     m, n = shape
     for _ in range(10):
@@ -94,19 +103,18 @@ def test_closed_form_pencil_forms_match_determinant_kernel(shape):
             for r1, r2 in itertools.combinations(range(m), 2)
             for c1, c2 in itertools.combinations(range(n), 2)
         ])
-        got = _pencil_forms(np.stack([b1, b2]))
+        quads = _minor_quadrics(np.stack([b1, b2]))
+        got = np.stack([quads[:, 0, 0], 2.0 * quads[:, 0, 1], quads[:, 1, 1]], axis=-1)
         assert got.shape == ref.shape
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
 
 
 @pytest.mark.parametrize("m,n,k", [(2, 2, 1), (2, 2, 2), (3, 3, 2), (3, 3, 3), (3, 4, 3), (4, 4, 5)])
 def test_subspace_factorisation(m, n, k):
-    """One SVD gives np.linalg.pinv's pseudo-inverse bit for bit, and an
-    orthonormal basis of the same span."""
+    """An orthonormal basis of the same span."""
     rng = np.random.default_rng(m * 100 + n * 10 + k)
     for scale in (1e-150, 1.0, 1e150):
         space = MatrixSubspace(m, n, list(scale * _random_complex(rng, (k, m, n))))
-        assert (space.pinv == np.linalg.pinv(space.stack.T)).all()
         np.testing.assert_allclose(space.ortho @ space.ortho.conj().T, np.eye(k), atol=1e-14)
         # the basis is reproduced from its projection onto the orthonormal rows
         proj = (space.stack @ space.ortho.conj().T) @ space.ortho
@@ -206,8 +214,9 @@ def test_accept_candidate_minor_check_enforces_caller_tol():
     """diag(1, 1e-10) reconstructs from its rank-1 part within RECONSTRUCT_TOL,
     so only the minor check rejects it at a tol below its 1e-10 minor."""
     space = MatrixSubspace(2, 2, [np.diag([1.0, 1e-10])])
-    assert _accept([space], [0], [[1.0]], 1e-12) == [None]
-    [accepted] = _accept([space], [0], [[1.0]], MINOR_TOL)
+    coords = [space.ortho.conj() @ space.stack[0]]  # of the basis matrix itself
+    assert _accept(_orthos(space), [0], coords, 1e-12) == [None]
+    [accepted] = _accept(_orthos(space), [0], coords, MINOR_TOL)
     assert accepted is not None
     u, v, m_hat = accepted
     np.testing.assert_allclose(m_hat, np.diag([1.0, 1e-10]), rtol=0, atol=1e-15)
@@ -216,17 +225,22 @@ def test_accept_candidate_minor_check_enforces_caller_tol():
 
 def _accept_candidate_loop(space, coeffs, tol):
     """The per-candidate polish and checks that ``_accept`` batches, kept
-    as its reference: always 4 rounds of rank-1 truncation and projection."""
+    as its reference: always 4 rounds of rank-1 truncation and projection,
+    with coordinates in the orthonormal basis."""
+
+    def member(c):
+        return (c @ space.ortho).reshape(space.m, space.n)
+
     c = np.asarray(coeffs, dtype=complex)
     for _ in range(4):
-        m = space.member(c)
+        m = member(c)
         if np.linalg.norm(m) == 0:
             return None
         uu, ss, vh = np.linalg.svd(m / np.linalg.norm(m))
-        c = space.pinv @ (ss[0] * np.outer(uu[:, 0], vh[0])).ravel()
+        c = space.ortho.conj() @ (ss[0] * np.outer(uu[:, 0], vh[0])).ravel()
     if np.linalg.norm(c) == 0:
         return None
-    m = space.member(c / np.linalg.norm(c))
+    m = member(c / np.linalg.norm(c))
     if np.linalg.norm(m) < 1e-12:
         return None
     m_hat = m / np.linalg.norm(m)
@@ -244,9 +258,9 @@ def _recorded_accept(monkeypatch):
     calls = []
     real = pr._accept
 
-    def recording(spaces, owner, coeffs, tol):
-        calls.append((spaces, np.asarray(owner), np.asarray(coeffs), tol))
-        return real(spaces, owner, coeffs, tol)
+    def recording(orthos, owner, coeffs, tol):
+        calls.append((orthos, np.asarray(owner), np.asarray(coeffs), tol))
+        return real(orthos, owner, coeffs, tol)
 
     monkeypatch.setattr(pr, "_accept", recording)
     return calls
@@ -269,8 +283,8 @@ def test_batched_accept_reports_the_per_candidate_vectors(monkeypatch, name, spa
     reports on the same candidates, in the same order."""
     calls = _recorded_accept(monkeypatch)
     report = s.find_product_vectors(space, seed=1)
-    [(spaces, owner, coeffs, tol)] = calls
-    assert spaces == [space] and (owner == 0).all() and tol == MINOR_TOL
+    [(orthos, owner, coeffs, tol)] = calls
+    assert np.array_equal(orthos, _orthos(space)) and (owner == 0).all() and tol == MINOR_TOL
     expected = []
     for c in coeffs:
         cand = _accept_candidate_loop(space, c, tol)
@@ -298,8 +312,8 @@ def test_range_compare_accepts_both_states_in_one_call(monkeypatch, pair):
         expect, owners = "Inequivalent", {0}
     calls = _recorded_accept(monkeypatch)
     assert s.range_criterion_compare(s1, s2, "A") == expect
-    [(spaces, owner, _, _)] = calls
-    assert len(spaces) == 2 and set(owner.tolist()) == owners
+    [(orthos, owner, _, _)] = calls
+    assert len(orthos) == 2 and set(owner.tolist()) == owners
 
 
 @pytest.mark.parametrize("tol", [float("nan"), -1e-7])
@@ -451,6 +465,31 @@ def test_count_invariant_under_basis_change():
         assert report.exactness == "Exact"
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(shape=st.sampled_from([(2, 3), (3, 3), (3, 4), (4, 3)]),
+       k=st.sampled_from([2, 3]),
+       planted=st.integers(0, 3),
+       basis_seed=st.integers(0, 2**31 - 1),
+       mix_seed=st.integers(0, 2**31 - 1),
+       exponent=st.integers(-150, 150))
+def test_exact_count_does_not_depend_on_the_basis(shape, k, planted, basis_seed, mix_seed,
+                                                  exponent):
+    """The decision is made in an orthonormal basis of the span, so mixing
+    the user's basis by a cond <= 100 map and scaling it leaves every pair
+    of exact counts equal."""
+    rng = np.random.default_rng(basis_seed)
+    planted = min(planted, k)
+    basis = [np.outer(_random_complex(rng, shape[0]), _random_complex(rng, shape[1]))
+             for _ in range(planted)]
+    basis = np.array(basis + [_random_complex(rng, shape) for _ in range(k - planted)])
+    mix = s.random_nonsingular(k, mix_seed, cond_bound=100)
+    mixed = 10.0**exponent * np.tensordot(mix, basis, 1)
+    r1 = s.find_product_vectors(MatrixSubspace(*shape, list(basis)))
+    r2 = s.find_product_vectors(MatrixSubspace(*shape, list(mixed)))
+    if r1.exactness == r2.exactness == "Exact":
+        assert r1.independent_count == r2.independent_count
+
+
 def test_range_compare_ghz_w_inequivalent():
     assert s.range_criterion_compare(s.ghz_state(), s.w_state(), "A") == "Inequivalent"
 
@@ -577,15 +616,14 @@ def test_exact_k3_counts(name, space, count):
         m = np.outer(u, v)
         m_hat = m / np.linalg.norm(m)
         assert np.max(np.abs(_all_minors(m_hat))) <= MINOR_TOL
-        coeffs = space.pinv @ m_hat.ravel()
-        assert np.linalg.norm(space.member(coeffs) - m_hat) <= RECONSTRUCT_TOL
+        assert _in_span(space, m_hat) <= RECONSTRUCT_TOL
 
 
 def test_exact_k3_count_at_least_search_count():
     for seed, (name, space, _) in enumerate(K3_CASES):
-        exact = _exact([space], MINOR_TOL, seed)[0]
+        exact = _exact(_orthos(space), MINOR_TOL, seed)[0]
         assert exact is not None, name
-        search = _search(space, MINOR_TOL, 4, seed)
+        search = _search(_orthos(space)[0], MINOR_TOL, 4, seed)
         assert exact.independent_count >= search.independent_count, name
 
 
@@ -618,7 +656,7 @@ def test_k3_continuum_falls_back_to_search(name, basis):
     so the quartic vanishes and only a lower bound remains."""
     space = MatrixSubspace(3, 3, basis)
     for seed in range(3):
-        assert _exact([space], MINOR_TOL, seed)[0] is None
+        assert _exact(_orthos(space), MINOR_TOL, seed)[0] is None
     report = s.find_product_vectors(space, starts=4)
     assert report.exactness == "LowerBound"
     assert "multi-start search" in report.detail
@@ -633,12 +671,12 @@ def test_k3_undecided_root_falls_back_to_search():
     image = s.apply_slocc(entry.build(), *s.random_slocc(entry.system, 53, cond_bound=50))
     space = _range_space(image, party=1)
     assert space.dim == 3
-    assert _exact([space], MINOR_TOL, 3)[0] is None
+    assert _exact(_orthos(space), MINOR_TOL, 3)[0] is None
     report = s.find_product_vectors(space, seed=3)
     assert report.exactness == "LowerBound"
     assert report.independent_count == 1
     # other combinations decide the same subspace exactly
-    exact = _exact([space], MINOR_TOL, 1)[0]
+    exact = _exact(_orthos(space), MINOR_TOL, 1)[0]
     assert exact is not None and exact.independent_count == 1
 
 
@@ -726,9 +764,9 @@ def test_range_compare_of_an_image_is_never_inequivalent(name, map_seed, exponen
     assert verdict == "Inconclusive"
     assert verdict == _composed_verdict(t, image, party, starts=4, seed=seed)
     p = "ABC".index(party)
-    [(ranks, basis)] = _ranks_and_ranges(image[None], p)
+    [(ranks, rows)] = _ranks_and_ranges(image[None], p)
     assert ranks == s.local_ranks(t)
-    assert basis.shape[1] == s.local_ranks(t)[p]
+    assert len(rows) == s.local_ranks(t)[p]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -744,20 +782,6 @@ def test_range_compare_of_catalog_pairs_is_its_public_composition(pair, map_seed
 
 
 # --- closed-form candidates and call counts -----------------------------------
-
-
-def test_pencil_forms_are_bit_identical_to_per_coefficient_products():
-    """One ``_cmul`` over the eight stacked products sums them in the order
-    of the per-coefficient formula, so every form is bit-identical to it."""
-    rng = np.random.default_rng(23)
-    for shape in ((3, 2, 2, 3), (2, 3, 4), (2, 1, 4), (5, 2, 4, 4)):
-        pairs = _random_complex(rng, shape)
-        (a0, d0, b0, c0), (a1, d1, b1, c1) = np.moveaxis(_minor_entries(pairs), (-3, -2), (0, 1))
-        ref = np.stack([_cmul(a0, d0) - _cmul(b0, c0),
-                        _cmul(a0, d1) + _cmul(a1, d0) - _cmul(b0, c1) - _cmul(b1, c0),
-                        _cmul(a1, d1) - _cmul(b1, c1)], axis=-1)
-        got = _pencil_forms(pairs)
-        assert got.shape == ref.shape and (got == ref).all()
 
 
 def _quadratic_forms():
@@ -894,17 +918,23 @@ def test_range_compare_candidates_need_one_eigensolve(monkeypatch, dims, eigvals
     assert (len(eig_calls), len(root_calls)) == (eigvals, 0)
 
 
-def test_range_spaces_take_the_range_basis_without_an_svd(monkeypatch):
-    """The range's orthonormal columns are the subspace's orthonormal basis
-    and, conjugated, its pseudo-inverse: no second factorisation."""
+def test_range_rows_reach_reports_unchanged(monkeypatch):
+    """The range's orthonormal rows are the basis every decision is made
+    in: both range functions hand them to ``_reports`` as they are, with no
+    second factorisation."""
     t = _random_complex(np.random.default_rng(39), (3, 3, 4))
-    [(_, basis)] = _ranks_and_ranges(t[None], 0)
-    svd_calls = _counting(monkeypatch, np.linalg, "svd")
-    [space] = _range_spaces(t.shape, 0, basis[None])
-    assert not svd_calls
-    assert space.ortho is space.stack and (space.pinv == space.stack.conj()).all()
-    assert (space.stack == basis.T).all()
-    np.testing.assert_allclose(space.pinv @ space.stack.T, np.eye(3), rtol=0, atol=1e-14)
+    image = s.apply_slocc(t, *s.random_slocc(t.shape, 1, cond_bound=20))
+    [(_, rows)] = _ranks_and_ranges(t[None], 0)
+    [(_, image_rows)] = _ranks_and_ranges(image[None], 0)
+    assert rows.shape == (3, 3, 4)
+    flat = rows.reshape(3, -1)
+    np.testing.assert_allclose(flat @ flat.conj().T, np.eye(3), rtol=0, atol=1e-14)
+    calls = _counting(monkeypatch, pr, "_reports")
+    s.range_product_count(t, "A")
+    s.range_criterion_compare(t, image, "A")
+    [(single, *_), (pair, *_)] = calls
+    assert single.shape == (1, 3, 3, 4) and (single[0] == rows).all()
+    assert pair.shape == (2, 3, 3, 4) and (pair[0] == rows).all() and (pair[1] == image_rows).all()
 
 
 SCALE_EXPONENTS = [-200, -170, -13, 0, 150, 200]
@@ -923,8 +953,7 @@ def test_planted_rank_one_count_is_exact_at_every_scale(k, exponent):
         report = s.find_product_vectors(space)
     assert (report.independent_count, report.exactness) == (k, "Exact")
     for fu, fv in report.vectors:
-        m = np.outer(fu, fv)
-        assert np.linalg.norm(space.member(space.pinv @ m.ravel()) - m) <= RECONSTRUCT_TOL
+        assert _in_span(space, np.outer(fu, fv)) <= RECONSTRUCT_TOL
 
 
 @pytest.mark.parametrize("exponent", SCALE_EXPONENTS)

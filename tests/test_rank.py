@@ -37,6 +37,21 @@ def test_hyperdeterminant_weight_under_local_maps():
     assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(entries=st.lists(st.integers(-9, 9), min_size=8, max_size=8))
+def test_hyperdeterminant_is_the_discriminant_of_the_slice_pencil(entries):
+    """On integer tensors the value is exact: b^2 - 4ac from the x^2, x and
+    1 coefficients of det(A + xB), A and B the two slices, taken by sympy."""
+    import sympy
+
+    t = np.array(entries, dtype=complex).reshape(2, 2, 2)
+    x = sympy.Symbol("x")
+    a_mat, b_mat = (sympy.Matrix(2, 2, entries[4 * i:4 * i + 4]) for i in range(2))
+    poly = sympy.Poly((a_mat + x * b_mat).det(), x)
+    c2, c1, c0 = (poly.coeff_monomial(x**d) for d in (2, 1, 0))
+    assert s.hyperdeterminant_222(t) == complex(int(c1**2 - 4 * c2 * c0))
+
+
 def test_classify_222_all_classes():
     assert s.classify_222(s.zero_tensor((2, 2, 2))) == "Zero"
     assert s.classify_222(s.parse_ket("|011>", (2, 2, 2))) == "Product"

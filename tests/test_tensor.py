@@ -13,6 +13,26 @@ def random_tensor(rng, dims):
     return rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
 
 
+RANK_TOL_CALLS = {
+    "local_ranks": lambda tol: s.local_ranks(s.ghz_state(), tol),
+    "is_product_state": lambda tol: s.is_product_state(s.parse_ket("|000>", (2, 2, 2)), tol),
+    "range_basis": lambda tol: s.range_basis(s.reduced_density(s.ghz_state(), (2, 2, 2), [0]),
+                                             tol),
+    "classify_222": lambda tol: s.classify_222(s.ghz_state(), tol),
+    "rank_lower_bound": lambda tol: s.rank_lower_bound(s.catalog_build("2x3x3-4"), tol),
+    "pencil_invariants": lambda tol: s.pencil_invariants(s.catalog_build("2x3x3-4"), tol),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANK_TOL_CALLS))
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_rank_tol_must_be_positive_and_finite(name, tol):
+    """A NaN tol fails every comparison, so it would count no singular value
+    and give a wrong certified answer; it is rejected like the others."""
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        RANK_TOL_CALLS[name](tol)
+
+
 def test_slice_of_worked_tensor():
     """Mode-3 slice 0 of the diagonal 3x3x3 tensor is diag(1, 0, 0)."""
     t = s.parse_ket("|000>+|111>+|222>", (3, 3, 3))
