@@ -6,8 +6,11 @@ row and column indices plus the elementary divisor structure: a partition
 of Jordan block sizes attached to each point (x0 : y0) of the projective
 parameter line where the pencil drops below its normal rank.  Everything
 here is computed numerically from SVD rank decisions against the pencil
-scaled to unit norm:
+scaled to unit norm.  That scale is reached in two steps: first an exact
+power of two taken from the largest entry, so no norm overflows or
+underflows at any nonzero input scale, then the larger slice norm.
 
+* the normal rank as the largest rank at six fixed generic points,
 * minimal indices from nullities of block Sylvester matrices (the dimension
   of degree-d polynomial null vectors),
 * candidate eigen-points from the roots of one compressed determinant
@@ -21,6 +24,14 @@ scaled to unit norm:
   nullity k, while the blocks L_eta^T and the regular part away from its
   eigen-points add nothing.
 
+Each stage decides its ranks in one stacked ``np.linalg.svd`` call: the
+pencils at the six generic points, the pencils at every candidate
+eigen-point, and, per order k, the k-jets at every eigen-point.  Numpy runs
+the same LAPACK routine on each matrix of a stack, so every decision is the
+one a call per matrix makes.  Only the Sylvester nullities stay one call per
+degree, as their shapes grow with it and the search stops early.  The fixed
+draws (generic points, isometries W and V) are made once per shape.
+
 Local one-party maps on the 2-dimensional mode act as Moebius maps on the
 parameter line: they move eigenvalues but preserve the partition data and
 the minimal indices, which is what classification uses.
@@ -28,13 +39,14 @@ the minimal indices, which is what classification uses.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .detpoly import det_coefficients
-from .tensor import as_tensor, check_tol, complex_to_pairs
+from .tensor import as_tensor, check_tol, complex_to_pairs, ldexp, unit_exponent
 
 PENCIL_RANK_TOL = 1e-8
 EIGEN_CLUSTER_RADIUS = 1e-6
@@ -89,31 +101,34 @@ class PencilInvariants:
         )
 
 
-def _rank(mat, tol) -> int:
-    """Number of singular values above ``tol``: relative to the unit-norm
-    pencil, not to ``mat``.  P(x, y) that vanishes at a point has rank 0
-    there; a threshold relative to P(x, y) itself counts round-off as rank."""
-    return int(np.count_nonzero(np.linalg.svd(mat, compute_uv=False) > tol))
+def _unit_points(points) -> np.ndarray:
+    """Points (x : y) of the parameter line scaled to unit norm: rows x and y
+    of a (2, count) array."""
+    return np.array([(x / sc, y / sc) for x, y in points
+                     for sc in [np.hypot(abs(x), abs(y))]]).T
 
 
-def _nullity(mat, tol) -> int:
-    return mat.shape[1] - _rank(mat, tol)
+# six generic points at which the normal rank is read, drawn once
+_GENERIC_POINTS = _unit_points((complex(*v[:2]), complex(*v[2:]))
+                               for v in np.random.default_rng(20230517).standard_normal((6, 4)))
+_GENERIC_POINTS.setflags(write=False)
 
 
-def _pencil_at(s0, s1, x, y) -> np.ndarray:
-    return x * s0 + y * s1
+def _pencils(s0, s1, x, y) -> np.ndarray:
+    """Stack of x_i*S0 + y_i*S1 over the entries of x and y."""
+    return x[:, None, None] * s0 + y[:, None, None] * s1
+
+
+def _ranks(mats, tol):
+    """Ranks of a stack of matrices (or of one), in one SVD call: singular
+    values above ``tol``, relative to the unit-norm pencil and not to each
+    matrix.  P(x, y) that vanishes at a point has rank 0 there; a threshold
+    relative to P(x, y) itself counts round-off as rank."""
+    return (np.linalg.svd(mats, compute_uv=False) > tol).sum(axis=-1)
 
 
 def _normal_rank(s0, s1, tol) -> int:
-    rng = np.random.default_rng(20230517)
-    best = 0
-    for _ in range(6):
-        v = rng.standard_normal(4)
-        x = complex(v[0], v[1])
-        y = complex(v[2], v[3])
-        scale = np.hypot(abs(x), abs(y))
-        best = max(best, _rank(_pencil_at(s0, s1, x / scale, y / scale), tol))
-    return best
+    return int(np.max(_ranks(_pencils(s0, s1, *_GENERIC_POINTS), tol)))
 
 
 def _sylvester(s0, s1, degree: int) -> np.ndarray:
@@ -137,7 +152,7 @@ def _minimal_indices(s0, s1, count: int, tol) -> tuple:
     prev_cum = 0
     max_degree = s0.shape[1] + s0.shape[0] + 1
     for d in range(max_degree + 1):
-        nul = _nullity(_sylvester(s0, s1, d), tol)
+        nul = (d + 1) * s0.shape[1] - _ranks(_sylvester(s0, s1, d), tol)
         cum = nul - prev_nullity  # number of minimal indices <= d
         for _ in range(cum - prev_cum):
             indices.append(d)
@@ -147,14 +162,24 @@ def _minimal_indices(s0, s1, count: int, tol) -> tuple:
     raise ArithmeticError("minimal index extraction did not terminate")
 
 
-def _compressed_form(s0, s1, r) -> np.ndarray:
-    """Binary form of det(W (x*S0 + y*S1) V) for fixed isometries W (r x m)
-    and V (n x r); entry j is the coefficient of x^(r-j) y^j.  It vanishes
-    wherever the pencil has rank below r, and possibly elsewhere."""
+@functools.cache
+def _isometries(m: int, n: int, r: int):
+    """Fixed isometries W (r x m) and V (n x r), drawn once per shape;
+    read-only, since every call shares them."""
     rng = np.random.default_rng(1979)
     w, v = (np.linalg.qr(rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r)))[0]
-            for d in s0.shape)
+            for d in (m, n))
     w = w.conj().T
+    w.setflags(write=False)
+    v.setflags(write=False)
+    return w, v
+
+
+def _compressed_form(s0, s1, r) -> np.ndarray:
+    """Binary form of det(W (x*S0 + y*S1) V) for the fixed isometries of
+    ``_isometries``; entry j is the coefficient of x^(r-j) y^j.  It vanishes
+    wherever the pencil has rank below r, and possibly elsewhere."""
+    w, v = _isometries(*s0.shape, r)
     return det_coefficients(w @ s1 @ v, w @ s0 @ v)
 
 
@@ -192,23 +217,28 @@ def _chordal(p1, p2) -> float:
     return abs(x1 * y2 - x2 * y1) / (n1 * n2)
 
 
-def _jet_matrix(p, p_perp, k: int) -> np.ndarray:
-    m, n = p.shape
-    out = np.zeros((k * m, k * n), dtype=complex)
-    for i in range(k):
-        out[i * m : (i + 1) * m, i * n : (i + 1) * n] = p
-        if i > 0:
-            out[i * m : (i + 1) * m, (i - 1) * n : i * n] = p_perp
-    return out
-
-
-def _jet_nullities(s0, s1, point, kmax: int, tol):
-    x, y = point
-    scale = np.hypot(abs(x), abs(y))
-    x, y = x / scale, y / scale
-    p = _pencil_at(s0, s1, x, y)
-    p_perp = _pencil_at(s0, s1, -np.conj(y), np.conj(x))
-    return [_nullity(_jet_matrix(p, p_perp, k), tol) for k in range(1, kmax + 1)]
+def _drops_and_jets(s0, s1, points, r, kmax, tol):
+    """The ``points`` where the pencil drops below rank ``r``, and the
+    nullities (drops, kmax) of its k-jets there, k = 1..kmax.  The k-jet at
+    a unit point (x, y) is block lower bidiagonal, P(x, y) on the diagonal
+    and P(-conj y, conj x) below it, so the 1-jet is P(x, y) itself: one SVD
+    call decides every drop and every 1-jet, and one per k >= 2 every k-jet."""
+    x, y = _unit_points(points)
+    p = _pencils(s0, s1, x, y)
+    ranks = _ranks(p, tol)
+    drop = ranks < r
+    p, x, y = p[drop], x[drop], y[drop]
+    (count, m, n), p_perp = p.shape, _pencils(s0, s1, -np.conj(y), np.conj(x))
+    # the k-jet is the leading k x k block of the kmax-jet
+    jets = np.zeros((count, kmax, m, kmax, n), dtype=complex)
+    for i in range(kmax):
+        jets[:, i, :, i] = p
+        if i:
+            jets[:, i, :, i - 1] = p_perp
+    nullities = [n - ranks[drop]] + [
+        k * n - _ranks(jets[:, :k, :, :k].reshape(count, k * m, k * n), tol)
+        for k in range(2, kmax + 1)] if count else []
+    return [pt for pt, d in zip(points, drop) if d], np.transpose(nullities)
 
 
 def _partition_from_weyr(deltas):
@@ -242,21 +272,13 @@ def _divisor_structure(s0, s1, form, r, total_divisor, tol, cluster_radius):
     for cand in candidates:
         if all(_chordal(cand, q) > cluster_radius for q in points):
             points.append(cand)
-    drops = []
-    for pt in points:
-        x, y = pt
-        sc = np.hypot(abs(x), abs(y))
-        if _rank(_pencil_at(s0, s1, x / sc, y / sc), tol) < r:
-            drops.append(pt)
-
-    base = [k * (s0.shape[1] - r) for k in range(1, total_divisor + 1)]
+    drops, nullities = _drops_and_jets(s0, s1, points, r, total_divisor, tol)
+    base = np.arange(1, total_divisor + 1) * (s0.shape[1] - r)
     finite = []
     infinite = ()
     assigned = 0
-    for pt in drops:
-        nul = _jet_nullities(s0, s1, pt, total_divisor, tol)
-        deltas = [a - b for a, b in zip(nul, base)]
-        part = _partition_from_weyr(deltas)
+    for pt, nul in zip(drops, nullities):
+        part = _partition_from_weyr((nul - base).tolist())
         if part is None or not part:
             notes.append(f"irregular nullity sequence at point {pt}")
             continue
@@ -272,19 +294,21 @@ def _divisor_structure(s0, s1, form, r, total_divisor, tol, cluster_radius):
 def pencil_invariants(t, tol: float = PENCIL_RANK_TOL) -> PencilInvariants:
     """Kronecker invariants of the slice pencil x*t[0] + y*t[1].
 
-    Requires mode-1 dimension 2.  The pencil is scaled to unit norm, rank
-    decisions count singular values above ``tol`` and eigen-points are
-    clustered at chordal radius 1e-6.
+    Requires mode-1 dimension 2.  The tensor is scaled by the power of two
+    that brings its largest entry near 1 (exact, so the result is the same
+    at any nonzero scale), then to unit pencil norm.  Rank decisions count
+    singular values above ``tol``, one stacked SVD call per stage (normal
+    rank, rank drops, each jet order), and eigen-points are clustered at
+    chordal radius 1e-6.
     """
     check_tol(tol)
     t = as_tensor(t)
     if t.shape[0] != 2:
         raise ValueError(f"pencil requires mode-1 dimension 2, got {t.shape[0]}")
-    s0 = t[0].copy()
-    s1 = t[1].copy()
-    scale = max(np.linalg.norm(s0), np.linalg.norm(s1))
-    if scale == 0:
+    if not np.any(t):
         raise ValueError("zero tensor has no pencil structure")
+    s0, s1 = ldexp(t, -unit_exponent(t))
+    scale = max(np.linalg.norm(s0), np.linalg.norm(s1))
     s0 /= scale
     s1 /= scale
     m, n = s0.shape

@@ -18,6 +18,7 @@ exists numerically (the border rank may be smaller).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -26,7 +27,8 @@ from numpy.linalg import lapack_lite
 
 from . import catalog as _catalog
 from .pencil import pencil_invariants
-from .tensor import as_tensor, check_tol, column_space, complex_to_pairs, local_ranks, unfold
+from .tensor import (as_tensor, check_tol, column_space, complex_to_pairs, ldexp, local_ranks,
+                     unfold, unit_exponent)
 
 BORDER_RANK_CAVEAT = (
     "numerical decomposition certificate: rank <= R at the stated residual; "
@@ -109,8 +111,16 @@ def _jaja_rank(inv) -> int:
 STRASSEN_RANK_TOL = 1e-9
 # singular values within this factor of the tolerance leave no clear gap
 STRASSEN_GAP = 10.0
-# fixed generic map from the slice mode onto three slices X_a, X_b, X_c
-_STRASSEN_MIX_SEED = 20091005
+
+
+@functools.cache
+def _strassen_mix(k: int) -> np.ndarray:
+    """Fixed generic map from k slices onto three, X_a, X_b and X_c, drawn
+    once per k; read-only, since every call shares it."""
+    rng = np.random.default_rng(20091005)
+    mix = rng.standard_normal((k, 3)) + 1j * rng.standard_normal((k, 3))
+    mix.setflags(write=False)
+    return mix
 
 
 def _strassen_bound(core, mode: int):
@@ -127,9 +137,7 @@ def _strassen_bound(core, mode: int):
     """
     slices = np.moveaxis(core / np.max(np.abs(core)), mode, -1)
     n, k = slices.shape[0], slices.shape[-1]
-    rng = np.random.default_rng(_STRASSEN_MIX_SEED)
-    mix = rng.standard_normal((k, 3)) + 1j * rng.standard_normal((k, 3))
-    xa, xb, xc = np.moveaxis(slices @ mix, -1, 0)
+    xa, xb, xc = np.moveaxis(slices @ _strassen_mix(k), -1, 0)
     sb = np.linalg.svd(xb, compute_uv=False)
     if sb[-1] <= STRASSEN_RANK_TOL * sb[0]:
         return None
@@ -222,6 +230,13 @@ class CpResult:
         return json.dumps(doc, sort_keys=True)
 
 
+def _relative_residual(t, model) -> float:
+    """|t - model| / |t|, both norms taken at t's power-of-two scale
+    (``unit_exponent``), where they neither overflow nor underflow."""
+    e = unit_exponent(t)
+    return float(np.linalg.norm(ldexp(t - model, -e)) / np.linalg.norm(ldexp(t, -e)))
+
+
 def _direct_decomposition(t, r):
     """Exact decomposition over the two smallest modes (basis x basis x fiber)."""
     dims = t.shape
@@ -279,8 +294,16 @@ def _diagonalize_pencil(p0, p1):
     return w, v, c
 
 
-# seed of the generic entries that pad a pencil to r x r
-_PAD_SEED = 1979
+@functools.cache
+def _padding(r: int) -> np.ndarray:
+    """Fixed generic 2 x r x r pencil whose entries pad a pencil to r x r,
+    drawn once per r; read-only, since every call shares it."""
+    rng = np.random.default_rng(1979)
+    pencil = rng.standard_normal((2, r, r)) + 1j * rng.standard_normal((2, r, r))
+    pencil.setflags(write=False)
+    return pencil
+
+
 # Round-off splits a Jordan block of a defective pencil into eigenvectors
 # whose basis has condition number at least eps^(-1/2); a diagonalisable one
 # is near 1.  Bases beyond the log-midpoint eps^(-1/4) are refused.
@@ -315,8 +338,7 @@ def _pencil_construction(t, core, bases, r, tol):
     if k > 2 or r < max(m, n):
         return None
     scale = np.max(np.abs(slices))
-    rng = np.random.default_rng(_PAD_SEED)
-    pencil = rng.standard_normal((2, r, r)) + 1j * rng.standard_normal((2, r, r))
+    pencil = _padding(r).copy()
     pencil[:, :m, :n] = 0.0
     pencil[:k, :m, :n] = slices / scale
     try:
@@ -330,8 +352,7 @@ def _pencil_construction(t, core, bases, r, tol):
     factors[rows] = bases[rows] @ w[:m]
     factors[cols] = bases[cols] @ v[:n]
     factors[mode] = bases[mode] @ (scale * c[:k])
-    model = np.einsum("ir,jr,kr->ijk", *factors)
-    residual = float(np.linalg.norm(t - model) / np.linalg.norm(t))
+    residual = _relative_residual(t, np.einsum("ir,jr,kr->ijk", *factors))
     if not residual < tol:
         return None
     return CpResult(True, r, residual, tuple(factors), "padded pencil construction")
@@ -441,24 +462,31 @@ def cp_als(t, r: int, restarts: int = 32, max_iter: int = 2000, seed: int = 0,
     ``tol`` at the border rank through decompositions with enormous,
     nearly-cancelling terms; the certificate's factor norms expose this.
     Success always means exactly "a numerical decomposition at the stated
-    residual exists", nothing stronger.
+    residual exists", nothing stronger.  Zero-ness is decided on the entries
+    and every residual on the tensor scaled by an exact power of two
+    (``tensor.unit_exponent``), so no norm under- or overflows at any
+    nonzero scale of ``t``.
     """
     t = as_tensor(t)
     if r < 1:
         raise ValueError("rank must be at least 1")
-    norm_t = float(np.linalg.norm(t))
-    if norm_t == 0.0:
+    if not np.any(t):
         factors = tuple(np.zeros((d, r), dtype=complex) for d in t.shape)
         return CpResult(True, r, 0.0, factors, "zero tensor")
 
     dims = sorted(t.shape)
     if r >= dims[0] * dims[1]:
         factors = _direct_decomposition(t, r)
-        model = np.einsum("ir,jr,kr->ijk", *factors)
-        residual = float(np.linalg.norm(t - model) / norm_t)
+        residual = _relative_residual(t, np.einsum("ir,jr,kr->ijk", *factors))
         return CpResult(True, r, residual, factors, "direct slice construction")
 
-    solve = [_mode_solver(t, mode, r) for mode in (1, 2, 3)]
+    # the sweeps fit t scaled by 2^-e, where no norm overflows or underflows;
+    # starts are drawn for t, so every sweep leaves the exact factor 2^-e in
+    # the first factor, which is scaled back
+    e = unit_exponent(t)
+    t_unit = ldexp(t, -e)
+    norm_t = float(np.linalg.norm(t_unit))
+    solve = [_mode_solver(t_unit, mode, r) for mode in (1, 2, 3)]
     spectral = _spectral_init(t, r)
     best = None
     for restart in range(max(1, restarts)):
@@ -474,7 +502,7 @@ def cp_als(t, r: int, restarts: int = 32, max_iter: int = 2000, seed: int = 0,
             b = solve[1](a, c)
             c = solve[2](a, b)
             model = np.einsum("ir,jr,kr->ijk", a, b, c)
-            residual = float(np.linalg.norm(t - model) / norm_t)
+            residual = float(np.linalg.norm(t_unit - model) / norm_t)
             if residual < tol or abs(prev_res - residual) < stall_tol:
                 break
             prev_res = residual
@@ -485,7 +513,7 @@ def cp_als(t, r: int, restarts: int = 32, max_iter: int = 2000, seed: int = 0,
 
     residual, factors, restart = best
     # own the data: a solve's factor is a view of its whole solution buffer
-    factors = tuple(f.copy() for f in factors)
+    factors = (ldexp(factors[0], e), factors[1].copy(), factors[2].copy())
     ok = residual < tol
     detail = f"ALS, best of {restart + 1} restart(s)"
     return CpResult(ok, r, residual, factors, detail)

@@ -122,6 +122,19 @@ def refold(m, mode: int, dims) -> np.ndarray:
     return np.moveaxis(cube, 0, mode - 1).copy()
 
 
+def unit_exponent(t) -> int:
+    """The e that puts the largest real or imaginary part of ``t`` times 2^-e
+    in [1/2, 1).  Norms and rank decisions taken at that scale neither
+    overflow nor underflow, and since the rescale is exact they equal those
+    taken at the input's scale wherever the latter stay in range."""
+    return int(np.frexp(np.max(np.abs(np.ravel(t).view(float))))[1])
+
+
+def ldexp(t, e: int) -> np.ndarray:
+    """Complex ``t`` times 2^e: exact while every part stays normal."""
+    return np.ldexp(np.ascontiguousarray(t, dtype=complex).view(float), e).view(complex)
+
+
 def check_tol(tol) -> None:
     """ValueError unless a rank tolerance is positive and finite; the chained
     comparison is False for NaN, so NaN fails too."""

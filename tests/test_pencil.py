@@ -233,6 +233,115 @@ def test_signature_invariant_under_slocc_and_scale(entry_id, map_seed, cond, exp
     assert inv.signature() == s.pencil_invariants(t).signature()
 
 
+@pytest.mark.parametrize("entry_id", TABLE_ROWS)
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(map_seed=st.integers(0, 2**31 - 1), exponent=st.integers(-300, 300))
+def test_signature_at_any_scale(entry_id, map_seed, exponent):
+    """The pencil is first scaled by a power of two, so its norm neither
+    overflows (from about 1e155) nor underflows (below about 1e-162)."""
+    t = s.catalog_build(entry_id)
+    image = s.apply_slocc(t, *s.random_slocc(t.shape, map_seed, cond_bound=100))
+    inv = s.pencil_invariants(image * 10.0**exponent)
+    assert not inv.borderline, inv.condition_note
+    assert inv.signature() == s.pencil_invariants(t).signature()
+
+
+# --- stacked rank decisions, against one SVD call per matrix ---------------------
+
+
+def _reference_rank(mat, tol) -> int:
+    return int(np.count_nonzero(np.linalg.svd(mat, compute_uv=False) > tol))
+
+
+def _reference_unit(point):
+    x, y = point
+    scale = np.hypot(abs(x), abs(y))
+    return x / scale, y / scale
+
+
+def _reference_pencil_at(s0, s1, point):
+    x, y = _reference_unit(point)
+    return x * s0 + y * s1
+
+
+def _reference_normal_rank(s0, s1, tol) -> int:
+    rng = np.random.default_rng(20230517)
+    best = 0
+    for _ in range(6):
+        v = rng.standard_normal(4)
+        point = (complex(v[0], v[1]), complex(v[2], v[3]))
+        best = max(best, _reference_rank(_reference_pencil_at(s0, s1, point), tol))
+    return best
+
+
+def _reference_jet_nullities(s0, s1, point, kmax, tol) -> list:
+    x, y = _reference_unit(point)
+    p, p_perp = x * s0 + y * s1, -np.conj(y) * s0 + np.conj(x) * s1
+    (m, n), out = p.shape, []
+    for k in range(1, kmax + 1):
+        jet = np.zeros((k * m, k * n), dtype=complex)
+        for i in range(k):
+            jet[i * m : (i + 1) * m, i * n : (i + 1) * n] = p
+            if i > 0:
+                jet[i * m : (i + 1) * m, (i - 1) * n : i * n] = p_perp
+        out.append(k * n - _reference_rank(jet, tol))
+    return out
+
+
+@pytest.mark.parametrize("entry_id", TABLE_ROWS)
+def test_stacked_rank_decisions_match_one_svd_per_matrix(entry_id):
+    """Normal rank, drop set and jet nullities equal those of one SVD call per
+    pencil and per jet matrix, as the decisions were made before stacking."""
+    tol = pencil.PENCIL_RANK_TOL
+    t = s.catalog_build(entry_id)
+    for seed in range(8):
+        image = s.apply_slocc(t, *s.random_slocc(t.shape, seed, cond_bound=100))
+        s0, s1 = image / max(np.linalg.norm(image[0]), np.linalg.norm(image[1]))
+        r = pencil._normal_rank(s0, s1, tol)
+        assert r == _reference_normal_rank(s0, s1, tol), seed
+        form = pencil._compressed_form(s0, s1, r)
+        points = pencil._candidate_points(form, pencil.EIGEN_CLUSTER_RADIUS)
+        drops, nullities = pencil._drops_and_jets(s0, s1, points, r, r, tol)
+        assert drops == [pt for pt in points
+                         if _reference_rank(_reference_pencil_at(s0, s1, pt), tol) < r], seed
+        assert nullities.tolist() == [_reference_jet_nullities(s0, s1, pt, r, tol)
+                                      for pt in drops], seed
+
+
+def test_regular_pencil_decides_each_stage_in_one_svd_call(monkeypatch):
+    """Three simple eigen-points of a regular 3 x 3 pencil: one SVD call for
+    the normal rank, one for the drops at the four candidate points
+    (infinity included), which also gives the 1-jets, and one per jet order
+    k = 2, 3; one call per matrix made 19."""
+    t = np.array([np.eye(3), np.diag([1.0, 2.0, 3.0])], dtype=complex)
+    image = s.apply_slocc(t, *s.random_slocc(t.shape, 5, cond_bound=20))
+    shapes = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    inv = s.pencil_invariants(image)
+    assert inv.all_partitions() == ((1,), (1,), (1,))
+    assert shapes == [(6, 3, 3), (4, 3, 3), (3, 6, 6), (3, 9, 9)]
+
+
+def test_second_call_on_a_shape_draws_nothing(monkeypatch):
+    """The generic points and the isometries of the compressed determinant
+    are drawn once per shape, not per call."""
+    t = s.apply_slocc(s.catalog_build("2x3x4-4"), *s.random_slocc((2, 3, 4), 8, cond_bound=20))
+    first = s.pencil_invariants(t)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fixed draw made again")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    assert s.pencil_invariants(2.0 * t) == first
+
+
 def test_2x1x1_pencil_drops_rank_at_its_root():
     """a*x + b*y vanishes at y/x = -a/b; the drop there is a (1,) block."""
     rng = np.random.default_rng(211)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import slocc3 as s
 from slocc3 import rank
+from slocc3.tensor import ldexp, unit_exponent
 
 
 def random_tensor(rng, dims):
@@ -483,3 +484,78 @@ def test_rank_intervals_demo_runs():
     assert proc.returncode == 0, proc.stderr
     assert any(line.startswith("3x3x3-perm   interval [4, 4]  lower via Strassen")
                for line in proc.stdout.splitlines()), proc.stdout
+
+
+# --- any nonzero scale: 10^k for |k| <= 300 ----------------------------------------
+
+
+def _scaled_image(entry_id, map_seed, exponent):
+    t = s.catalog_build(entry_id)
+    image = s.apply_slocc(t, *s.random_slocc(t.shape, map_seed, cond_bound=100))
+    return t, image * 10.0**exponent
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(entry_id=st.sampled_from(TWO_SLICE_ROWS),
+       map_seed=st.integers(0, 2**31 - 1),
+       exponent=st.integers(-300, 300))
+def test_rank_lower_bound_at_any_scale(entry_id, map_seed, exponent):
+    t, image = _scaled_image(entry_id, map_seed, exponent)
+    assert s.rank_lower_bound(image) == s.rank_lower_bound(t)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(entry_id=st.sampled_from(TWO_SLICE_ROWS),
+       map_seed=st.integers(0, 2**31 - 1),
+       exponent=st.integers(-300, 300))
+def test_two_slice_interval_at_any_scale(entry_id, map_seed, exponent):
+    """[rank, rank], with a certificate whose residual, taken on the tensor
+    and the model scaled by the same power of two, is below ``tol``."""
+    _, image = _scaled_image(entry_id, map_seed, exponent)
+    known = s.catalog_get(entry_id).rank_note["rank"]
+    interval = s.rank_interval(image, restarts=1, max_iter=50)
+    assert (interval.lower, interval.upper) == (known, known)
+    cert = interval.certificate_upper
+    e = unit_exponent(image)
+    a, b, c = cert.factors
+    model = np.einsum("ir,jr,kr->ijk", ldexp(a, -e), b, c)
+    residual = np.linalg.norm(model - ldexp(image, -e)) / np.linalg.norm(ldexp(image, -e))
+    assert cert.success and residual < 1e-8
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(entry_id=st.sampled_from(TWO_SLICE_ROWS),
+       map_seed=st.integers(0, 2**31 - 1),
+       exponent=st.integers(-300, 300))
+def test_classify_2mn_at_any_scale(entry_id, map_seed, exponent):
+    _, image = _scaled_image(entry_id, map_seed, exponent)
+    result = s.classify_2mn(image)
+    assert result.matched and result.entry.id == entry_id, result.detail
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**31 - 1), exponent=st.integers(-300, 300))
+def test_cp_als_on_a_rank_three_tensor_fails_at_rank_one_at_any_scale(seed, exponent):
+    """Below about 1e-162 the norm of the tensor once underflowed to 0, and
+    the zero-tensor branch reported rank 1 with residual 0."""
+    rng = np.random.default_rng(seed)
+    t = np.einsum("ir,jr,kr->ijk", *(random_tensor(rng, (3, 3)) for _ in range(3)))
+    result = s.cp_als(t * 10.0**exponent, 1, restarts=2, max_iter=50)
+    assert not result.success
+    assert result.residual > 1e-3
+
+
+def test_fixed_draws_are_made_once_per_shape(monkeypatch):
+    """The padding pencil (per r) and Strassen's slice mix (per slice count)
+    are drawn on the first call, not on every call."""
+    t = s.apply_slocc(s.catalog_build("2x3x4-4"), *s.random_slocc((2, 3, 4), 9, cond_bound=20))
+    perm = s.catalog_build("3x3x3-perm")
+    first = s.rank_interval(t), s.rank_lower_bound(perm)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fixed draw made again")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    again = s.rank_interval(t), s.rank_lower_bound(perm)
+    assert again[0].to_json() == first[0].to_json() and again[1] == first[1]
