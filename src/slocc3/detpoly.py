@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ket import _format_real
-from .tensor import as_tensor, complex_from_pairs, complex_to_pairs, least_squares
+from .tensor import (as_tensor, complex_from_pairs, complex_to_pairs, ldexp, least_squares,
+                     unit_exponent)
 from .transforms import is_nonsingular, random_nonsingular
 
 ZERO_POLY_TOL = 1e-10
@@ -350,11 +351,11 @@ def detpoly_equiv_test(
     distance between monic(f1 composed with G) and monic(f2) over complex
     3x3 matrices G (18 real parameters).  Restart 0 starts from the identity
     so self-comparison returns immediately with G = I and residual 0.  Each
-    input is first divided by its largest entry modulus; monic normalization
-    makes the verdict independent of that scale.
+    input is first scaled by an exact power of two (``tensor.unit_exponent``),
+    so no determinant over- or underflows; monic normalization makes the
+    verdict independent of that scale.
     """
-    t1 = _unit_scale(as_tensor(t1))
-    t2 = _unit_scale(as_tensor(t2))
+    t1, t2 = (ldexp(t, -unit_exponent(t)) for t in (as_tensor(t1), as_tensor(t2)))
     if t1.shape != t2.shape:
         raise ValueError("tensors must share dims")
     f1 = det_poly(t1)
@@ -429,12 +430,6 @@ def detpoly_equiv_test(
                             "substitution matrix found")
     return EquivVerdict("NoCandidateFound", best_res, None,
                         "no substitution found; test inconclusive")
-
-
-def _unit_scale(t) -> np.ndarray:
-    """The tensor divided by its largest entry modulus (zero stays zero)."""
-    peak = np.max(np.abs(t))
-    return t / peak if peak > 0 else t
 
 
 def _node_values(t, g) -> np.ndarray:

@@ -7,8 +7,8 @@ matrix subspace.  Every decision is made in an orthonormal basis of the
 subspace, and subspaces of one shape and dimension k are decided as one
 stack (count, k, m, n) of such bases, with candidates as coordinates in
 them.  ``range_criterion_compare`` stacks its two states' ranges, whose
-orthonormal rows come with the local ranks from one batched SVD per mode
-(``_ranks_and_ranges``); ``find_product_vectors`` decides the orthonormal
+orthonormal rows come with the local ranks from one ``tensor.unfolding_svds``
+call (``_ranks_and_ranges``); ``find_product_vectors`` decides the orthonormal
 basis of a user's subspace (``MatrixSubspace.ortho``) as a stack of one.
 k = 1, 2 and 3 are decided exactly (``_exact``): k = 2 from the roots of
 the largest minor form of the pencil by the stable quadratic formula
@@ -34,7 +34,7 @@ import numpy as np
 
 from .pencil import EIGEN_CLUSTER_RADIUS, _chordal
 from .tensor import (DEFAULT_RANK_TOL, as_tensor, column_space, complex_to_pairs,
-                     least_squares, matrix_rank_tol)
+                     least_squares, matrix_rank_tol, unfolding_svds)
 
 MINOR_TOL = 1e-7
 RECONSTRUCT_TOL = 1e-8
@@ -540,21 +540,15 @@ def _ranks_and_ranges(states, p):
     and an orthonormal basis of the range of its reduced density with party
     ``p`` traced out, as rows reshaped to the kept parties' matrices.
 
-    One batched SVD per mode: singular values only for the two kept modes,
-    and the left singular vectors of the (kept x traced) unfolding X, whose
-    column space is the range of X X^dagger.  Every rank is decided by the
-    rule of ``local_ranks``, for the whole stack at once, so the range
-    dimension is the traced party's local rank at any nonzero scale.
-    Returns a (ranks, range (k, m, n)) pair per state.
+    Both come from ``tensor.unfolding_svds``, with vectors for mode p only:
+    the (kept x traced) unfolding X is the transpose of the mode-p unfolding
+    U S V^dagger, so the range of X X^dagger is spanned by the leading rows
+    of V^dagger, taken as they are, as many as the traced party's local
+    rank.  Returns a (ranks, range (k, m, n)) pair per state.
     """
     count, *dims = states.shape
-    spectra = [np.linalg.svd(np.moveaxis(states, q + 1, 1).reshape(count, dims[q], -1),
-                             compute_uv=False) if q != p else None for q in range(3)]
-    x = np.moveaxis(states, p + 1, -1).reshape(count, -1, dims[p])
-    u, spectra[p], _ = np.linalg.svd(x, full_matrices=False)
-    rows = np.swapaxes(u, 1, 2).reshape(count, -1, *(d for q, d in enumerate(dims) if q != p))
-    # the rule of _rank_of_spectrum, over the stack (s[:, 0] = 0 gives rank 0)
-    ranks = np.stack([(s > DEFAULT_RANK_TOL * s[:, :1]).sum(axis=1) for s in spectra], axis=1)
+    _, ranks, svds = unfolding_svds(states, DEFAULT_RANK_TOL, vectors=(p,))
+    rows = svds[p].Vh.reshape(count, -1, *(d for q, d in enumerate(dims) if q != p))
     return [(tuple(r.tolist()), ri[:r[p]]) for r, ri in zip(ranks, rows)]
 
 
@@ -563,13 +557,10 @@ def range_product_count(psi, traced_party, tol: float = MINOR_TOL,
     """Count product vectors in the range of the reduced density matrix
     obtained by tracing out one party of a tripartite pure state.
 
-    The range of X X^dagger is the column space of the unfolding X (rows the
-    kept parties, columns the traced one): the leading left singular vectors
-    of the one SVD of X, cut by the rule of ``local_ranks``, so its dimension
-    is the traced party's local rank at any nonzero scale
-    (``_ranks_and_ranges``).  Those vectors are orthonormal, so they are the
-    basis every decision is made in, with no second factorisation.  A
-    2-dimensional range is decided from the roots of the largest minor form
+    The range comes from the SVDs of ``tensor.unfolding_svds``
+    (``_ranks_and_ranges``), so its dimension is the traced party's local
+    rank at any nonzero scale; its orthonormal rows are the basis every
+    decision is made in, with no second factorisation.  A 2-dimensional range is decided from the roots of the largest minor form
     of its pencil by the quadratic formula, a 3-dimensional one from the
     companion eigenvalues of the resultant of two minor quadrics (see
     ``find_product_vectors``); the arguments are checked as there.
@@ -588,8 +579,8 @@ def range_criterion_compare(s1, s2, traced_party, tol: float = MINOR_TOL,
     Returns "Inequivalent" when the local ranks differ, or when both product
     counts are exact and disagree; otherwise "Inconclusive".  A lower-bound
     report never certifies inequivalence.  The two states are decided as
-    one stack: one batched SVD per mode gives the local ranks and the two
-    ranges (``_ranks_and_ranges``), and once the ranks agree, one screen and
+    one stack: one ``tensor.unfolding_svds`` call gives the local ranks and
+    the two ranges (``_ranks_and_ranges``), and once the ranks agree, one screen and
     one ``_accept`` decide both ranges (``_exact``); a range left undecided
     goes to its own search.  The counts are those of
     ``range_product_count``, and the arguments are checked as there.

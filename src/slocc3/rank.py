@@ -13,7 +13,10 @@ diagonalised by one eigendecomposition (:func:`_pencil_construction`).
 Otherwise, or when that construction misses ``tol``, seeded CP-ALS searches.
 A failed search proves nothing and is never used to raise a lower bound,
 and a success certifies only that a decomposition with that many terms
-exists numerically (the border rank may be smaller).
+exists numerically (the border rank may be smaller).  The support, its
+bases and the ALS starts come from the singular vectors of one
+``tensor.unfolding_svds`` call, taken at the tensor's exact power-of-two
+scale; certificates are scaled back by that power.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from numpy.linalg import lapack_lite
 
 from . import catalog as _catalog
 from .pencil import pencil_invariants
-from .tensor import (as_tensor, check_tol, column_space, complex_to_pairs, ldexp, local_ranks,
-                     unfold, unit_exponent)
+from .tensor import (as_tensor, check_tol, complex_to_pairs, ldexp, local_ranks, unfold,
+                     unfolding_svds, unit_exponent)
 
 BORDER_RANK_CAVEAT = (
     "numerical decomposition certificate: rank <= R at the stated residual; "
@@ -69,19 +72,22 @@ def classify_222(t, tol: float = 1e-10) -> str:
     Nonvanishing hyperdeterminant means the rank-2 generic class; otherwise
     the local-rank pattern decides, with all-ranks-2 and vanishing
     hyperdeterminant being the rank-3 class.  The hyperdeterminant is taken
-    of ``t`` divided by its largest entry modulus and compared with ``tol``,
-    so the class is the same at every nonzero scale of ``t``.
+    of ``t`` scaled by an exact power of two (``tensor.unit_exponent``) and
+    compared with ``tol``, so the class is the same at every nonzero scale.
     """
     check_tol(tol)
     t = as_tensor(t)
     if t.shape != (2, 2, 2):
         raise ValueError(f"expected dims (2, 2, 2), got {t.shape}")
-    scale = float(np.max(np.abs(t)))
-    if scale == 0.0:
+    return _class_222(t, local_ranks(t), tol)
+
+
+def _class_222(t, ranks, tol: float = 1e-10) -> str:
+    """:func:`classify_222` of ``t``, given its local ranks."""
+    if not np.any(t):
         return "Zero"
-    if abs(hyperdeterminant_222(t / scale)) > tol:
+    if abs(hyperdeterminant_222(ldexp(t, -unit_exponent(t)))) > tol:
         return "GHZclass"
-    ranks = local_ranks(t)
     if ranks == (1, 1, 1):
         return "Product"
     if ranks == (2, 2, 2):
@@ -168,7 +174,7 @@ def rank_lower_bound(t, tol: float = 1e-9):
     """
     check_tol(tol)
     t = as_tensor(t)
-    return _lower_bound(t, _compress_support(t, tol)[0])
+    return _lower_bound(t, _support(t, tol)[1])
 
 
 def _lower_bound(t, core):
@@ -176,7 +182,7 @@ def _lower_bound(t, core):
     if not np.any(t):
         raise ValueError("zero tensor has no rank bound")
     if t.shape == (2, 2, 2):
-        cls = classify_222(t)
+        cls = _class_222(t, core.shape)
         return CLASS_RANKS[cls], f"Classifier222({cls})"
     dims = core.shape
     local = max(dims)
@@ -257,16 +263,15 @@ def _direct_decomposition(t, r):
     return tuple(factors)
 
 
-def _als_init(t, r, rng, structured: bool):
-    dims = t.shape
+def _als_init(t, r, rng, vectors=None):
+    """Seeded Gaussian factors; given ``vectors``, the left singular vectors
+    of the three unfoldings, each factor's leading columns are theirs."""
     factors = []
-    for mode in (1, 2, 3):
-        d = dims[mode - 1]
+    for mode, d in enumerate(t.shape):
         f = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
-        if structured:
-            u, _, _ = np.linalg.svd(unfold(t, mode), full_matrices=False)
-            k = min(r, u.shape[1])
-            f[:, :k] = u[:, :k]
+        if vectors is not None:
+            k = min(r, vectors[mode].shape[1])
+            f[:, :k] = vectors[mode][:, :k]
         factors.append(f)
     return factors
 
@@ -310,11 +315,11 @@ def _padding(r: int) -> np.ndarray:
 _EIGENBASIS_COND_MAX = np.finfo(float).eps ** -0.25
 
 
-def _pencil_construction(t, core, bases, r, tol):
+def _pencil_construction(t, support, r, tol):
     """R-term decomposition of ``t`` built from its padded slice pencil.
 
-    ``core`` is the support of ``t`` and ``bases`` its orthonormal bases
-    (:func:`_compress_support`).  When a mode of ``core`` has dim <= 2, its
+    ``support`` is (e, core, bases) of :func:`_support`, the core taken of
+    ``t`` scaled by 2^-e.  When a mode of ``core`` has dim <= 2, its
     slices (a zero second slice for dim 1) form an M x N pencil.  Embedded
     in an r x r pencil whose other entries are fixed generic numbers, it is
     diagonalisable exactly when the rank is at most r: an r-term
@@ -329,9 +334,10 @@ def _pencil_construction(t, core, bases, r, tol):
     give a residual below ``tol`` with huge, nearly cancelling terms (a
     border-rank approximation), so an eigenbasis whose condition number
     exceeds ``_EIGENBASIS_COND_MAX`` is refused.  Returns a successful
-    ``CpResult`` when the basis passes and the relative residual is below
-    ``tol``, else None.
+    ``CpResult``, its mode factor scaled back by 2^e, when the basis passes
+    and the relative residual is below ``tol``, else None.
     """
+    e, core, bases = support
     mode = int(np.argmin(core.shape))
     slices = np.moveaxis(core, mode, 0)
     k, m, n = slices.shape
@@ -352,16 +358,18 @@ def _pencil_construction(t, core, bases, r, tol):
     factors[rows] = bases[rows] @ w[:m]
     factors[cols] = bases[cols] @ v[:n]
     factors[mode] = bases[mode] @ (scale * c[:k])
-    residual = _relative_residual(t, np.einsum("ir,jr,kr->ijk", *factors))
+    residual = _relative_residual(ldexp(t, -e), np.einsum("ir,jr,kr->ijk", *factors))
     if not residual < tol:
         return None
+    factors[mode] = ldexp(factors[mode], e)
     return CpResult(True, r, residual, tuple(factors), "padded pencil construction")
 
 
-def _spectral_init(t, r):
+def _spectral_init(t, r, vectors):
     """Generalized-eigenvector initialization where R fits two of the dims.
 
-    Compressing to an r x r x 2 core turns an exact rank-r decomposition
+    Compressing by ``vectors``, the left singular vectors of the three
+    unfoldings, to an r x r x 2 core turns an exact rank-r decomposition
     into a simultaneous diagonalization of the core's two slices
     (:func:`_diagonalize_pencil`), which gives the first two factors; the
     third is fitted by least squares.  Lands ALS inside the quadratic basin,
@@ -373,14 +381,8 @@ def _spectral_init(t, r):
         if r > min(dims[0], dims[1]) or dims[2] < 2:
             continue
         tp = np.transpose(t, perm)
+        u1, u2, u3 = (vectors[p][:, :k] for p, k in zip(perm, (r, r, 2)))
         try:
-            u1 = np.linalg.svd(tp.reshape(dims[0], -1), full_matrices=False)[0][:, :r]
-            u2 = np.linalg.svd(
-                np.moveaxis(tp, 1, 0).reshape(dims[1], -1), full_matrices=False
-            )[0][:, :r]
-            u3 = np.linalg.svd(
-                np.moveaxis(tp, 2, 0).reshape(dims[2], -1), full_matrices=False
-            )[0][:, :2]
             core = np.einsum("ip,jq,kr,ijk->pqr", u1.conj(), u2.conj(), u3.conj(), tp)
             wa, wb, _ = _diagonalize_pencil(core[:, :, 0], core[:, :, 1])
             fa = u1 @ wa
@@ -388,10 +390,7 @@ def _spectral_init(t, r):
             z = np.einsum("ir,jr->ijr", fa, fb).reshape(-1, r)
             m3 = np.moveaxis(tp, 2, 0).reshape(dims[2], -1)
             fc = np.linalg.lstsq(z, m3.T, rcond=None)[0].T
-            factors = [None] * 3
-            for pos, mode in enumerate(perm):
-                factors[mode] = (fa, fb, fc)[pos]
-            return factors
+            return [(fa, fb, fc)[perm.index(mode)] for mode in range(3)]
         except np.linalg.LinAlgError:
             continue
     return None
@@ -447,10 +446,10 @@ def cp_als(t, r: int, restarts: int = 32, max_iter: int = 2000, seed: int = 0,
     Success means some restart reached relative residual below ``tol``.
     When R is at least the product of the two smallest dims the exact
     slice-wise construction is returned directly.  Restart 0 is initialized
-    from unfolding singular vectors, restart 1 from the generalized
-    eigenvector construction when R fits two of the dims, the rest from
-    seeded Gaussians; restarts stop at the first success and the best
-    attempt wins ties by restart order.
+    from the singular vectors of one ``tensor.unfolding_svds`` call, restart
+    1 from their generalized eigenvector construction when R fits two of the
+    dims, the rest from seeded Gaussians; restarts stop at the first success
+    and the best attempt wins ties by restart order.
 
     Each factor update is a linear least-squares solve by LAPACK ``zgelsd``
     (the SVD-based routine behind ``np.linalg.lstsq``), called through
@@ -483,18 +482,19 @@ def cp_als(t, r: int, restarts: int = 32, max_iter: int = 2000, seed: int = 0,
     # the sweeps fit t scaled by 2^-e, where no norm overflows or underflows;
     # starts are drawn for t, so every sweep leaves the exact factor 2^-e in
     # the first factor, which is scaled back
-    e = unit_exponent(t)
+    [e], _, svds = unfolding_svds(t[None], vectors=(0, 1, 2))
+    vectors = [svd.U[0] for svd in svds]
     t_unit = ldexp(t, -e)
     norm_t = float(np.linalg.norm(t_unit))
     solve = [_mode_solver(t_unit, mode, r) for mode in (1, 2, 3)]
-    spectral = _spectral_init(t, r)
+    spectral = _spectral_init(t, r, vectors)
     best = None
     for restart in range(max(1, restarts)):
         rng = np.random.default_rng(np.random.SeedSequence([seed, restart]))
         if restart == 1 and spectral is not None:
             a, b, c = (f.copy() for f in spectral)
         else:
-            a, b, c = _als_init(t, r, rng, structured=(restart == 0))
+            a, b, c = _als_init(t, r, rng, vectors if restart == 0 else None)
         prev_res = np.inf
         residual = np.inf
         for _ in range(max_iter):
@@ -571,12 +571,12 @@ def rank_interval(t, restarts: int = 32, max_iter: int = 2000, seed: int = 0,
     once R reaches the product of the two smallest dims.
     """
     t = as_tensor(t)
-    core, bases = _compress_support(t)
-    lower, cert = _lower_bound(t, core)
+    support = _support(t)
+    lower, cert = _lower_bound(t, support[1])
     dims = sorted(t.shape)
     r = lower
     while True:
-        result = _pencil_construction(t, core, bases, r, tol) or cp_als(
+        result = _pencil_construction(t, support, r, tol) or cp_als(
             t, r, restarts=restarts, max_iter=max_iter, seed=seed, tol=tol)
         if result.success:
             return RankInterval(lower, r, cert, result)
@@ -613,25 +613,22 @@ class ClassifyResult:
         )
 
 
-def _compress_support(t, tol: float = 1e-9):
+def _support(t, tol: float = 1e-9):
     """Restrict each party to the support of its unfolding (full local ranks).
 
-    Returns the core and the orthonormal bases (u1, u2, u3) of the three
-    supports; ``t`` is the core mapped by u1, u2 and u3 whenever its
-    discarded singular values are zero.
+    Returns (e, core, bases): the bases (u1, u2, u3) are left singular
+    vectors of ``tensor.unfolding_svds``, and ``t`` scaled by 2^-e is the
+    core mapped by them whenever its discarded singular values are zero.
     """
-    t = as_tensor(t)
-    bases = tuple(column_space(unfold(t, mode), tol) for mode in (1, 2, 3))
-    core = np.einsum("ip,jq,kr,ijk->pqr", *(u.conj() for u in bases), t)
-    return core, bases
-
-
-_SIGNATURE_TABLE_CACHE = None
+    [e], [ranks], svds = unfolding_svds(t[None], tol, vectors=(0, 1, 2))
+    bases = tuple(svd.U[0, :, :r] for svd, r in zip(svds, ranks))
+    core = np.einsum("ip,jq,kr,ijk->pqr", *(u.conj() for u in bases), ldexp(t, -e))
+    return e, core, bases
 
 
 def _entry_signature(t):
     """Classification key: local ranks plus Moebius-invariant pencil data."""
-    core = _compress_support(t)[0]
+    core = _support(t)[1]
     dims = core.shape
     if dims[0] == 1:
         return (dims, None)
@@ -639,19 +636,17 @@ def _entry_signature(t):
     return (dims, inv.signature())
 
 
+@functools.cache
 def _signature_table():
-    global _SIGNATURE_TABLE_CACHE
-    if _SIGNATURE_TABLE_CACHE is None:
-        table = {}
-        for entry in _catalog.catalog_list(table_only=True):
-            sig = _entry_signature(entry.build())
-            if sig in table:
-                raise RuntimeError(
-                    f"signature table bug: {entry.id} and {table[sig]} collide on {sig}"
-                )
-            table[sig] = entry.id
-        _SIGNATURE_TABLE_CACHE = table
-    return _SIGNATURE_TABLE_CACHE
+    table = {}
+    for entry in _catalog.catalog_list(table_only=True):
+        sig = _entry_signature(entry.build())
+        if sig in table:
+            raise RuntimeError(
+                f"signature table bug: {entry.id} and {table[sig]} collide on {sig}"
+            )
+        table[sig] = entry.id
+    return table
 
 
 def classify_2mn(t) -> ClassifyResult:

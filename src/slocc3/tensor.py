@@ -4,12 +4,15 @@ A 3-way tensor is stored as a C-ordered ``numpy.ndarray`` of shape
 ``(n1, n2, n3)`` and dtype ``complex128``; entry ``(i, j, k)`` sits at flat
 position ``i*n2*n3 + j*n3 + k`` (last index fastest).  The same array doubles
 as the coefficient tensor of a pure tripartite state written in the
-computational basis.
+computational basis.  Every SVD of a tensor's unfoldings (local ranks,
+supports, traced ranges, ALS starts) is taken by :func:`unfolding_svds`, at
+each tensor's exact power-of-two scale (:func:`unit_exponent`).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -127,7 +130,7 @@ def unit_exponent(t) -> int:
     in [1/2, 1).  Norms and rank decisions taken at that scale neither
     overflow nor underflow, and since the rescale is exact they equal those
     taken at the input's scale wherever the latter stay in range."""
-    return int(np.frexp(np.max(np.abs(np.ravel(t).view(float))))[1])
+    return math.frexp(np.abs(np.ravel(t).view(float)).max())[1]
 
 
 def ldexp(t, e: int) -> np.ndarray:
@@ -142,33 +145,58 @@ def check_tol(tol) -> None:
         raise ValueError("tol must be positive and finite")
 
 
-def _rank_of_spectrum(s, tol) -> int:
-    """Singular values (descending) above tol times the largest."""
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+def _ranks_above(s, tol):
+    """The one rank rule: singular values (descending, last axis) above tol
+    times the largest; 0 for a zero spectrum."""
+    return np.add.reduce(s > tol * s[..., :1], axis=-1)
 
 
 def matrix_rank_tol(m, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Numerical rank: singular values above tol times the largest."""
+    """Numerical rank: singular values above tol times the largest, taken
+    of ``m`` scaled by the exact power of two of :func:`unit_exponent`."""
     m = np.asarray(m, dtype=complex)
     if m.size == 0:
         return 0
-    return _rank_of_spectrum(np.linalg.svd(m, compute_uv=False), tol)
+    return int(_ranks_above(np.linalg.svd(ldexp(m, -unit_exponent(m)), compute_uv=False), tol))
 
 
 def column_space(m, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of the column space, of the rank that
-    :func:`matrix_rank_tol` decides; scale-free, as the SVD is of ``m``."""
-    u, s, _ = np.linalg.svd(np.asarray(m, dtype=complex), full_matrices=False)
-    return u[:, : _rank_of_spectrum(s, tol)]
+    :func:`matrix_rank_tol` decides at the same exact scale."""
+    m = np.asarray(m, dtype=complex)
+    u, s, _ = np.linalg.svd(ldexp(m, -unit_exponent(m)), full_matrices=False)
+    return u[:, :_ranks_above(s, tol)]
+
+
+def unfolding_svds(stack, tol: float = DEFAULT_RANK_TOL, vectors=()):
+    """SVDs of the three unfoldings of each tensor in a stack (count, n1, n2, n3).
+
+    Each tensor is scaled by its own exact power of two 2^-e
+    (:func:`unit_exponent`), so no singular value under- or overflows, then
+    one batched SVD per mode, its ranks by the rule of :func:`matrix_rank_tol`.
+    Returns (e, ranks (count, 3), svds), svds[q] the (U, S, Vh) of the
+    scaled mode-(q + 1) unfoldings if q is in ``vectors``, else None.
+    """
+    count, *dims = stack.shape
+    e = np.frexp(np.abs(stack.reshape(count, -1).view(float)).max(axis=1))[1]
+    unit = ldexp(stack, -e[:, None, None, None])
+    # the three spectra, zero-padded, so one call of the rule ranks them all
+    spectra, svds = np.zeros((count, 3, max(dims))), [None] * 3
+    for q in range(3):
+        mats = np.moveaxis(unit, q + 1, 1).reshape(count, dims[q], -1)
+        if q in vectors:
+            u, s, vh = svds[q] = np.linalg.svd(mats, full_matrices=False)
+        else:
+            s = np.linalg.svd(mats, compute_uv=False)
+        spectra[:, q, :s.shape[-1]] = s
+    return e, _ranks_above(spectra, tol), svds
 
 
 def local_ranks(t, tol: float = DEFAULT_RANK_TOL):
     """Ranks of the three mode unfoldings (the state's local ranks)."""
     check_tol(tol)
     t = as_tensor(t)
-    return tuple(matrix_rank_tol(unfold(t, m), tol) for m in (1, 2, 3))
+    return tuple(unfolding_svds(t[None], tol)[1][0].tolist())
 
 
 def is_product_state(t, tol: float = DEFAULT_RANK_TOL) -> bool:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import slocc3 as s
 from slocc3 import rank
-from slocc3.tensor import ldexp, unit_exponent
+from slocc3.tensor import ldexp, unfolding_svds, unit_exponent
 
 
 def random_tensor(rng, dims):
@@ -230,21 +230,22 @@ def _reference_cp_als(t, r, restarts, max_iter, seed, tol, stall_tol):
     """The CP-ALS loop on ``np.linalg.lstsq``; also returns the smallest
     numerical rank of any design matrix it solved with."""
     from slocc3.rank import _als_init, _spectral_init
-    from slocc3.tensor import unfold
+    from slocc3.tensor import unfold, unfolding_svds
 
     def khatri_rao(u, v):
         return np.einsum("jr,kr->jkr", u, v).reshape(-1, r)
 
     norm_t = float(np.linalg.norm(t))
     unfolds = [unfold(t, m) for m in (1, 2, 3)]
-    spectral = _spectral_init(t, r)
+    vectors = [svd.U[0] for svd in unfolding_svds(t[None], vectors=(0, 1, 2))[2]]
+    spectral = _spectral_init(t, r, vectors)
     best, min_rank = None, r
     for restart in range(max(1, restarts)):
         rng = np.random.default_rng(np.random.SeedSequence([seed, restart]))
         if restart == 1 and spectral is not None:
             a, b, c = (f.copy() for f in spectral)
         else:
-            a, b, c = _als_init(t, r, rng, structured=(restart == 0))
+            a, b, c = _als_init(t, r, rng, vectors if restart == 0 else None)
         prev_res = np.inf
         residual = np.inf
         for _ in range(max_iter):
@@ -311,7 +312,7 @@ TWO_SLICE_ROWS = [e.id for e in s.catalog_list(table_only=True) if e.system[0] =
 
 def _jaja_of(t):
     """Ja'Ja's formula on the slice pencil of ``t`` restricted to its support."""
-    core = rank._compress_support(t)[0]
+    core = rank._support(t)[1]
     inv = s.pencil_invariants(np.moveaxis(core, core.shape.index(2), 0))
     assert not inv.borderline
     return rank._jaja_rank(inv)
@@ -443,14 +444,14 @@ def test_pencil_construction_below_rank_never_succeeds(name, r):
         image = s.apply_slocc(t, *s.random_slocc(t.shape, 80 + seed, cond_bound=100))
         for exponent in (-150, 0, 150):
             scaled = image * 10.0**exponent
-            core, bases = rank._compress_support(scaled)
-            assert rank._pencil_construction(scaled, core, bases, r, 1e-8) is None, seed
+            support = rank._support(scaled)
+            assert rank._pencil_construction(scaled, support, r, 1e-8) is None, seed
 
 
 def test_interval_below_rank_falls_back_to_als(monkeypatch):
     """With the lower bound forced below the rank, the construction fails
     there, ALS runs at that R, and the construction closes one higher."""
-    monkeypatch.setattr(rank, "classify_222", lambda t: "GHZclass")
+    monkeypatch.setattr(rank, "_class_222", lambda t, ranks: "GHZclass")
 
     def borderline(t, *args, **kwargs):
         return dataclasses.replace(s.pencil_invariants(t, *args, **kwargs), borderline=True)
@@ -469,7 +470,8 @@ def test_spectral_init_reconstructs_repeated_eigenvalue_images(entry_id):
     t = s.catalog_build(entry_id)
     for seed in range(5):
         image = s.apply_slocc(t, *s.random_slocc(t.shape, 40 + seed, cond_bound=100))
-        factors = rank._spectral_init(image, 3)
+        vectors = [svd.U[0] for svd in unfolding_svds(image[None], vectors=(0, 1, 2))[2]]
+        factors = rank._spectral_init(image, 3, vectors)
         rebuilt = np.einsum("ir,jr,kr->ijk", *factors)
         assert np.linalg.norm(rebuilt - image) <= 1e-12 * np.linalg.norm(image), seed
 
@@ -559,3 +561,39 @@ def test_fixed_draws_are_made_once_per_shape(monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", refuse)
     again = s.rank_interval(t), s.rank_lower_bound(perm)
     assert again[0].to_json() == first[0].to_json() and again[1] == first[1]
+
+
+# --- unfolding SVDs: one routine, counted ----------------------------------------
+
+
+def _counted_svds(monkeypatch):
+    """Record the shape of every ``np.linalg.svd`` argument."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return shapes
+
+
+def test_cp_als_takes_the_unfolding_svds_once(monkeypatch):
+    """Restart 0's start and restart 1's spectral start read one routine
+    call: 3 unfolding SVDs before the sweeps, where each start took its own
+    3 (6 in all)."""
+    t = random_tensor(np.random.default_rng(5), (3, 3, 3))
+    shapes = _counted_svds(monkeypatch)
+    s.cp_als(t, 3, restarts=3, max_iter=2)
+    assert shapes == [(1, 3, 9)] * 3
+
+
+def test_rank_interval_of_a_w_image_takes_three_unfolding_svds(monkeypatch):
+    """The support's SVDs also give the 2 x 2 x 2 class its local ranks."""
+    image = s.apply_slocc(s.w_state(), *s.random_slocc((2, 2, 2), 4, cond_bound=20))
+    shapes = _counted_svds(monkeypatch)
+    interval = s.rank_interval(image)
+    assert (interval.lower, interval.upper, interval.certificate_lower) == (
+        3, 3, "Classifier222(Wclass)")
+    assert shapes == [(1, 2, 4)] * 3

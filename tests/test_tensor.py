@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import slocc3 as s
-from slocc3.tensor import least_squares
+from slocc3.tensor import column_space, least_squares, matrix_rank_tol, unfolding_svds
 
 
 def random_tensor(rng, dims):
@@ -317,3 +317,69 @@ def test_least_squares_is_deterministic(jac):
             for _ in range(2)]
     np.testing.assert_array_equal(ends[0].x, ends[1].x)
     assert ends[0].nfev == ends[1].nfev
+
+
+# --- one routine for every unfolding SVD ----------------------------------------
+
+
+def _planted(rng, dims, ranks):
+    """A random tensor whose unfoldings have (generically) the given ranks:
+    a random core of dims ``ranks`` mapped by random n_q x r_q matrices."""
+    core = random_tensor(rng, ranks)
+    maps = [random_tensor(rng, (d, r)) for d, r in zip(dims, ranks)]
+    return np.einsum("ip,jq,kr,pqr->ijk", *maps, core)
+
+
+def _projector(basis):
+    """Orthogonal projector onto the span of the columns of ``basis``."""
+    return basis @ basis.conj().T
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 4), (3, 3, 3), (4, 3, 5)])
+def test_unfolding_svds_match_the_per_unfolding_loop(dims):
+    """The reference is one ``matrix_rank_tol``/``column_space`` call per
+    unfolding; the routine gives the same ranks, the same column spaces
+    from its left vectors, and, from its right vectors, the same range of
+    the reduced density with that party traced out (the column space of the
+    kept x traced unfolding), on random stacks at several scales and on
+    stacks with planted rank deficiencies."""
+    rng = np.random.default_rng(sum(dims))
+    planted = [tuple(max(1, d - k) for d in dims) for k in (0, 1, 2)]
+    stacks = [np.stack([random_tensor(rng, dims) * 10.0**k for k in (-200, 0, 200)]),
+              np.stack([_planted(rng, dims, r) for r in planted]),
+              np.stack([s.zero_tensor(dims), s.basis_tensor(dims, (0, 0, 0))])]
+    for stack in stacks:
+        e, ranks, svds = unfolding_svds(stack, vectors=(0, 1, 2))
+        assert e.shape == (len(stack),)
+        for t, te, tr, i in zip(stack, e, ranks, range(len(stack))):
+            assert tuple(tr) == tuple(matrix_rank_tol(s.unfold(t, m)) for m in (1, 2, 3))
+            for q, (u, _, vh) in enumerate(svds):
+                r = tr[q]
+                want = column_space(s.unfold(t, q + 1))
+                assert want.shape[1] == r
+                np.testing.assert_allclose(_projector(u[i, :, :r]), _projector(want), atol=1e-12)
+                kept_by_traced = np.moveaxis(t, q, -1).reshape(-1, dims[q])
+                np.testing.assert_allclose(_projector(vh[i, :r].T),
+                                           _projector(column_space(kept_by_traced)), atol=1e-12)
+            if np.any(t):
+                assert 0.5 <= np.max(np.abs(np.ldexp(t.view(float), -int(te)))) < 1.0
+        assert [tuple(r) for r in ranks] == [s.local_ranks(t) for t in stack]
+    assert [tuple(r) for r in unfolding_svds(stacks[1])[1]] == [
+        tuple(min(r, int(np.prod(rs)) // r) for r in rs) for rs in planted]
+
+
+def test_unfolding_svds_take_vectors_only_where_asked(monkeypatch):
+    """One batched SVD call per mode, with vectors only for the asked modes."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append((a.shape, kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    stack = random_tensor(np.random.default_rng(3), (5, 2, 3, 4))
+    _, _, svds = unfolding_svds(stack, vectors=(1,))
+    assert calls == [((5, 2, 12), False), ((5, 3, 8), True), ((5, 4, 6), False)]
+    assert svds[0] is None and svds[2] is None
+    assert svds[1].U.shape == (5, 3, 3) and svds[1].Vh.shape == (5, 3, 8)
