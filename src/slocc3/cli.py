@@ -77,16 +77,21 @@ def _read_text(path: str) -> str:
 
 
 def _load_tensor(args, ket_attr="ket", dims_attr="dims", file_attr="file"):
+    """Tensor from the command's ket and dims options or its JSON file; the
+    messages name the command's own flags (``file`` is the positional file)."""
+    ket_flag, dims_flag, file_flag = ("--" + a.replace("_", "-")
+                                      for a in (ket_attr, dims_attr, file_attr))
     ket = getattr(args, ket_attr, None)
     path = getattr(args, file_attr, None)
     if ket is not None:
         dims = getattr(args, dims_attr, None)
         if dims is None:
-            raise ValueError("--ket requires --dims")
+            raise ValueError(f"{ket_flag} requires {dims_flag}")
         return parse_ket(ket, _parse_dims(dims))
     if path is not None:
         return tensor_from_json(_read_text(path))
-    raise ValueError("provide either --ket with --dims or a tensor JSON file")
+    source = "a tensor JSON file" if file_attr == "file" else file_flag
+    raise ValueError(f"provide either {ket_flag} with {dims_flag} or {source}")
 
 
 def _emit(args, json_doc, text_lines):
@@ -156,7 +161,9 @@ def build_parser() -> _Parser:
                        help="necessary-condition equivalence test on two tensors")
     p.add_argument("t1", help="first tensor JSON file")
     p.add_argument("t2", help="second tensor JSON file")
-    p.add_argument("--tol-equiv", type=float, default=1e-8)
+    p.add_argument("--tol-equiv", type=float, default=1e-8,
+                   help="bound on the residual |c*(f1 o G) - f2|^2 / |f2|^2, in [0, 1]; "
+                        "1e-8 is a relative coefficient distance of 1e-4")
     _add_common(p, randomized=True)
 
     p = sub.add_parser("ptrace", help="reduced density matrix of a pure state")
@@ -377,16 +384,8 @@ def _run(args) -> int:
         return EXIT_OK
 
     if cmd == "build335":
-        if args.psi_ket is not None:
-            if args.psi_dims is None:
-                raise ValueError("--psi-ket requires --psi-dims")
-            psi = parse_ket(args.psi_ket, _parse_dims(args.psi_dims))
-        elif args.psi_file is not None:
-            psi = tensor_from_json(_read_text(args.psi_file))
-        else:
-            raise ValueError("provide --psi-ket with --psi-dims or --psi-file")
         out = cat.build_335(
-            psi,
+            _load_tensor(args, "psi_ket", "psi_dims", "psi_file"),
             _parse_cvector(args.alpha),
             _parse_cvector(args.beta),
             _parse_cvector(args.gamma),

@@ -4,21 +4,22 @@ For a tensor with mode-3 slices A, B, C the determinant polynomial is
 ``f(x, y, z) = det(x*A + y*B + z*C)``, homogeneous of degree n.  Two tensors
 related by slice transformations have determinant polynomials related by a
 linear substitution of variables, which yields a necessary condition for
-equivalence: after monic normalization, ``f2`` must equal ``f1`` composed
-with some nonsingular 3x3 matrix G acting on the variable row vector as
+equivalence: ``f2`` must be a multiple of ``f1`` composed with some
+nonsingular 3x3 matrix G acting on the variable row vector as
 ``x -> x @ G.T``.  :func:`detpoly_equiv_test` searches for such a G
 numerically and never converts a failed search into a verdict of
 inequivalence.
 
 One kernel evaluates determinants of slice combinations: :func:`det_grid`
 on a roots-of-unity grid, :func:`det_coefficients` its exact DFT inverse.
-It serves ``det_poly`` for n >= 7, the pencil minors and the equivalence
-residual.  For n <= 6 ``det_poly`` expands cofactors exactly, so the
-structural zeros of sparse tensors stay exact zeros.
+It serves ``det_poly`` for n >= 7, the pencil minors and every measure of
+the equivalence test.  For n <= 6 ``det_poly`` expands cofactors exactly,
+so the structural zeros of sparse tensors stay exact zeros.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -191,15 +192,21 @@ def det_poly(t) -> HomPoly3:
     Exact cofactor expansion over polynomial entries for n <= 6; for larger n
     the coefficients come from :func:`det_coefficients`.
     """
+    t = _square_slices(t)
+    if t.shape[0] <= 6:
+        return _det_poly_symbolic(t)
+    return _det_poly_interpolate(t)
+
+
+def _square_slices(t) -> np.ndarray:
+    """``t`` as an n x n x 3 tensor; ValueError for any other shape."""
     t = as_tensor(t)
     n1, n2, n3 = t.shape
     if n1 != n2:
         raise ValueError(f"slices must be square, got {n1} x {n2}")
     if n3 != 3:
         raise ValueError(f"expected 3 slices in mode 3, got {n3}")
-    if n1 <= 6:
-        return _det_poly_symbolic(t)
-    return _det_poly_interpolate(t)
+    return t
 
 
 def _det_poly_symbolic(t) -> HomPoly3:
@@ -252,11 +259,19 @@ def det_grid(*slices) -> np.ndarray:
     *weighted, last = (np.asarray(s, dtype=complex) for s in slices)
     k = len(weighted)
     m = last.shape[-1] + 1
-    roots = np.exp(2j * np.pi * np.arange(m) / m)
-    points = np.stack(np.meshgrid(*[roots] * k, indexing="ij"), axis=-1).reshape(-1, k)
-    mats = np.einsum("gi,...iab->...gab", points, np.stack(weighted, axis=-3))
+    mats = np.einsum("gi,...iab->...gab", _grid_points(m, k), np.stack(weighted, axis=-3))
     values = np.linalg.det(mats + last[..., None, :, :])
     return values.reshape(last.shape[:-2] + (m,) * k)
+
+
+@functools.cache
+def _grid_points(m: int, k: int) -> np.ndarray:
+    """The m^k points of :func:`det_grid`, made once per (m, k); read-only,
+    since every call shares it."""
+    roots = np.exp(2j * np.pi * np.arange(m) / m)
+    points = np.stack(np.meshgrid(*[roots] * k, indexing="ij"), axis=-1).reshape(-1, k)
+    points.setflags(write=False)
+    return points
 
 
 def det_coefficients(*slices) -> np.ndarray:
@@ -321,7 +336,10 @@ class EquivVerdict:
     polynomial vanishes identically, so no substitution can exist),
     ``CandidateFound`` (a nonsingular G was found with residual below
     tolerance) or ``NoCandidateFound`` (search failed; explicitly
-    inconclusive, never a proof of inequivalence).
+    inconclusive, never a proof of inequivalence).  ``residual`` is the
+    relative squared distance |c*(f1 o G) - f2|^2 / |f2|^2 of f2 from the
+    best multiple of f1 o G, in [0, 1]; for ``NoCandidateFound`` it is the
+    best one found.
     """
 
     kind: str
@@ -338,96 +356,57 @@ class EquivVerdict:
         return json.dumps(doc, sort_keys=True)
 
 
-def detpoly_equiv_test(
-    t1,
-    t2,
-    restarts: int = DEFAULT_RESTARTS,
-    seed: int = 0,
-    tol: float = DEFAULT_EQUIV_TOL,
-) -> EquivVerdict:
+def detpoly_equiv_test(t1, t2, restarts: int = DEFAULT_RESTARTS, seed: int = 0,
+                       tol: float = DEFAULT_EQUIV_TOL) -> EquivVerdict:
     """Necessary-condition equivalence test on determinant polynomials.
 
-    Runs a seeded multi-start local minimization of the squared coefficient
-    distance between monic(f1 composed with G) and monic(f2) over complex
-    3x3 matrices G (18 real parameters).  Restart 0 starts from the identity
-    so self-comparison returns immediately with G = I and residual 0.  Each
-    input is first scaled by an exact power of two (``tensor.unit_exponent``),
-    so no determinant over- or underflows; monic normalization makes the
-    verdict independent of that scale.
+    One measure serves search and verdict: the relative squared distance
+    |c*(f1 o G) - f2|^2 / |f2|^2 of f2 from the best multiple of f1 o G, in
+    [0, 1], on the nodes of :func:`_node_values`.  A seeded multi-start
+    Levenberg-Marquardt search minimises it over complex 3x3 matrices G;
+    restart 0 starts from the identity, so self-comparison returns G = I
+    with residual 0.  ``CandidateFound`` needs a residual below ``tol``; the
+    default 1e-8 is a relative coefficient distance of 1e-4.  Each input is
+    first scaled by an exact power of two (``tensor.unit_exponent``); a
+    determinant polynomial is zero when its largest coefficient
+    (:func:`det_coefficients`) at that scale is at most ``ZERO_POLY_TOL``.
     """
-    t1, t2 = (ldexp(t, -unit_exponent(t)) for t in (as_tensor(t1), as_tensor(t2)))
+    t1, t2 = (ldexp(t, -unit_exponent(t)) for t in (_square_slices(t1), _square_slices(t2)))
     if t1.shape != t2.shape:
         raise ValueError("tensors must share dims")
-    f1 = det_poly(t1)
-    f2 = det_poly(t2)
-
-    zero1 = f1.max_abs_coeff() <= ZERO_POLY_TOL
-    zero2 = f2.max_abs_coeff() <= ZERO_POLY_TOL
+    zero1, zero2 = (np.max(np.abs(det_coefficients(*t.transpose(2, 0, 1)))) <= ZERO_POLY_TOL
+                    for t in (t1, t2))
     if zero1 and zero2:
-        # both determinant polynomials vanish: the substitution equation is
-        # vacuously solvable, e.g. by the identity
-        return EquivVerdict(
-            "CandidateFound", 0.0, np.eye(3, dtype=complex),
-            "both determinant polynomials are identically zero",
-        )
+        # the substitution equation is vacuously solvable, e.g. by the identity
+        return EquivVerdict("CandidateFound", 0.0, np.eye(3, dtype=complex),
+                            "both determinant polynomials are identically zero")
     if zero1 != zero2:
         which = "first" if zero1 else "second"
-        return EquivVerdict(
-            "CertifiedObstruction",
-            detail=f"only the {which} determinant polynomial is identically zero",
-        )
+        return EquivVerdict("CertifiedObstruction", detail=f"only the {which} "
+                            "determinant polynomial is identically zero")
 
-    monic1, lead1 = monic_normalize(f1)
-    monic2, lead2 = monic_normalize(f2)
-    target_lead = monic2.leading()
-    target_vec = monic2.coeff_vector()
-    w1 = _node_values(t1, np.eye(3)) / lead1
-    w2 = _node_values(t2, np.eye(3)) / lead2
-
-    def contract_residual(g):
-        # Normalize the composed polynomial at the target's leading monomial:
-        # near a solution that IS its lex-leading term, while optimizer noise
-        # on lex-greater monomials that should vanish would otherwise be
-        # mistaken for a leading coefficient.
-        sub = substitute(monic1, g)
-        scale = sub.max_abs_coeff()
-        lead_c = sub.coeffs.get(target_lead, 0.0)
-        if scale == 0.0:
-            return np.inf
-        if abs(lead_c) <= 1e-12 * scale:
-            lead = sub.leading()
-            lead_c = sub.coeffs[lead]
-        diff = (sub * (1.0 / lead_c)).coeff_vector() - target_vec
-        return float(np.vdot(diff, diff).real)
-
-    best_res = np.inf
-    best_g = None
+    w1, w2 = (_node_values(t, np.eye(3)) for t in (t1, t2))
+    best_res, best_g = np.inf, None
     for r in range(max(1, restarts)):
-        # even restarts search G with f1 o G ~ f2, odd restarts search the
-        # reverse equation whose solution inverts to a forward one; the two
-        # landscapes have different basins
+        # even restarts search G with f1 o G ~ f2, odd restarts the reverse
+        # equation, whose solution inverts to a forward one, in other basins
         forward = r % 2 == 0
-        if r <= 1:
-            g0 = np.eye(3, dtype=complex)
-        else:
-            g0 = random_nonsingular(3, np.random.SeedSequence([seed, r]), cond_bound=100.0)
+        g0 = (np.eye(3, dtype=complex) if r <= 1 else
+              random_nonsingular(3, np.random.SeedSequence([seed, r]), cond_bound=100.0))
+        t, target = (t1, w2) if forward else (t2, w1)
         x0 = np.concatenate([g0.real.ravel(), g0.imag.ravel()])
-        t, lead, target = (t1, lead1, w2) if forward else (t2, lead2, w1)
-        sol = least_squares(_value_residual(t, lead, target, x0), x0, max_nfev=4000)
+        sol = least_squares(lambda x: _value_residual(t, x, target, x0), x0, max_nfev=4000)
         g = (sol.x[:9] + 1j * sol.x[9:]).reshape(3, 3)
         if not is_nonsingular(g):
             continue
         if not forward:
             g = np.linalg.inv(g)
-        res = contract_residual(g)
+        diff = _best_multiple(_node_values(t1, g), w2)
+        res = float(np.vdot(diff, diff).real / np.vdot(w2, w2).real)
         if res < best_res:
             best_res, best_g = res, g
         if best_res < tol:
-            break
-
-    if best_res < tol:
-        return EquivVerdict("CandidateFound", best_res, best_g,
-                            "substitution matrix found")
+            return EquivVerdict("CandidateFound", best_res, best_g, "substitution matrix found")
     return EquivVerdict("NoCandidateFound", best_res, None,
                         "no substitution found; test inconclusive")
 
@@ -443,24 +422,19 @@ def _node_values(t, g) -> np.ndarray:
     return det_grid(mixed[1], mixed[2], mixed[0]).ravel()
 
 
-def _value_residual(t, lead, target, x0):
-    """Residual of f o G against ``target`` on the nodes, f = det_poly(t) / lead.
+def _best_multiple(v, target) -> np.ndarray:
+    """c*v - target for the c of least norm, -target for a vanishing v; all
+    multiples of v score alike, so G -> cG leaves the residual as it is."""
+    vv = np.vdot(v, v).real
+    return np.vdot(v, target) / vv * v - target if vv >= 1e-300 else -target
 
-    G is packed as 18 reals (real parts, then imaginary parts).  The best
-    multiple of f o G is compared, so G -> cG leaves the residual unchanged;
-    two gauge rows fix |G| and the phase of <G0, G> at the start G0, which
-    takes that null space out of the Jacobian and shortens the search.
-    """
-    g0 = x0[:9] + 1j * x0[9:]
-    norm0 = float(np.dot(x0, x0))
-    weight = np.linalg.norm(target) / norm0
 
-    def residual(x):
-        g = x[:9] + 1j * x[9:]
-        v = _node_values(t, g.reshape(3, 3)) / lead
-        vv = np.vdot(v, v).real
-        r = np.vdot(v, target) / vv * v - target if vv >= 1e-300 else -target
-        gauge = weight * np.array([np.dot(x, x) - norm0, np.vdot(g0, g).imag])
-        return np.concatenate([r.real, r.imag, gauge])
-
-    return residual
+def _value_residual(t, x, target, x0) -> np.ndarray:
+    """:func:`_best_multiple` of det_poly(t) o G against ``target`` on the
+    nodes (real, then imaginary parts), then two gauge rows that fix |G| and
+    the phase of <G0, G> at the start G0: they take the null space of
+    G -> cG out of the Jacobian, which finds more related n = 4 pairs."""
+    g, g0 = x[:9] + 1j * x[9:], x0[:9] + 1j * x0[9:]
+    r = _best_multiple(_node_values(t, g.reshape(3, 3)), target)
+    gauge = np.array([np.dot(x, x) - np.dot(x0, x0), np.vdot(g0, g).imag])
+    return np.concatenate([r.real, r.imag, np.linalg.norm(target) / np.dot(x0, x0) * gauge])

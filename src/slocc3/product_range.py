@@ -33,8 +33,8 @@ from functools import cache
 import numpy as np
 
 from .pencil import EIGEN_CLUSTER_RADIUS, _chordal
-from .tensor import (DEFAULT_RANK_TOL, as_tensor, column_space, complex_to_pairs,
-                     least_squares, matrix_rank_tol, unfolding_svds)
+from .tensor import (DEFAULT_RANK_TOL, _ranks_above, as_tensor, column_space, complex_to_pairs,
+                     least_squares, unfolding_svds)
 
 MINOR_TOL = 1e-7
 RECONSTRUCT_TOL = 1e-8
@@ -255,15 +255,18 @@ def _reports(orthos, tol, starts, seed) -> list:
 
 def _report(cands, exactness, continuum=False, detail="") -> ProductVectorReport:
     """Report of the accepted candidates (the ones not None), in order,
-    without repeats of a member, and the rank of their span."""
+    without repeats of a member, and the rank of their span; the members
+    have unit norm, so one SVD at their own scale decides it."""
     found = []
     for cand in cands:
         if cand is not None and all(abs(np.vdot(m_hat, cand[2])) <= 1.0 - 1e-6
                                     for _, _, m_hat in found):
             found.append(cand)
+    members = np.array([m.ravel() for _, _, m in found])
+    count = int(_ranks_above(np.linalg.svd(members, compute_uv=False), 1e-9)) if found else 0
     return ProductVectorReport(
         vectors=[(u, v) for u, v, _ in found],
-        independent_count=matrix_rank_tol([m.ravel() for _, _, m in found], 1e-9),
+        independent_count=count,
         exactness=exactness,
         continuum=continuum,
         detail=detail,

@@ -334,8 +334,9 @@ def _pencil_construction(t, support, r, tol):
     give a residual below ``tol`` with huge, nearly cancelling terms (a
     border-rank approximation), so an eigenbasis whose condition number
     exceeds ``_EIGENBASIS_COND_MAX`` is refused.  Returns a successful
-    ``CpResult``, its mode factor scaled back by 2^e, when the basis passes
-    and the relative residual is below ``tol``, else None.
+    ``CpResult``, its factors scaled back by 2^q, 2^q and 2^(e - 2q) on the
+    mode (q = trunc(e / 3)), when the basis passes and the relative
+    residual is below ``tol``, else None.
     """
     e, core, bases = support
     mode = int(np.argmin(core.shape))
@@ -361,7 +362,9 @@ def _pencil_construction(t, support, r, tol):
     residual = _relative_residual(ldexp(t, -e), np.einsum("ir,jr,kr->ijk", *factors))
     if not residual < tol:
         return None
-    factors[mode] = ldexp(factors[mode], e)
+    # 2^e spread as 2^q, 2^q, 2^(e-2q) keeps each factor finite at any scale
+    q = int(e / 3)
+    factors = [ldexp(f, e - 2 * q if p == mode else q) for p, f in enumerate(factors)]
     return CpResult(True, r, residual, tuple(factors), "padded pencil construction")
 
 

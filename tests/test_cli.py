@@ -208,6 +208,20 @@ def test_build335_command(capsys):
     assert t[2, 0, 4] == 1.0
 
 
+def test_build335_psi_ket_without_dims_names_its_own_flags(capsys):
+    code = main(["build335", "--psi-ket", "|000>"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--psi-ket requires --psi-dims" in err
+
+
+def test_build335_without_psi_names_its_own_flags(capsys):
+    code = main(["build335"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--psi-ket with --psi-dims or --psi-file" in err
+
+
 def test_exit_code_format_error(capsys):
     code = main(["parse", "--ket", "|0(", "--dims", "2,2,2"])
     capsys.readouterr()

@@ -2,14 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import slocc3 as s
+from slocc3 import detpoly
 from slocc3.detpoly import (
     HomPoly3,
+    _det_poly_interpolate,
     _det_poly_symbolic,
     _node_values,
     _value_residual,
     det_coefficients,
+    det_grid,
     monomials,
 )
 
@@ -85,9 +90,56 @@ def test_det_coefficients_match_symbolic_with_batch_axes(n):
         assert np.max(np.abs(grid[idx] - ref)) < 1e-12 * scale
 
 
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from([2, 3, 4]), data=st.data())
+def test_det_poly_agrees_with_sympy_on_gaussian_integers(n, data):
+    """On Gaussian-integer entries in [-2, 2] every cofactor product is an
+    exact integer, so the cofactor path equals sympy's expanded determinant
+    exactly; the DFT kernel agrees to 1e-9 of the largest coefficient."""
+    import sympy
+    from sympy.polys.matrices import DomainMatrix
+
+    parts = data.draw(st.lists(st.integers(-2, 2), min_size=6 * n * n, max_size=6 * n * n))
+    entries = [complex(a, b) for a, b in zip(parts[::2], parts[1::2])]
+    t = np.array(entries).reshape(n, n, 3)
+    xyz = sympy.symbols("x y z")
+    ring = sympy.ZZ_I[xyz]
+    matrix = sympy.Matrix(n, n, lambda i, j: sum(
+        (int(c.real) + sympy.I * int(c.imag)) * v for c, v in zip(t[i, j], xyz)))
+    det = DomainMatrix.from_Matrix(matrix).convert_to(ring).det()
+    exact = {exp: complex(c) for exp, c in sympy.Poly(ring.to_sympy(det), *xyz).terms()
+             if c != 0}
+    assert s.det_poly(t).coeffs == exact
+    assert _det_poly_symbolic(t).coeffs == exact
+    reference = HomPoly3(n, exact).coeff_vector()
+    scale = max(np.max(np.abs(reference)), 1.0)
+    assert np.max(np.abs(_det_poly_interpolate(t).coeff_vector() - reference)) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("n, k", [(3, 1), (3, 2), (4, 2)])
+def test_det_grid_makes_its_nodes_once(monkeypatch, n, k):
+    """The cached nodes give the values the per-call grid gave, bit for bit,
+    and a second call builds no grid."""
+    rng = np.random.default_rng(30 + n + k)
+    slices = rng.standard_normal((k + 1, 2, n, n)) + 1j * rng.standard_normal((k + 1, 2, n, n))
+    m = n + 1
+    roots = np.exp(2j * np.pi * np.arange(m) / m)
+    points = np.stack(np.meshgrid(*[roots] * k, indexing="ij"), axis=-1).reshape(-1, k)
+    mats = np.einsum("gi,...iab->...gab", points, np.stack(list(slices[:-1]), axis=-3))
+    expected = np.linalg.det(mats + slices[-1][..., None, :, :]).reshape((2,) + (m,) * k)
+    np.testing.assert_array_equal(det_grid(*slices), expected)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("node grid built again")
+
+    monkeypatch.setattr(np, "exp", refuse)
+    monkeypatch.setattr(np, "meshgrid", refuse)
+    np.testing.assert_array_equal(det_grid(*slices), expected)
+
+
 def test_residual_grid_values_are_the_substituted_polynomial():
     """f o G on the nodes is the determinant of the slices recombined by G,
-    and the value residual vanishes at G against those values."""
+    and the value residual vanishes at G against any multiple of them."""
     rng = np.random.default_rng(8)
     for n in (2, 3, 4):
         t = rng.standard_normal((n, n, 3)) + 1j * rng.standard_normal((n, n, 3))
@@ -100,7 +152,7 @@ def test_residual_grid_values_are_the_substituted_polynomial():
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(values - expected)) < 1e-12 * scale
         x = np.concatenate([g.real.ravel(), g.imag.ravel()])
-        residual = _value_residual(t, lead, expected, x)(x)
+        residual = _value_residual(t, x, expected, x)
         assert residual.shape == (2 * (n + 1) ** 2 + 2,)
         assert np.max(np.abs(residual[:-2])) < 1e-12 * scale
         assert residual[-2] == 0.0 and residual[-1] == 0.0
@@ -286,6 +338,60 @@ def test_equiv_test_is_necessary_not_sufficient():
     verdict = s.detpoly_equiv_test(diag, perm, restarts=4, seed=0)
     assert verdict.kind == "CandidateFound"
     assert verdict.residual < 1e-14
+
+
+def test_equiv_test_builds_no_coefficient_polynomial(monkeypatch):
+    """Search, verdict and zero tests all read the node grid: the test runs
+    with det_poly, substitute, monic_normalize and HomPoly3 refusing."""
+    t1, t2 = _t1_t2()
+    upper = np.zeros((3, 3, 3), dtype=complex)
+    upper[0, 1, 0] = upper[0, 2, 1] = upper[1, 2, 2] = 1
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("coefficient polynomial built")
+
+    for name in ("det_poly", "substitute", "monic_normalize"):
+        monkeypatch.setattr(detpoly, name, refuse)
+    for name, attr in list(vars(HomPoly3).items()):
+        if callable(attr) or isinstance(attr, classmethod):
+            monkeypatch.setattr(HomPoly3, name, refuse)
+    related = s.detpoly_equiv_test(t1, t2, restarts=64, seed=0)
+    assert related.kind == "CandidateFound" and related.residual < 1e-8
+    same = s.detpoly_equiv_test(t2, t2)
+    assert same.kind == "CandidateFound" and same.residual == 0.0
+    both_zero = s.detpoly_equiv_test(upper, 2 * upper)
+    assert both_zero.kind == "CandidateFound" and both_zero.residual == 0.0
+    assert s.detpoly_equiv_test(upper, t1).kind == "CertifiedObstruction"
+
+
+def _substitution_distance(t1, t2, g):
+    """Relative distance of monic(f2) from the best multiple of
+    monic(f1) o G, on the coefficients."""
+    m1, _ = s.monic_normalize(s.det_poly(t1))
+    m2, _ = s.monic_normalize(s.det_poly(t2))
+    sub, target = s.substitute(m1, g).coeff_vector(), m2.coeff_vector()
+    best = np.vdot(sub, target) / np.vdot(sub, sub).real * sub
+    return np.linalg.norm(best - target) / np.linalg.norm(target)
+
+
+@settings(max_examples=16, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from([2, 3]), seed=st.integers(0, 2**31 - 1),
+       exponent=st.integers(-100, 100))
+def test_equiv_test_on_scaled_images(n, seed, exponent):
+    """Images under cond <= 20 type-1 and type-2 maps, times 10^exponent,
+    are never an obstruction, and every G found passes the coefficient
+    re-verification at 1e-4.  That distance is taken on the unscaled image:
+    monic normalisation removes the scale."""
+    rng = np.random.default_rng(seed)
+    t = rng.standard_normal((n, n, 3)) + 1j * rng.standard_normal((n, n, 3))
+    p, q, g = (s.random_nonsingular(d, np.random.SeedSequence([seed, i]), cond_bound=20)
+               for i, d in enumerate((n, n, 3)))
+    image = s.apply_type2(s.apply_type1(t, p, q), g)
+    verdict = s.detpoly_equiv_test(t, image * 10.0**exponent, restarts=64, seed=seed)
+    assert verdict.kind != "CertifiedObstruction"
+    if verdict.kind == "CandidateFound":
+        assert verdict.residual < 1e-8
+        assert _substitution_distance(t, image, verdict.g) <= 1e-4
 
 
 def test_poly_text_and_json():

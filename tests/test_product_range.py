@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import slocc3 as s
 import slocc3.product_range as pr
 from slocc3.pencil import EIGEN_CLUSTER_RADIUS, _candidate_points
+from slocc3.tensor import matrix_rank_tol
 from slocc3.product_range import (
     MINOR_TOL,
     RECONSTRUCT_TOL,
@@ -28,6 +29,7 @@ from slocc3.product_range import (
     _minor_residual,
     _quadratic_points,
     _ranks_and_ranges,
+    _report,
     _search,
 )
 
@@ -208,6 +210,21 @@ def test_product_state_any_party_counts_one():
         report = s.range_product_count(psi, party)
         assert report.exactness == "Exact"
         assert report.independent_count == 1
+
+
+@pytest.mark.parametrize("count, planted_rank", [(0, 0), (1, 1), (3, 3), (4, 2), (6, 3)])
+def test_report_counts_unit_members_as_matrix_rank_tol_does(count, planted_rank):
+    """The rank of the found members' span, from one unscaled SVD of the
+    unit members, is the rank ``matrix_rank_tol`` decides at their scale."""
+    rng = np.random.default_rng(70 + count)
+    first = rng.standard_normal((planted_rank, 9)) + 1j * rng.standard_normal((planted_rank, 9))
+    # members beyond the planted rank are random combinations of the first ones
+    mixes = np.vstack([np.eye(planted_rank), rng.standard_normal((count - planted_rank,
+                                                                   planted_rank))])
+    members = mixes @ first
+    members /= np.linalg.norm(members, axis=1, keepdims=True)
+    report = _report([(None, None, m.reshape(3, 3)) for m in members], "Exact")
+    assert report.independent_count == matrix_rank_tol(members, 1e-9) == planted_rank
 
 
 def test_accept_candidate_minor_check_enforces_caller_tol():

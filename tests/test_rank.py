@@ -525,6 +525,22 @@ def test_two_slice_interval_at_any_scale(entry_id, map_seed, exponent):
     assert cert.success and residual < 1e-8
 
 
+@pytest.mark.parametrize("scale", [0.75 * 2.0**1023 * (1 + 1j), 2.0**-1070])
+def test_pencil_certificate_factors_stay_finite(scale):
+    """The factors share 2^e as 2^q, 2^q and 2^(e - 2q), so a certificate at
+    either end of the float range holds no inf and no vanished column."""
+    t = s.catalog_build("ghz") * scale
+    interval = s.rank_interval(t)
+    cert = interval.certificate_upper
+    assert (interval.lower, interval.upper) == (2, 2)
+    assert cert.detail == "padded pencil construction"
+    assert all(np.all(np.isfinite(f)) and np.all(np.any(f != 0, axis=0)) for f in cert.factors)
+    e = unit_exponent(t)
+    a, b, c = cert.factors
+    model = np.einsum("ir,jr,kr->ijk", ldexp(a, -e), b, c)
+    assert np.linalg.norm(model - ldexp(t, -e)) / np.linalg.norm(ldexp(t, -e)) < 1e-8
+
+
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(entry_id=st.sampled_from(TWO_SLICE_ROWS),
        map_seed=st.integers(0, 2**31 - 1),
