@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 parse or format error,
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 
@@ -60,9 +61,12 @@ def _parse_dims(text: str):
 
 def _parse_complex(text: str) -> complex:
     try:
-        return complex(text.strip().replace("i", "j"))
+        val = complex(text.strip().replace("i", "j"))
+        if cmath.isfinite(val):  # nan and overflowing values such as 1e309 fail
+            return val
     except ValueError:
-        raise ValueError(f"bad complex number {text!r}") from None
+        pass
+    raise ValueError(f"bad complex number {text!r}")
 
 
 def _parse_cvector(text: str) -> np.ndarray:
@@ -236,7 +240,7 @@ def _run(args) -> int:
 
     if cmd == "print":
         t = _load_tensor(args)
-        text = print_ket(t, precision=args.precision)
+        text = print_ket(t, precision=_positive(args, "precision"))
         _emit(args, lambda: json.dumps({"ket": text}), lambda: [text])
         return EXIT_OK
 
@@ -353,7 +357,10 @@ def _run(args) -> int:
             return EXIT_OK
         if args.id is None:
             raise ValueError(f"catalog {args.action} requires an id")
-        entry = cat.catalog_get(args.id)
+        try:
+            entry = cat.catalog_get(args.id)
+        except KeyError as exc:
+            raise _UsageExit(exc.args[0]) from None
         if args.action == "get":
             _emit(args, entry.to_json, lambda: [
                 f"id: {entry.id}", f"system: {entry.system}",
@@ -397,17 +404,14 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        return _run(build_parser().parse_args(argv))
     except _UsageExit as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit:
         # argparse --help and friends
         return EXIT_OK
-    try:
-        return _run(args)
     except (OSError, ValueError) as exc:
         # an unreadable path; bad JSON and ket syntax errors are ValueErrors
         print(f"format error: {exc}", file=sys.stderr)

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,38 +184,53 @@ def _compressed_form(s0, s1, r) -> np.ndarray:
     return det_coefficients(w @ s1 @ v, w @ s0 @ v)
 
 
-def _candidate_points(form, cluster_radius):
-    """Eigen-point candidates: clustered roots of the binary ``form``
-    (coefficients of x^(r-j) y^j, as from ``_compressed_form``) plus the
-    point at infinity, so every point where the form vanishes is among
-    them.  Each root cluster is replaced by its centroid, which approximates
-    a multiple root far better than its individual perturbed roots."""
-    points = [(0.0 + 0.0j, 1.0 + 0.0j)]  # infinity is always checked
-    coeffs = form[::-1].copy()  # descending in y after x = 1
-    while coeffs.size > 1 and abs(coeffs[0]) <= 1e-12 * np.max(np.abs(coeffs)):
-        coeffs = coeffs[1:]
-    if coeffs.size > 1:
+def _companion_roots(polys) -> np.ndarray:
+    """Roots of each polynomial of a stack (count, degree + 1), descending
+    coefficients, nonzero leading: one ``eigvals`` of ``np.roots``' companions."""
+    count, size = polys.shape
+    companion = np.zeros((count, size - 1, size - 1), dtype=complex)
+    companion[:, 0] = -polys[:, 1:] / polys[:, :1]
+    companion.reshape(count, -1)[:, size - 1::size] = 1.0  # the subdiagonal
+    return np.linalg.eigvals(companion)
+
+
+def _candidate_points(forms, cluster_radius) -> list:
+    """Per binary form of a stack (count, d + 1), entry j the coefficient of
+    x^(d-j) y^j: the point at infinity, then the centroid of each cluster of
+    its roots, gathered in root order (a centroid approximates a multiple
+    root far better than its perturbed roots).  As in ``np.roots``, leading
+    coefficients at most 1e-12 of the largest drop the degree and exactly
+    zero trailing ones are roots at 0; one ``_companion_roots`` per degree."""
+    roots, groups = [], {}  # groups: companion size -> {form index: coefficients}
+    for i, coeffs in enumerate(np.asarray(forms, dtype=complex)[:, ::-1].tolist()):
+        floor = 1e-12 * max(map(abs, coeffs))  # coefficients descend in y after x = 1
+        lead = next((j for j, c in enumerate(coeffs) if abs(c) > floor), len(coeffs))
+        poly = coeffs[lead:]
+        while poly and not poly[-1]:
+            poly.pop()
+        roots.append([0j] * (len(coeffs) - lead - len(poly)))
+        if len(poly) > 1:
+            groups.setdefault(len(poly), {})[i] = poly
+    for group in groups.values():
+        for i, lams in zip(group, _companion_roots(np.array(list(group.values()))).tolist()):
+            roots[i][:0] = lams  # before the roots at 0, in the order of np.roots
+    points = []
+    for lams in roots:
         clusters = []
-        for lam in np.roots(coeffs):
-            placed = False
+        for lam in lams:
             for cl in clusters:
-                centroid = sum(cl) / len(cl)
-                if _chordal((1.0, complex(lam)), (1.0, centroid)) <= cluster_radius:
-                    cl.append(complex(lam))
-                    placed = True
+                if _chordal((1.0, lam), (1.0, sum(cl) / len(cl))) <= cluster_radius:
+                    cl.append(lam)
                     break
-            if not placed:
-                clusters.append([complex(lam)])
-        for cl in clusters:
-            points.append((1.0 + 0.0j, sum(cl) / len(cl)))
+            else:
+                clusters.append([lam])
+        points.append([(0j, 1 + 0j)] + [(1 + 0j, sum(cl) / len(cl)) for cl in clusters])
     return points
 
 
 def _chordal(p1, p2) -> float:
     (x1, y1), (x2, y2) = p1, p2
-    n1 = np.hypot(abs(x1), abs(y1))
-    n2 = np.hypot(abs(x2), abs(y2))
-    return abs(x1 * y2 - x2 * y1) / (n1 * n2)
+    return abs(x1 * y2 - x2 * y1) / (math.hypot(abs(x1), abs(y1)) * math.hypot(abs(x2), abs(y2)))
 
 
 def _drops_and_jets(s0, s1, points, r, kmax, tol):
@@ -242,21 +258,12 @@ def _drops_and_jets(s0, s1, points, r, kmax, tol):
 
 
 def _partition_from_weyr(deltas):
-    """Partition whose conjugate is the sequence of nullity increments."""
-    weyr = []
-    prev = 0
-    for d in deltas:
-        weyr.append(d - prev)
-        prev = d
-    if any(w < 0 for w in weyr) or any(
-        weyr[i] < weyr[i + 1] for i in range(len(weyr) - 1)
-    ):
+    """Partition whose conjugate is the sequence of nullity increments, or
+    None if an increment is negative or exceeds the one before it."""
+    weyr = [b - a for a, b in zip([0] + deltas, deltas)] + [0]
+    if min(weyr) < 0 or any(a < b for a, b in zip(weyr, weyr[1:])):
         return None
-    parts = []
-    for size in range(1, len(weyr) + 1):
-        bigger = weyr[size - 1] - (weyr[size] if size < len(weyr) else 0)
-        parts.extend([size] * bigger)
-    return tuple(sorted(parts, reverse=True))
+    return tuple(s for s in range(len(weyr) - 1, 0, -1) for _ in range(weyr[s - 1] - weyr[s]))
 
 
 def _divisor_structure(s0, s1, form, r, total_divisor, tol, cluster_radius):
@@ -267,7 +274,7 @@ def _divisor_structure(s0, s1, form, r, total_divisor, tol, cluster_radius):
     nullities less k*(n - r): the n - r blocks L_eps have full row rank at
     every point, so their k-jet has nullity k each."""
     notes = []
-    candidates = _candidate_points(form, cluster_radius)
+    [candidates] = _candidate_points(form[None], cluster_radius)
     points = []
     for cand in candidates:
         if all(_chordal(cand, q) > cluster_radius for q in points):

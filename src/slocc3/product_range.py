@@ -10,29 +10,28 @@ them.  ``range_criterion_compare`` stacks its two states' ranges, whose
 orthonormal rows come with the local ranks from one ``tensor.unfolding_svds``
 call (``_ranks_and_ranges``); ``find_product_vectors`` decides the orthonormal
 basis of a user's subspace (``MatrixSubspace.ortho``) as a stack of one.
-k = 1, 2 and 3 are decided exactly (``_exact``): k = 2 from the roots of
-the largest minor form of the pencil by the stable quadratic formula
-(``_quadratic_points``), k = 3 from two random combinations of the minor
-quadrics through a resultant quartic, whose roots for the whole stack come
-from one ``eigvals`` of the stacked companion matrices (``_chart_zeros``),
-and the whole stack's candidates through one rank-1 screen and one batched
-polish and check (``_accept``).  k >= 4, and a subspace the screen leaves
-undecided, go to a seeded multi-start Levenberg-Marquardt search, a lower
-bound, never an exact count.  Every minor form comes from one kernel
-(``_minor_quadrics``) and every minor value from another (``_all_minors``),
-both over the gathered entries of ``_minor_entries``.
+k = 1, 2 and 3 are decided exactly (``_exact``): k = 2 from the roots of each
+pencil's largest minor form, the whole stack's from one companion eigensolve
+(``pencil._candidate_points``, which also finds slice-pencil eigen-points),
+k = 3 from two random combinations of the minor quadrics through a resultant
+quartic, whose roots for the whole stack come from one such eigensolve
+(``_chart_zeros``), and the whole stack's candidates through one rank-1 screen
+and one batched polish and check (``_accept``).  k >= 4, and a subspace the
+screen leaves undecided, go to a seeded multi-start Levenberg-Marquardt
+search, a lower bound, never an exact count.  Every minor form comes from one
+kernel (``_minor_quadrics``) and every minor value from another
+(``_all_minors``), both over the gathered entries of ``_minor_entries``.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
 
-from .pencil import EIGEN_CLUSTER_RADIUS, _chordal
+from .pencil import EIGEN_CLUSTER_RADIUS, _candidate_points, _companion_roots
 from .tensor import (DEFAULT_RANK_TOL, _ranks_above, as_tensor, column_space, complex_to_pairs,
                      least_squares, unfolding_svds)
 
@@ -166,8 +165,8 @@ def _cmul(x, y) -> np.ndarray:
 def _all_minors(mats) -> np.ndarray:
     """Every 2x2 minor of each matrix in a stack (..., m, n), in
     ``_minor_index`` order; shape (..., minor count)."""
-    a, d, b, c = np.moveaxis(_minor_entries(mats), -2, 0)
-    return _cmul(a, d) - _cmul(b, c)
+    e = _minor_entries(mats)
+    return _cmul(e[..., 0, :], e[..., 1, :]) - _cmul(e[..., 2, :], e[..., 3, :])
 
 
 def _accept(orthos, owner, coeffs, tol) -> list:
@@ -225,7 +224,7 @@ def find_product_vectors(space: MatrixSubspace, tol: float = MINOR_TOL,
 
     k = 1: the basis matrix either is rank 1 or is not.  k = 2: candidates
     are the point at infinity and the roots of the largest minor form of
-    the orthonormal pencil by the stable quadratic formula, or a continuum
+    the orthonormal pencil from one companion eigensolve, or a continuum
     when every minor vanishes.  k = 3: the at most 4 common zeros of two
     random combinations of the minor quadrics (``seed`` fixes them), the
     roots of their resultant quartic from one companion eigensolve for the
@@ -290,13 +289,13 @@ def _exact(orthos, tol, seed) -> list:
     or None where only the search can decide.
 
     k = 2 and 3 get coordinates that include every rank-1 member: the roots
-    of the pencil's largest minor form (x^2, xy and y^2 coefficients
-    A_00, 2 A_01 and A_11 of its ``_minor_quadrics``) by
-    ``_quadratic_points``, or ``_k3_points``.  One minor evaluation discards
-    those with a minor above max(tol, margin), and one ``_accept`` takes the
-    rest; a count is exact only if each candidate is discarded or accepted.
-    A pencil whose every member is rank <= 1 reports its accepted
-    ``_PENCIL_SAMPLES`` as a lower bound and a continuum.
+    of the pencil's largest minor form (x^2, xy and y^2 coefficients A_00,
+    2 A_01 and A_11 of its ``_minor_quadrics``), the whole stack's from one
+    ``pencil._candidate_points`` call, or ``_k3_points``.  One minor
+    evaluation discards those with a minor above max(tol, margin), and one
+    ``_accept`` takes the rest; a count is exact only if each candidate is
+    discarded or accepted.  A pencil whose every member is rank <= 1 reports
+    its accepted ``_PENCIL_SAMPLES`` as a lower bound and a continuum.
     """
     count, k, m, n = orthos.shape
     if k == 1:
@@ -305,13 +304,15 @@ def _exact(orthos, tol, seed) -> list:
         return [None] * count
     if k == 2:
         quads = _minor_quadrics(orthos)
-        forms = np.stack([quads[..., 0, 0], 2.0 * quads[..., 0, 1], quads[..., 1, 1]], axis=-1)
+        forms = quads[..., [0, 0, 1], [0, 1, 1]]
+        forms[..., 1] *= 2.0
         if not forms.shape[1]:  # a 1 x n or m x 1 pencil has no 2x2 minor
             forms = np.zeros((count, 1, 3), dtype=complex)
         peaks = np.max(np.abs(forms), axis=-1)
         largest = np.arange(count), np.argmax(peaks, axis=1)
-        points = [_PENCIL_SAMPLES if peak <= 1e-12 else _quadratic_points(form)
-                  for form, peak in zip(forms[largest].tolist(), peaks[largest])]
+        live = peaks[largest] > 1e-12
+        found = iter(_candidate_points(forms[largest][live], EIGEN_CLUSTER_RADIUS))
+        points = [np.array(next(found)) if ok else _PENCIL_SAMPLES for ok in live]
         margin, detail = PENCIL_REJECT_MARGIN, ""
     else:
         points = _k3_points(orthos, seed)
@@ -338,32 +339,6 @@ def _exact(orthos, tol, seed) -> list:
     return reports
 
 
-def _quadratic_points(form) -> np.ndarray:
-    """Points (x, y) that include every zero of the binary quadratic
-    ``form`` (coefficients c0, c1, c2 of x^2, xy and y^2), the ones
-    ``pencil._candidate_points`` gives without ``np.roots``: the point at
-    infinity (0, 1), then (1, y) at the roots of c0 + c1 y + c2 y^2.  The
-    stable quadratic formula takes them as q / c2 and c0 / q with
-    q = -(c1 + sqrt(c1^2 - 4 c2 c0)) / 2, the square root's sign chosen so
-    that it does not cancel c1; two roots within ``EIGEN_CLUSTER_RADIUS`` in
-    chordal distance become their centroid -c1 / (2 c2).  A coefficient at
-    most 1e-12 of the largest drops the degree.  Shape (points, 2)."""
-    c0, c1, c2 = form
-    peak = max(abs(c0), abs(c1), abs(c2))
-    points = [(0.0, 1.0)]
-    if abs(c2) > 1e-12 * peak:
-        root = cmath.sqrt(c1 * c1 - 4.0 * c2 * c0)
-        q = -0.5 * (c1 + root if (c1.conjugate() * root).real >= 0.0 else c1 - root)
-        # q = 0 only when c1 = c0 = 0: a double root at 0
-        ys = (q / c2, c0 / q) if q else (0.0, 0.0)
-        if _chordal((1.0, ys[0]), (1.0, ys[1])) <= EIGEN_CLUSTER_RADIUS:
-            ys = (-c1 / (2.0 * c2),)
-        points += [(1.0, y) for y in ys]
-    elif abs(c1) > 1e-12 * peak:
-        points.append((1.0, -c0 / c1))
-    return np.array(points, dtype=complex)
-
-
 def _minor_quadrics(basis) -> np.ndarray:
     """Complex symmetric matrices A_i of the minors of a member.
 
@@ -372,7 +347,8 @@ def _minor_quadrics(basis) -> np.ndarray:
     are the kernel's gathered entries of the basis (..., k, m, n).  Shape
     (..., count, k, k).
     """
-    ga, gd, gb, gc = np.moveaxis(_minor_entries(basis), (-3, -2), (-1, 0))
+    e = np.swapaxes(_minor_entries(basis), -3, -1)  # (..., count, 4, k)
+    ga, gd, gb, gc = (e[..., i, :] for i in range(4))
     a = ga[..., :, None] * gd[..., None, :] - gb[..., :, None] * gc[..., None, :]
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
@@ -450,11 +426,10 @@ def _chart_zeros(qs, h) -> list:
     stack (count, 2, 3, 3), or None.
 
     Every pair's resultant quartic is formed at once, and the quartics that
-    neither vanish nor lose their degree are solved by one ``eigvals`` of
-    their stacked companion matrices (the ones ``np.roots`` builds); x is
-    back-substituted for every (pair, root) at once.  A root where the two
-    quadratics in x are proportional takes the roots of Q_a's there (None
-    if it has none).
+    neither vanish nor lose their degree are solved by one
+    ``pencil._companion_roots`` call; x is back-substituted for every
+    (pair, root) at once.  A root where the two quadratics in x are
+    proportional takes the roots of Q_a's there (None if it has none).
     """
     a0, a1 = qs[:, :1, 0, 0], qs[:, 1:, 0, 0]
     b = 2.0 * qs[:, :, 0, 1:]
@@ -474,10 +449,7 @@ def _chart_zeros(qs, h) -> list:
     if not solved.size:
         return points
     a0, a1, b, c, quartics = a0[solved], a1[solved], b[solved], c[solved], quartics[solved]
-    companion = np.zeros((len(solved), 4, 4), dtype=complex)
-    companion[:, 0] = -quartics[:, 1:] / quartics[:, :1]
-    companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
-    ys = np.linalg.eigvals(companion)[:, None, :]  # (solved, 1, root)
+    ys = _companion_roots(quartics)[:, None, :]  # (solved, 1, root)
     by = b[:, :, :1] * ys + b[:, :, 1:]  # (solved, quadric, root)
     cy = c[:, :, :1] * (ys * ys) + c[:, :, 1:2] * ys + c[:, :, 2:]
     den = a0 * by[:, 1] - a1 * by[:, 0]
@@ -563,10 +535,11 @@ def range_product_count(psi, traced_party, tol: float = MINOR_TOL,
     The range comes from the SVDs of ``tensor.unfolding_svds``
     (``_ranks_and_ranges``), so its dimension is the traced party's local
     rank at any nonzero scale; its orthonormal rows are the basis every
-    decision is made in, with no second factorisation.  A 2-dimensional range is decided from the roots of the largest minor form
-    of its pencil by the quadratic formula, a 3-dimensional one from the
-    companion eigenvalues of the resultant of two minor quadrics (see
-    ``find_product_vectors``); the arguments are checked as there.
+    decision is made in, with no second factorisation.  A 2-dimensional
+    range is decided from the companion eigenvalues of the largest minor
+    form of its pencil, a 3-dimensional one from those of the resultant of
+    two minor quadrics (see ``find_product_vectors``); the arguments are
+    checked as there.
     """
     _check_args(tol, starts)
     psi = as_tensor(psi)
@@ -594,10 +567,10 @@ def range_criterion_compare(s1, s2, traced_party, tol: float = MINOR_TOL,
     if s1.shape != s2.shape:
         raise ValueError("states must share party dims")
     p = _party_index(traced_party)
-    (ranks1, range1), (ranks2, range2) = _ranks_and_ranges(np.stack([s1, s2]), p)
+    (ranks1, range1), (ranks2, range2) = _ranks_and_ranges(np.array([s1, s2]), p)
     if ranks1 != ranks2:
         return "Inequivalent"
-    r1, r2 = _reports(np.stack([range1, range2]), tol, starts, seed)
+    r1, r2 = _reports(np.array([range1, range2]), tol, starts, seed)
     if (
         r1.exactness == "Exact"
         and r2.exactness == "Exact"

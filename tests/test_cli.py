@@ -186,6 +186,15 @@ def test_catalog_commands(capsys):
     np.testing.assert_array_equal(s.tensor_from_json(out), s.w_state())
 
 
+@pytest.mark.parametrize("action", ["get", "build"])
+def test_catalog_unknown_id_is_a_usage_error(action, capsys):
+    code = main(["catalog", action, "nope"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "usage error: unknown catalog id 'nope'\n"
+
+
 def test_lhrgm_command(capsys):
     code, out = run_cli(
         ["lhrgm", "--kind", "omega0", "--m", "3", "--n", "3",
@@ -354,3 +363,33 @@ def test_product_count_strict_exact_k3(capsys):
     doc = json.loads(out)
     assert doc["exactness"] == "Exact"
     assert doc["independent_count"] == 3
+
+
+@pytest.mark.parametrize("value", ["nan", "1e309", "inf", "1+nanj"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lhrgm", "--kind", "omega0", "--m", "2", "--n", "2", "--base-ket", "|000>+|100>",
+         "--a", "{}"],
+        ["lhrgm", "--kind", "omega0", "--m", "2", "--n", "2", "--base-ket", "|000>+|100>",
+         "--chi", "1,{}"],
+        ["build335", "--psi-ket", "|000>+|011>", "--psi-dims", "2,2,2", "--alpha", "0,0,0,0,{}"],
+    ],
+)
+def test_non_finite_coefficients_rejected(argv, value, capsys):
+    """A NaN or overflowing coefficient is rejected where it is parsed, so
+    it never reaches the constructors or the ket printer."""
+    code = main([a.format(value) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"format error: bad complex number {value!r}\n"
+
+
+@pytest.mark.parametrize("precision", ["-3", "0"])
+def test_print_precision_must_be_positive(precision, capsys):
+    code = main(["print", "--ket", "|000>+|111>", "--dims", "2,2,2", "--precision", precision])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--precision must be positive and finite" in captured.err

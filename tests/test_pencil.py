@@ -1,6 +1,6 @@
 """Tests for Kronecker pencil invariants, against hand-computed structures."""
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -300,7 +300,7 @@ def test_stacked_rank_decisions_match_one_svd_per_matrix(entry_id):
         r = pencil._normal_rank(s0, s1, tol)
         assert r == _reference_normal_rank(s0, s1, tol), seed
         form = pencil._compressed_form(s0, s1, r)
-        points = pencil._candidate_points(form, pencil.EIGEN_CLUSTER_RADIUS)
+        [points] = pencil._candidate_points(form[None], pencil.EIGEN_CLUSTER_RADIUS)
         drops, nullities = pencil._drops_and_jets(s0, s1, points, r, r, tol)
         assert drops == [pt for pt in points
                          if _reference_rank(_reference_pencil_at(s0, s1, pt), tol) < r], seed
@@ -362,3 +362,93 @@ def test_pencil_vanishing_at_a_point_has_full_drop():
     assert inv.infinite_partition == ()
     (ev, part), = inv.finite_divisors
     assert abs(ev + 0.5) < 1e-12 and part == (1, 1)
+
+
+def _candidate_points_loop(form, cluster_radius):
+    """One ``np.roots`` call and root-by-root clustering per form, the path
+    ``pencil._candidate_points`` stacks, kept as its reference."""
+    points = [(0.0 + 0.0j, 1.0 + 0.0j)]
+    coeffs = form[::-1].copy()  # descending in y after x = 1
+    while coeffs.size > 1 and abs(coeffs[0]) <= 1e-12 * np.max(np.abs(coeffs)):
+        coeffs = coeffs[1:]
+    if coeffs.size > 1:
+        clusters = []
+        for lam in np.roots(coeffs):
+            placed = False
+            for cl in clusters:
+                centroid = sum(cl) / len(cl)
+                if pencil._chordal((1.0, complex(lam)), (1.0, centroid)) <= cluster_radius:
+                    cl.append(complex(lam))
+                    placed = True
+                    break
+            if not placed:
+                clusters.append([complex(lam)])
+        for cl in clusters:
+            points.append((1.0 + 0.0j, sum(cl) / len(cl)))
+    return points
+
+
+def _binary_forms():
+    """Forms of degree 1-6: generic, with a dropped degree, with exactly
+    zero trailing coefficients (roots at 0), with a multiple root, and zero."""
+    rng = np.random.default_rng(2010)
+    for i in range(600):
+        d = int(rng.integers(1, 7))
+        form = rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
+        kind = i % 5
+        if kind == 1:
+            form[d + 1 - int(rng.integers(1, d + 1)):] *= 1e-14
+        elif kind == 2:
+            form[:int(rng.integers(1, d + 1))] = 0.0
+        elif kind == 3:
+            root = complex(*rng.standard_normal(2))
+            form = np.poly([root] * d)[::-1] * (1.0 - 2.0j)
+        elif kind == 4:
+            form[:] = 0.0
+        yield form
+
+
+@pytest.mark.parametrize("radius", [pencil.EIGEN_CLUSTER_RADIUS, 1e-4])
+def test_stacked_candidate_points_equal_per_form_roots(monkeypatch, radius):
+    """Companion eigenvalues of every form of one degree in one stacked
+    ``eigvals`` call, then clustering in root order, give exactly the points
+    of one ``np.roots`` call per form, on stacks that mix degrees."""
+    forms = list(_binary_forms())
+    ref = [_candidate_points_loop(f, radius) for f in forms]
+    monkeypatch.setattr(np, "roots", None)
+    for size in range(2, 8):
+        idx = [i for i, f in enumerate(forms) if len(f) == size]
+        got = pencil._candidate_points(np.array([forms[i] for i in idx]), radius)
+        assert got == [ref[i] for i in idx], size
+    assert [p for f in forms for p in pencil._candidate_points(f[None], radius)] == ref
+
+
+def test_pencil_invariants_call_no_np_roots(monkeypatch):
+    """The eigen-points come from the stacked companion eigensolve alone."""
+    calls = []
+    monkeypatch.setattr(np, "roots", lambda *args: calls.append(args))
+    t = s.apply_slocc(s.catalog_build("2x3x3-4"), *s.random_slocc((2, 3, 3), 4, cond_bound=20))
+    assert s.pencil_invariants(t).all_partitions() == ((3,),)
+    assert calls == []
+
+
+def _partition_from_weyr_loop(deltas):
+    """The loop ``pencil._partition_from_weyr`` replaced, kept as its reference."""
+    weyr, prev = [], 0
+    for d in deltas:
+        weyr.append(d - prev)
+        prev = d
+    if any(w < 0 for w in weyr) or any(weyr[i] < weyr[i + 1] for i in range(len(weyr) - 1)):
+        return None
+    parts = []
+    for size in range(1, len(weyr) + 1):
+        parts.extend([size] * (weyr[size - 1] - (weyr[size] if size < len(weyr) else 0)))
+    return tuple(sorted(parts, reverse=True))
+
+
+def test_partition_from_weyr_matches_loop():
+    """Every nullity sequence of length at most 5 with entries in -1..5."""
+    for length in range(6):
+        for deltas in product(range(-1, 6), repeat=length):
+            assert (pencil._partition_from_weyr(list(deltas))
+                    == _partition_from_weyr_loop(list(deltas))), deltas

@@ -1,5 +1,6 @@
 """Tests for product-vector search and the range-criterion comparison."""
 
+import cmath
 import itertools
 import os
 import subprocess
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import slocc3 as s
 import slocc3.product_range as pr
-from slocc3.pencil import EIGEN_CLUSTER_RADIUS, _candidate_points
+from slocc3.pencil import EIGEN_CLUSTER_RADIUS, _candidate_points, _chordal
 from slocc3.tensor import matrix_rank_tol
 from slocc3.product_range import (
     MINOR_TOL,
@@ -27,7 +28,6 @@ from slocc3.product_range import (
     _accept,
     _exact,
     _minor_residual,
-    _quadratic_points,
     _ranks_and_ranges,
     _report,
     _search,
@@ -826,12 +826,36 @@ def _sorted_points(points):
     return points[np.lexsort((points[:, 1].imag, points[:, 1].real, points[:, 0].real))]
 
 
+def _quadratic_points(form) -> np.ndarray:
+    """Points that include every zero of the binary quadratic ``form``
+    (coefficients c0, c1, c2 of x^2, xy and y^2) by the stable quadratic
+    formula, kept as a closed-form reference: the point at infinity, then
+    (1, y) at q / c2 and c0 / q with q = -(c1 + sqrt(c1^2 - 4 c2 c0)) / 2,
+    the square root's sign chosen so that it does not cancel c1; two roots
+    within ``EIGEN_CLUSTER_RADIUS`` become their centroid -c1 / (2 c2).  A
+    coefficient at most 1e-12 of the largest drops the degree."""
+    c0, c1, c2 = form
+    peak = max(abs(c0), abs(c1), abs(c2))
+    points = [(0.0, 1.0)]
+    if abs(c2) > 1e-12 * peak:
+        root = cmath.sqrt(c1 * c1 - 4.0 * c2 * c0)
+        q = -0.5 * (c1 + root if (c1.conjugate() * root).real >= 0.0 else c1 - root)
+        # q = 0 only when c1 = c0 = 0: a double root at 0
+        ys = (q / c2, c0 / q) if q else (0.0, 0.0)
+        if _chordal((1.0, ys[0]), (1.0, ys[1])) <= EIGEN_CLUSTER_RADIUS:
+            ys = (-c1 / (2.0 * c2),)
+        points += [(1.0, y) for y in ys]
+    elif abs(c1) > 1e-12 * peak:
+        points.append((1.0, -c0 / c1))
+    return np.array(points, dtype=complex)
+
+
 @pytest.mark.parametrize("name,form", QUADRATIC_FORMS, ids=[c[0] for c in QUADRATIC_FORMS])
 def test_quadratic_points_match_candidate_points(name, form):
-    """The stable quadratic formula gives the points that ``np.roots`` and
-    clustering give in ``pencil._candidate_points``, to 1e-12."""
-    got = _sorted_points(_quadratic_points(form.tolist()))
-    ref = _sorted_points(_candidate_points(form, EIGEN_CLUSTER_RADIUS))
+    """The companion eigensolve and clustering of ``pencil._candidate_points``
+    give the points of the stable quadratic formula, to 1e-12."""
+    got = _sorted_points(_candidate_points(form[None], EIGEN_CLUSTER_RADIUS)[0])
+    ref = _sorted_points(_quadratic_points(form.tolist()))
     assert got.shape == ref.shape
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
 
@@ -923,10 +947,11 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-@pytest.mark.parametrize("dims,eigvals", [((3, 3, 3), 1), ((2, 3, 4), 0), ((2, 2, 2), 0)])
+@pytest.mark.parametrize("dims,eigvals", [((3, 3, 3), 1), ((2, 3, 4), 1), ((2, 2, 2), 1)])
 def test_range_compare_candidates_need_one_eigensolve(monkeypatch, dims, eigvals):
-    """A k = 3 pair takes both states' quartic roots from one ``eigvals``
-    call, a k = 2 pair its roots in closed form; neither calls ``np.roots``."""
+    """A pair takes both states' roots from one ``eigvals`` call, the
+    quartics of k = 3 and the quadratic minor forms of k = 2 alike; neither
+    calls ``np.roots``."""
     t = _random_complex(np.random.default_rng(37), dims)
     image = s.apply_slocc(t, *s.random_slocc(dims, 5, cond_bound=20))
     eig_calls = _counting(monkeypatch, np.linalg, "eigvals")

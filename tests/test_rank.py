@@ -525,6 +525,27 @@ def test_two_slice_interval_at_any_scale(entry_id, map_seed, exponent):
     assert cert.success and residual < 1e-8
 
 
+TABLE_ROWS = [e.id for e in s.catalog_list(table_only=True)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(entry_id=st.sampled_from(TABLE_ROWS),
+       map_seeds=st.tuples(st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1)),
+       exponents=st.tuples(st.integers(-150, 150), st.integers(-150, 150)))
+def test_no_certified_verdict_contradicts_the_catalog(entry_id, map_seeds, exponents):
+    """On images of a table row: its class, a rank bracket that holds its
+    catalog rank (where the catalog gives one), and no range-criterion
+    ``Inequivalent`` between two images."""
+    t1, t2 = (_scaled_image(entry_id, seed, e)[1] for seed, e in zip(map_seeds, exponents))
+    assert s.classify_2mn(t1).entry.id == entry_id
+    note = s.catalog_get(entry_id).rank_note
+    if note is not None:
+        interval = s.rank_interval(t1, restarts=1, max_iter=50)
+        assert s.rank_lower_bound(t1)[0] <= note["rank"] <= interval.upper
+    for party in "ABC":
+        assert s.range_criterion_compare(t1, t2, party, starts=4) != "Inequivalent", party
+
+
 @pytest.mark.parametrize("scale", [0.75 * 2.0**1023 * (1 + 1j), 2.0**-1070])
 def test_pencil_certificate_factors_stay_finite(scale):
     """The factors share 2^e as 2^q, 2^q and 2^(e - 2q), so a certificate at
