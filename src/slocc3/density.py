@@ -10,7 +10,6 @@ scale-free.
 from __future__ import annotations
 
 import json
-import string
 
 import numpy as np
 
@@ -100,16 +99,10 @@ def partial_trace(rho, party_dims, traced) -> np.ndarray:
     if rho.shape != (dim, dim):
         raise ValueError(f"density matrix shape {rho.shape} does not match dims")
     _check_density(rho)
-    cube = rho.reshape(party_dims + party_dims)
-    letters = string.ascii_lowercase
-    row = [letters[i] for i in range(m)]
-    col = [letters[m + i] for i in range(m)]
-    for p in traced:
-        col[p] = row[p]
-    sub = "".join(row) + "".join(col) + "->" + "".join(
-        row[i] for i in keep
-    ) + "".join(col[i] for i in keep)
-    reduced_cube = np.einsum(sub, cube)
+    # axis p is party p's row, axis m + p its column or, if traced, its row again
+    col = [p if p in traced else m + p for p in range(m)]
+    reduced_cube = np.einsum(rho.reshape(party_dims + party_dims), [*range(m), *col],
+                             [*keep, *(m + p for p in keep)])
     out_dim = int(np.prod([party_dims[i] for i in keep]))
     return reduced_cube.reshape(out_dim, out_dim)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ket import _format_real
+from .ket import _format_coeff
 from .tensor import (as_tensor, complex_from_pairs, complex_to_pairs, ldexp, least_squares,
                      unit_exponent)
 from .transforms import is_nonsingular, random_nonsingular
@@ -80,9 +80,6 @@ class HomPoly3:
             out[exp] = out.get(exp, 0.0) + c
         return HomPoly3(self.degree, out)
 
-    def __sub__(self, other):
-        return self + (other * (-1.0))
-
     def __mul__(self, other):
         if isinstance(other, HomPoly3):
             out = {}
@@ -96,9 +93,6 @@ class HomPoly3:
 
     __rmul__ = __mul__
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c in self.coeffs.values()), default=0.0)
 
@@ -108,10 +102,6 @@ class HomPoly3:
             [self.coeffs.get(exp, 0.0) for exp in monomials(self.degree)],
             dtype=complex,
         )
-
-    @classmethod
-    def from_vector(cls, degree: int, vec) -> "HomPoly3":
-        return cls(degree, dict(zip(monomials(degree), vec)))
 
     def __call__(self, x, y, z):
         total = 0.0 + 0.0j
@@ -139,12 +129,8 @@ class HomPoly3:
         parts = []
         for exp in sorted(self.coeffs, reverse=True):
             c = self.coeffs[exp]
-            vars_ = "*".join(
-                v if e == 1 else f"{v}^{e}"
-                for v, e in zip("xyz", exp)
-                if e > 0
-            )
-            cs = _coeff_str(c)
+            vars_ = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip("xyz", exp) if e > 0)
+            cs = _format_coeff(c, None)
             if vars_:
                 body = vars_ if cs == "" else ("-" + vars_ if cs == "-" else f"{cs}*{vars_}")
             else:
@@ -167,20 +153,6 @@ class HomPoly3:
         terms = doc["terms"]
         coefs = complex_from_pairs([t["coef"] for t in terms])
         return cls(int(doc["degree"]), {tuple(t["exp"]): c for t, c in zip(terms, coefs)})
-
-
-def _coeff_str(c: complex) -> str:
-    re, im = c.real, c.imag
-    if im == 0.0:
-        if re == 1.0:
-            return ""
-        if re == -1.0:
-            return "-"
-        return _format_real(re, None)
-    if re == 0.0:
-        return f"{_format_real(im, None)}i"
-    sign = "+" if im >= 0 else "-"
-    return f"({_format_real(re, None)}{sign}{_format_real(abs(im), None)}i)"
 
 
 # --- determinant polynomial --------------------------------------------------

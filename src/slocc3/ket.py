@@ -13,11 +13,17 @@ A ket written with contiguous digits and no commas, e.g. ``|012>``, means
 one index per digit and is accepted only when every party dimension is at
 most 10.  Coefficient arithmetic supports + - * / sqrt() and the imaginary
 unit ``i``.  Normalization is not applied unless requested.
+
+The lexer is one regular expression, one alternative per token kind, in one
+``finditer`` pass.  Every parsed value is a list of (coefficient, index tuple)
+terms whose index tuples concatenate under multiplication; a number is the
+single term with the empty index tuple ``()``.
 """
 
 from __future__ import annotations
 
 import cmath
+import re
 
 import numpy as np
 
@@ -32,203 +38,130 @@ class KetSyntaxError(ValueError):
 
 # --- lexer -----------------------------------------------------------------
 
-_SYMBOLS = set("+-*/(),")
+_TOKEN = re.compile(r"""\s*(?:
+      ([-+*/(),])                   # 1: a symbol
+    | (\|[^>]*>)                    # 2: a closed ket
+    | (\|)                          # 3: a '|' with no '>' after it
+    | ([\d.]+(?:[eE][+-]?\d+)?)     # 4: a number
+    | ([^\W\d_]+)                   # 5: a word
+    | (\S)                          # 6: any other character
+    )""", re.VERBOSE)
 
 
 def _tokenize(text: str):
-    """Yield (kind, value, pos) tokens; kets come out as index tuples or raw
-    digit strings to be resolved against the party dims."""
+    """(kind, value, pos) tokens; a ket's value is ("indices", tuple) or ("digits", str)."""
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _SYMBOLS:
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        if c == "|":
-            j = text.find(">", i + 1)
-            if j < 0:
-                raise KetSyntaxError("unterminated ket", i)
-            body = text[i + 1 : j].replace(" ", "")
-            if not body:
-                raise KetSyntaxError("empty ket", i)
-            if "," in body:
-                parts = body.split(",")
-                if not all(p.isdigit() for p in parts):
-                    raise KetSyntaxError(f"bad ket indices '|{body}>'", i)
-                tokens.append(("ket", ("indices", tuple(int(p) for p in parts)), i))
-            else:
-                if not body.isdigit():
-                    raise KetSyntaxError(f"bad ket indices '|{body}>'", i)
-                tokens.append(("ket", ("digits", body), i))
-            i = j + 1
-            continue
-        if c.isdigit() or c == ".":
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            # optional exponent
-            if j < n and text[j] in "eE" and j + 1 < n and (
-                text[j + 1].isdigit() or text[j + 1] in "+-"
-            ):
-                k = j + 2 if text[j + 1] in "+-" else j + 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
+    for m in _TOKEN.finditer(text):
+        kind = m.lastindex
+        tok, pos = m[kind], m.start(kind)
+        if kind == 1 or tok in ("i", "sqrt"):
+            tokens.append((tok, tok, pos))
+        elif kind == 2:
+            body = tok[1:-1].replace(" ", "")
+            parts = body.split(",")
+            if not all(map(str.isdigit, parts)):
+                raise KetSyntaxError(f"bad ket indices '|{body}>'" if body else "empty ket", pos)
+            value = ("indices", tuple(map(int, parts))) if len(parts) > 1 else ("digits", body)
+            tokens.append(("ket", value, pos))
+        elif kind == 4:
             try:
-                val = float(text[i:j])
+                tokens.append(("num", float(tok), pos))
             except ValueError:
-                raise KetSyntaxError(f"bad number '{text[i:j]}'", i) from None
-            tokens.append(("num", val, i))
-            i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and text[j].isalpha():
-                j += 1
-            word = text[i:j]
-            if word not in ("i", "sqrt"):
-                raise KetSyntaxError(f"unknown name '{word}'", i)
-            tokens.append((word, word, i))
-            i = j
-            continue
-        raise KetSyntaxError(f"unexpected character '{c}'", i)
+                raise KetSyntaxError(f"bad number '{tok}'", pos) from None
+        else:
+            what = "unknown name" if kind == 5 else "unexpected character"
+            raise KetSyntaxError("unterminated ket" if kind == 3 else f"{what} '{tok}'", pos)
     return tokens
 
 
 # --- parser ----------------------------------------------------------------
 
-# Parsed values are either complex scalars or "term lists": lists of
-# (coefficient, index-tuple) pairs, index tuples growing under adjacency.
+
+def _scalar(v) -> bool:
+    """Whether a value is a number; every ket term carries indices."""
+    return not v[0][1]
+
+
+def _mul(a, b):
+    return [(ca * cb, ia + ib) for ca, ia in a for cb, ib in b]
 
 
 class _Parser:
     def __init__(self, tokens, dims):
-        self.tokens = tokens
-        self.dims = tuple(int(d) for d in dims)
+        self.tokens = tokens  # ends with the sentinel (None, None, -1)
+        self.wide = any(d > 10 for d in dims)
         self.k = 0
 
-    def peek(self):
-        return self.tokens[self.k] if self.k < len(self.tokens) else (None, None, -1)
-
     def next(self):
-        tok = self.peek()
+        tok = self.tokens[self.k]
         self.k += 1
         return tok
 
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            raise KetSyntaxError(f"expected '{kind}'", tok[2])
-        return tok
-
-    # value helpers
-
-    @staticmethod
-    def _is_terms(v):
-        return isinstance(v, list)
-
-    def _mul(self, a, b, pos):
-        if self._is_terms(a) and self._is_terms(b):
-            return [(ca * cb, ia + ib) for ca, ia in a for cb, ib in b]
-        if self._is_terms(a):
-            return [(c * b, idx) for c, idx in a]
-        if self._is_terms(b):
-            return [(a * c, idx) for c, idx in b]
-        return a * b
-
-    def _div(self, a, b, pos):
-        if self._is_terms(b):
-            raise KetSyntaxError("cannot divide by a ket expression", pos)
-        if b == 0:
-            raise KetSyntaxError("division by zero", pos)
-        if self._is_terms(a):
-            return [(c / b, idx) for c, idx in a]
-        return a / b
-
-    def _add(self, a, b, sign, pos):
-        if self._is_terms(a) != self._is_terms(b):
-            raise KetSyntaxError("cannot add a number and a ket expression", pos)
-        if self._is_terms(a):
-            return a + [(sign * c, idx) for c, idx in b]
-        return a + sign * b
-
-    def _ket_value(self, payload, pos):
-        kind, body = payload
-        if kind == "indices":
-            indices = body
-        else:
-            if len(body) == 1:
-                indices = (int(body),)
-            else:
-                if any(d > 10 for d in self.dims):
-                    raise KetSyntaxError(
-                        f"ket '|{body}>' is ambiguous when a dimension exceeds 10; "
-                        "separate indices with commas",
-                        pos,
-                    )
-                indices = tuple(int(ch) for ch in body)
-        return [(1.0 + 0.0j, indices)]
-
-    # grammar
-
     def parse_expr(self):
         value = self.parse_term()
-        while self.peek()[0] in ("+", "-"):
+        while self.tokens[self.k][0] in ("+", "-"):
             op, _, pos = self.next()
-            rhs = self.parse_term()
-            value = self._add(value, rhs, 1 if op == "+" else -1, pos)
+            sign = 1 if op == "+" else -1
+            rhs = [(sign * c, idx) for c, idx in self.parse_term()]
+            if _scalar(value) != _scalar(rhs):
+                raise KetSyntaxError("cannot add a number and a ket expression", pos)
+            # number + number stays one term
+            value = [(value[0][0] + rhs[0][0], ())] if _scalar(value) else value + rhs
         return value
 
     def parse_term(self):
         value = self.parse_factor()
-        while True:
-            kind = self.peek()[0]
-            if kind in ("num", "i", "sqrt", "(", "ket"):
-                pos = self.peek()[2]
-                value = self._mul(value, self.parse_factor(), pos)
-            else:
-                return value
+        while self.tokens[self.k][0] in ("num", "i", "sqrt", "(", "ket"):
+            value = _mul(value, self.parse_factor())
+        return value
 
     def parse_factor(self):
-        kind, _, pos = self.peek()
+        kind = self.tokens[self.k][0]
         if kind in ("+", "-"):
-            self.next()
+            self.k += 1
             v = self.parse_factor()
-            if kind == "-":
-                v = self._mul(-1.0 + 0.0j, v, pos)
-            return v
+            return _mul([(-1.0 + 0.0j, ())], v) if kind == "-" else v
         value = self.parse_atom()
-        while self.peek()[0] in ("*", "/"):
+        while self.tokens[self.k][0] in ("*", "/"):
             op, _, pos = self.next()
             rhs = self.parse_atom()
-            value = self._mul(value, rhs, pos) if op == "*" else self._div(value, rhs, pos)
+            if op == "*":
+                value = _mul(value, rhs)
+            elif not _scalar(rhs):
+                raise KetSyntaxError("cannot divide by a ket expression", pos)
+            elif rhs[0][0] == 0:
+                raise KetSyntaxError("division by zero", pos)
+            else:
+                value = [(c / rhs[0][0], idx) for c, idx in value]
         return value
 
     def parse_atom(self):
         kind, val, pos = self.next()
+        if kind == "ket":
+            form, body = val
+            if form == "indices" or len(body) == 1 or not self.wide:
+                return [(1.0 + 0.0j, body if form == "indices" else tuple(map(int, body)))]
+            raise KetSyntaxError(f"ket '|{body}>' is ambiguous when a dimension exceeds 10; "
+                                 "separate indices with commas", pos)
         if kind == "num":
-            return complex(val)
+            return [(complex(val), ())]
         if kind == "i":
-            return 1j
+            return [(1j, ())]
         if kind == "sqrt":
-            self.expect("(")
-            inner = self.parse_expr()
-            self.expect(")")
-            if self._is_terms(inner):
+            # the argument is the parenthesized atom that must follow
+            kind, _, at = self.tokens[self.k]
+            if kind != "(":
+                raise KetSyntaxError("expected '('", at)
+            inner = self.parse_atom()
+            if not _scalar(inner):
                 raise KetSyntaxError("sqrt of a ket expression", pos)
-            return cmath.sqrt(inner)
+            return [(cmath.sqrt(inner[0][0]), ())]
         if kind == "(":
             inner = self.parse_expr()
-            self.expect(")")
+            kind, _, at = self.next()
+            if kind != ")":
+                raise KetSyntaxError("expected ')'", at)
             return inner
-        if kind == "ket":
-            return self._ket_value(val, pos)
         raise KetSyntaxError("expected a number, coefficient or ket", pos)
 
 
@@ -245,22 +178,21 @@ def parse_ket(text: str, dims, normalize: bool = False) -> np.ndarray:
     tokens = _tokenize(text)
     if not tokens:
         raise KetSyntaxError("empty expression", 0)
+    tokens.append((None, None, -1))
     parser = _Parser(tokens, dims)
     value = parser.parse_expr()
-    if parser.k < len(tokens):
+    if parser.k < len(tokens) - 1:
         raise KetSyntaxError("unexpected trailing input", tokens[parser.k][2])
 
-    if not isinstance(value, list):
-        if value == 0:
+    if _scalar(value):
+        if value[0][0] == 0:
             return np.zeros(dims, dtype=complex)
         raise KetSyntaxError("expression contains no kets", 0)
 
     out = np.zeros(dims, dtype=complex)
     for coeff, indices in value:
         if len(indices) != len(dims):
-            raise KetSyntaxError(
-                f"term has {len(indices)} party indices, expected {len(dims)}", 0
-            )
+            raise KetSyntaxError(f"term has {len(indices)} party indices, expected {len(dims)}", 0)
         for idx, d in zip(indices, dims):
             if idx >= d:
                 raise KetSyntaxError(f"index {idx} exceeds dimension {d}", 0)

@@ -84,9 +84,6 @@ class MatrixSubspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def member(self, coeffs) -> np.ndarray:
-        return (np.asarray(coeffs, dtype=complex) @ self.stack).reshape(self.m, self.n)
-
 
 @dataclass
 class ProductVectorReport:

@@ -246,20 +246,13 @@ def _relative_residual(t, model) -> float:
 def _direct_decomposition(t, r):
     """Exact decomposition over the two smallest modes (basis x basis x fiber)."""
     dims = t.shape
-    order = np.argsort(dims)
-    m1, m2 = sorted(order[:2])
-    m3 = 3 - m1 - m2
+    m1, m2 = sorted(np.argsort(dims)[:2])
+    d1, d2 = dims[m1], dims[m2]
+    # column i1*d2 + i2 holds basis vectors i1 and i2 and the fiber t[.., i1, .., i2, ..]
     factors = [np.zeros((d, r), dtype=complex) for d in dims]
-    col = 0
-    for i1 in range(dims[m1]):
-        for i2 in range(dims[m2]):
-            idx = [slice(None)] * 3
-            idx[m1], idx[m2] = i1, i2
-            fiber = t[tuple(idx)]
-            factors[m1][i1, col] = 1.0
-            factors[m2][i2, col] = 1.0
-            factors[m3][:, col] = fiber
-            col += 1
+    factors[m1][:, :d1 * d2] = np.repeat(np.eye(d1), d2, axis=1)
+    factors[m2][:, :d1 * d2] = np.tile(np.eye(d2), d1)
+    factors[3 - m1 - m2][:, :d1 * d2] = np.moveaxis(t, (m1, m2), (0, 1)).reshape(d1 * d2, -1).T
     return tuple(factors)
 
 

@@ -106,6 +106,29 @@ def test_partial_trace_preserves_trace():
         assert abs(np.trace(reduced) - np.trace(rho)) < 1e-12 * abs(np.trace(rho))
 
 
+def _reference_partial_trace(rho, party_dims, traced):
+    """The partial trace as one einsum over a subscript string of letters."""
+    m = len(party_dims)
+    keep = [i for i in range(m) if i not in traced]
+    row = [chr(ord("a") + i) for i in range(m)]
+    col = [row[i] if i in traced else chr(ord("a") + m + i) for i in range(m)]
+    sub = "".join(row + col) + "->" + "".join([row[i] for i in keep] + [col[i] for i in keep])
+    out_dim = int(np.prod([party_dims[i] for i in keep]))
+    return np.einsum(sub, rho.reshape(party_dims + party_dims)).reshape(out_dim, out_dim)
+
+
+def test_partial_trace_matches_letter_subscripts_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for party_dims in ((2, 3, 4), (3, 1, 2), (2, 2, 2, 3)):
+        rho = s.density_of(random_state(rng, party_dims))
+        m = len(party_dims)
+        for k in range(1, m):
+            for traced in itertools.combinations(range(m), k):
+                got = s.partial_trace(rho, party_dims, traced)
+                want = _reference_partial_trace(rho, party_dims, traced)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_partial_trace_sequential_equals_joint():
     rng = np.random.default_rng(3)
     psi = random_state(rng, (2, 2, 3))

@@ -403,6 +403,12 @@ def test_poly_text_and_json():
     assert back.coeffs == f2.coeffs
 
 
+def test_poly_text_writes_unit_imaginary_coefficients_as_kets_do():
+    assert HomPoly3(2, {(2, 0, 0): 1j, (1, 1, 0): -1j}).to_text() == "i*x^2 - i*x*y"
+    assert HomPoly3(0, {(0, 0, 0): -1j}).to_text() == "-i"
+    assert HomPoly3(1, {(1, 0, 0): 2j, (0, 0, 1): 0.5 - 1j}).to_text() == "2i*x + (0.5-1i)*z"
+
+
 def test_monomials_order():
     assert monomials(2) == [
         (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)

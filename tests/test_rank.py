@@ -92,6 +92,38 @@ def test_cp_als_direct_construction_at_trivial_bound():
     np.testing.assert_allclose(res.reconstruct(), t, atol=1e-10)
 
 
+def _reference_direct_decomposition(t, r):
+    """The slice construction as a double loop over the two smallest modes."""
+    dims = t.shape
+    order = np.argsort(dims)
+    m1, m2 = sorted(order[:2])
+    m3 = 3 - m1 - m2
+    factors = [np.zeros((d, r), dtype=complex) for d in dims]
+    col = 0
+    for i1 in range(dims[m1]):
+        for i2 in range(dims[m2]):
+            idx = [slice(None)] * 3
+            idx[m1], idx[m2] = i1, i2
+            factors[m1][i1, col] = 1.0
+            factors[m2][i2, col] = 1.0
+            factors[m3][:, col] = t[tuple(idx)]
+            col += 1
+    return tuple(factors)
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 4), (4, 3, 2), (3, 2, 4), (3, 3, 3), (2, 2, 5),
+                                  (5, 1, 2)])
+def test_cp_als_direct_slice_construction_is_exact(dims):
+    t = random_tensor(np.random.default_rng(sum(dims)), dims)
+    d1, d2 = sorted(dims)[:2]
+    for r in (d1 * d2, d1 * d2 + 2):
+        res = s.cp_als(t, r)
+        assert res.detail == "direct slice construction"
+        assert np.array_equal(res.reconstruct(), t)
+        for got, want in zip(res.factors, _reference_direct_decomposition(t, r)):
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape
+
+
 def test_cp_als_failure_is_a_value():
     """The permutation state has border rank 4: R=3 stays bounded away."""
     perm = s.catalog_build("3x3x3-perm")

@@ -1,6 +1,7 @@
 """Tests for dense tensor primitives."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,20 @@ def test_kron_regroup_dims_and_entries():
     p = s.parse_ket("|000>", (2, 2, 2))
     q = s.parse_ket("|111>", (2, 2, 2))
     assert s.local_ranks(s.kron_regroup(p, q)) == (1, 1, 1)
+
+
+def test_kron_regroup_refuses_an_oversized_product_before_allocating():
+    a = np.ones((100, 100, 1), dtype=complex)
+    b = np.ones((101, 1, 1), dtype=complex)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match="1010000 entries"):
+            s.kron_regroup(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the product would take 1,010,000 * 16 bytes, about 16 MB
+    assert peak < 1_000_000
 
 
 def test_kron_regroup_rank_multiplicativity():
