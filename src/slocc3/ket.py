@@ -59,7 +59,7 @@ def _tokenize(text: str):
         elif kind == 2:
             body = tok[1:-1].replace(" ", "")
             parts = body.split(",")
-            if not all(map(str.isdigit, parts)):
+            if not all(map(str.isdecimal, parts)):
                 raise KetSyntaxError(f"bad ket indices '|{body}>'" if body else "empty ket", pos)
             value = ("indices", tuple(map(int, parts))) if len(parts) > 1 else ("digits", body)
             tokens.append(("ket", value, pos))
@@ -180,7 +180,10 @@ def parse_ket(text: str, dims, normalize: bool = False) -> np.ndarray:
         raise KetSyntaxError("empty expression", 0)
     tokens.append((None, None, -1))
     parser = _Parser(tokens, dims)
-    value = parser.parse_expr()
+    try:
+        value = parser.parse_expr()
+    except RecursionError:  # at the '(' that opened one level too many
+        raise KetSyntaxError("expression nested too deeply", tokens[parser.k - 1][2]) from None
     if parser.k < len(tokens) - 1:
         raise KetSyntaxError("unexpected trailing input", tokens[parser.k][2])
 

@@ -195,12 +195,15 @@ def _companion_roots(polys) -> np.ndarray:
 
 
 def _candidate_points(forms, cluster_radius) -> list:
-    """Per binary form of a stack (count, d + 1), entry j the coefficient of
-    x^(d-j) y^j: the point at infinity, then the centroid of each cluster of
-    its roots, gathered in root order (a centroid approximates a multiple
-    root far better than its perturbed roots).  As in ``np.roots``, leading
-    coefficients at most 1e-12 of the largest drop the degree and exactly
-    zero trailing ones are roots at 0; one ``_companion_roots`` per degree."""
+    """Per binary form of a stack, its roots (:func:`_form_roots`), :func:`_clustered`."""
+    return [_clustered(lams, cluster_radius) for lams in _form_roots(forms)]
+
+
+def _form_roots(forms) -> list:
+    """Roots y/x of each binary form of a stack (count, d + 1), entry j the
+    coefficient of x^(d-j) y^j, in the order of ``np.roots``: leading
+    coefficients at most 1e-12 of the largest drop the degree, exactly zero
+    trailing ones are roots at 0; one ``_companion_roots`` per degree."""
     roots, groups = [], {}  # groups: companion size -> {form index: coefficients}
     for i, coeffs in enumerate(np.asarray(forms, dtype=complex)[:, ::-1].tolist()):
         floor = 1e-12 * max(map(abs, coeffs))  # coefficients descend in y after x = 1
@@ -214,18 +217,22 @@ def _candidate_points(forms, cluster_radius) -> list:
     for group in groups.values():
         for i, lams in zip(group, _companion_roots(np.array(list(group.values()))).tolist()):
             roots[i][:0] = lams  # before the roots at 0, in the order of np.roots
-    points = []
-    for lams in roots:
-        clusters = []
-        for lam in lams:
-            for cl in clusters:
-                if _chordal((1.0, lam), (1.0, sum(cl) / len(cl))) <= cluster_radius:
-                    cl.append(lam)
-                    break
-            else:
-                clusters.append([lam])
-        points.append([(0j, 1 + 0j)] + [(1 + 0j, sum(cl) / len(cl)) for cl in clusters])
-    return points
+    return roots
+
+
+def _clustered(lams, cluster_radius) -> list:
+    """The point at infinity, then the centroid of each cluster of the roots
+    ``lams``, gathered in root order (a centroid approximates a multiple
+    root far better than its perturbed roots)."""
+    clusters = []
+    for lam in lams:
+        for cl in clusters:
+            if _chordal((1.0, lam), (1.0, sum(cl) / len(cl))) <= cluster_radius:
+                cl.append(lam)
+                break
+        else:
+            clusters.append([lam])
+    return [(0j, 1 + 0j)] + [(1 + 0j, sum(cl) / len(cl)) for cl in clusters]
 
 
 def _chordal(p1, p2) -> float:
@@ -266,17 +273,16 @@ def _partition_from_weyr(deltas):
     return tuple(s for s in range(len(weyr) - 1, 0, -1) for _ in range(weyr[s - 1] - weyr[s]))
 
 
-def _divisor_structure(s0, s1, form, r, total_divisor, tol, cluster_radius):
+def _divisor_structure(s0, s1, roots, r, total_divisor, tol, cluster_radius):
     """Eigen-points and their partitions for one choice of cluster radius.
 
-    A root of the compressed determinant ``form`` is an eigen-point when the
-    pencil drops below rank ``r`` there.  Its partition comes from the jet
+    A root of the compressed determinant (``roots``) is an eigen-point when
+    the pencil drops below rank ``r`` there.  Its partition comes from the jet
     nullities less k*(n - r): the n - r blocks L_eps have full row rank at
     every point, so their k-jet has nullity k each."""
     notes = []
-    [candidates] = _candidate_points(form[None], cluster_radius)
     points = []
-    for cand in candidates:
+    for cand in _clustered(roots, cluster_radius):
         if all(_chordal(cand, q) > cluster_radius for q in points):
             points.append(cand)
     drops, nullities = _drops_and_jets(s0, s1, points, r, total_divisor, tol)
@@ -337,13 +343,13 @@ def pencil_invariants(t, tol: float = PENCIL_RANK_TOL) -> PencilInvariants:
     finite = []
     infinite = ()
     if total_divisor > 0:
-        form = _compressed_form(s0, s1, r)
+        [roots] = _form_roots(_compressed_form(s0, s1, r)[None])
         # clustered multiple roots are recovered through their centroid; if
         # the fine radius leaves a multiple root split (its degree identity
-        # then fails) retry once with a coarser radius
+        # then fails) re-cluster the same roots once at a coarser radius
         for radius in (EIGEN_CLUSTER_RADIUS, 1e-4):
             finite, infinite, assigned, attempt_notes = _divisor_structure(
-                s0, s1, form, r, total_divisor, tol, radius
+                s0, s1, roots, r, total_divisor, tol, radius
             )
             if assigned == total_divisor:
                 notes.extend(attempt_notes)

@@ -557,17 +557,24 @@ def rank_interval(t, restarts: int = 32, max_iter: int = 2000, seed: int = 0,
     """Bracket the tensor rank: certified lower bound (:func:`rank_lower_bound`),
     least R at or above it with a decomposition below ``tol``.
 
-    At each R the padded-pencil construction (:func:`_pencil_construction`)
-    is tried first; it applies when the support has a mode of dim at most 2,
-    where Ja'Ja's lower bound is the rank, so such intervals close at [R, R]
-    with no ALS.  When it does not apply or misses ``tol``, :func:`cp_als`
-    searches at that R with the given budget.  The support is computed once
-    and serves both the lower bound and the construction.  The search is
-    guaranteed to terminate because the slice-wise construction succeeds
-    once R reaches the product of the two smallest dims.
+    When the support has a mode of dim 2 (dims not 2 x 2 x 2), the
+    padded-pencil construction (:func:`_pencil_construction`) is tried at
+    the largest local rank R before Ja'Ja's bound is computed; below the
+    rank it refuses the defective pencil, so success closes at [R, R] with
+    ``LocalRank``.  Otherwise each R from the lower bound up tries the
+    construction (for a mode of dim at most 2, where Ja'Ja's bound is the
+    rank, so the interval closes with no ALS), then :func:`cp_als` with the
+    given budget.  The support is computed once for both.  The search ends:
+    the slice-wise construction succeeds once R reaches the product of the
+    two smallest dims.
     """
     t = as_tensor(t)
     support = _support(t)
+    if t.shape != (2, 2, 2) and min(support[1].shape) == 2:
+        r = max(support[1].shape)
+        result = _pencil_construction(t, support, r, tol)
+        if result is not None:
+            return RankInterval(r, r, "LocalRank", result)
     lower, cert = _lower_bound(t, support[1])
     dims = sorted(t.shape)
     r = lower

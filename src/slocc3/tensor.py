@@ -98,11 +98,7 @@ def tensor_slice(t, mode: int, index: int) -> np.ndarray:
         raise ValueError(
             f"slice index {index} out of range for mode {mode} of dims {t.shape}"
         )
-    if mode == 1:
-        return t[index, :, :].copy()
-    if mode == 2:
-        return t[:, index, :].copy()
-    return t[:, :, index].copy()
+    return np.take(t, index, axis=mode - 1)
 
 
 def unfold(t, mode: int) -> np.ndarray:
@@ -134,8 +130,11 @@ def unit_exponent(t) -> int:
 
 
 def ldexp(t, e: int) -> np.ndarray:
-    """Complex ``t`` times 2^e: exact while every part stays normal."""
-    return np.ldexp(np.ascontiguousarray(t, dtype=complex).view(float), e).view(complex)
+    """Complex ``t`` times 2^e, in a new array: exact while every part stays normal."""
+    t = np.ascontiguousarray(t, dtype=complex)
+    out = np.empty_like(t)
+    np.ldexp(t.view(float), e, out=out.view(float))
+    return out
 
 
 def check_tol(tol) -> None:
@@ -182,8 +181,8 @@ def unfolding_svds(stack, tol: float = DEFAULT_RANK_TOL, vectors=()):
     unit = ldexp(stack, -e[:, None, None, None])
     # the three spectra, zero-padded, so one call of the rule ranks them all
     spectra, svds = np.zeros((count, 3, max(dims))), [None] * 3
-    for q in range(3):
-        mats = np.moveaxis(unit, q + 1, 1).reshape(count, dims[q], -1)
+    for q, axes in enumerate(((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))):  # mode q + 1 to axis 1
+        mats = unit.transpose(axes).reshape(count, dims[q], -1)
         if q in vectors:
             u, s, vh = svds[q] = np.linalg.svd(mats, full_matrices=False)
         else:

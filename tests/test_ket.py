@@ -1,9 +1,12 @@
 """Tests for the ket expression parser and printer."""
 
+import threading
+
 import numpy as np
 import pytest
 
 import slocc3 as s
+from slocc3.cli import main
 from slocc3.ket import KetSyntaxError
 
 
@@ -62,6 +65,44 @@ def test_parse_errors_report_position():
     with pytest.raises(KetSyntaxError) as err:
         s.parse_ket("|000> + @", (2, 2, 2))
     assert "position" in str(err.value)
+
+
+def _nested(levels):
+    return "(" * levels + "|000>" + ")" * levels
+
+
+def test_deep_nesting_is_a_syntax_error_at_an_open_parenthesis(capsys):
+    text = _nested(300)
+    with pytest.raises(KetSyntaxError, match="nested too deeply") as err:
+        s.parse_ket(text, (2, 2, 2))
+    assert text[err.value.pos] == "("
+    assert main(["rank", "--ket", text, "--dims", "2,2,2"]) == 2
+    assert "nested too deeply (at position" in capsys.readouterr().err
+
+
+def test_240_nested_levels_parse_from_a_shallow_stack():
+    """A fresh thread starts as shallow as the CLI's entry point does."""
+    parsed = []
+    thread = threading.Thread(target=lambda: parsed.append(s.parse_ket(_nested(240), (2, 2, 2))))
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    np.testing.assert_array_equal(parsed[0], s.parse_ket("|000>", (2, 2, 2)))
+
+
+@pytest.mark.parametrize("text", ["|\u00b200>", "|1,\u00b2,0>", "|\u2460,0,0>"])
+def test_non_decimal_digit_in_a_ket_is_a_syntax_error(text, capsys):
+    """Superscript and circled digits pass ``str.isdigit`` but not ``int``."""
+    with pytest.raises(KetSyntaxError, match="bad ket indices") as err:
+        s.parse_ket(text, (2, 2, 2))
+    assert err.value.pos == 0
+    assert main(["rank", "--ket", text, "--dims", "2,2,2"]) == 2
+    assert "bad ket indices" in capsys.readouterr().err
+
+
+def test_decimal_digits_of_any_script_index_a_ket():
+    """Ket digits are what ``int`` and the number token's ``\\d`` accept."""
+    assert s.parse_ket("|\u0661,\u0660,\u0661>", (2, 2, 2))[1, 0, 1] == 1
 
 
 def test_parse_rejects_out_of_range_index():

@@ -480,6 +480,105 @@ def test_pencil_construction_below_rank_never_succeeds(name, r):
             assert rank._pencil_construction(scaled, support, r, 1e-8) is None, seed
 
 
+def _two_slice_input(name):
+    """A table row, or W embedded as a 2 x 2 x 2 support in a 3 x 3 x 3 shape."""
+    if name != "embedded-w":
+        return s.catalog_build(name), s.catalog_get(name).rank_note["rank"]
+    t = np.zeros((3, 3, 3), dtype=complex)
+    t[:2, :2, :2] = s.catalog_build("w")
+    return t, 3
+
+
+def _invariants_first_interval(t, tol=1e-8):
+    """Ja'Ja's bound first (``rank_lower_bound``), then the padded-pencil
+    construction at that bound, which closes every two-slice interval."""
+    lower, cert = s.rank_lower_bound(t)
+    result = rank._pencil_construction(t, rank._support(t), lower, tol)
+    assert result is not None
+    return lower, cert, result
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(TWO_SLICE_ROWS + ["embedded-w"]),
+       map_seed=st.none() | st.integers(0, 2**31 - 1),
+       exponent=st.integers(-150, 150))
+def test_local_rank_first_interval_equals_invariants_first(name, map_seed, exponent):
+    """Trying the construction at the local rank before Ja'Ja's bound gives
+    the same interval, certificates and bit-identical factors."""
+    t, _ = _two_slice_input(name)
+    if map_seed is not None:
+        t = s.apply_slocc(t, *s.random_slocc(t.shape, map_seed, cond_bound=100))
+    t = t * 10.0**exponent
+    interval = s.rank_interval(t)
+    lower, cert, want = _invariants_first_interval(t)
+    assert (interval.lower, interval.upper) == (lower, lower)
+    assert interval.certificate_lower == cert
+    got = interval.certificate_upper
+    assert (got.success, got.rank, got.residual, got.detail) == (
+        want.success, want.rank, want.residual, want.detail)
+    for f_got, f_want in zip(got.factors, want.factors, strict=True):
+        assert f_got.shape == f_want.shape
+        assert f_got.tobytes() == f_want.tobytes()
+
+
+# supports with a mode of dim 2 whose rank exceeds their largest local rank
+ABOVE_LOCAL_RANK = ["2x3x3-3", "2x3x3-4", "2x3x3-5", "2x3x3-6", "2x3x4-4", "embedded-w"]
+
+
+@contextlib.contextmanager
+def recorded_eigenbasis_conds():
+    """Wrap ``rank._diagonalize_pencil``; yields the condition numbers of
+    the eigenbases it returns."""
+    conds = []
+    diagonalize = rank._diagonalize_pencil
+
+    def recording(p0, p1):
+        w, v, c = diagonalize(p0, p1)
+        conds.append(np.linalg.cond(w))
+        return w, v, c
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rank, "_diagonalize_pencil", recording)
+        yield conds
+
+
+@pytest.mark.parametrize("name", ABOVE_LOCAL_RANK)
+def test_eigenbasis_guard_refuses_the_construction_at_the_local_rank(name):
+    """Below the rank the padded pencil is defective: its eigenbasis
+    condition number is over 1000 times ``_EIGENBASIS_COND_MAX``, so the
+    construction returns None there and the interval closes at Ja'Ja's rank."""
+    t, known = _two_slice_input(name)
+    for seed in range(5):
+        image = s.apply_slocc(t, *s.random_slocc(t.shape, 90 + seed, cond_bound=100))
+        for exponent in (-150, 0, 150):
+            scaled = image * 10.0**exponent
+            support = rank._support(scaled)
+            local = max(support[1].shape)
+            assert local < known
+            with recorded_eigenbasis_conds() as conds:
+                assert rank._pencil_construction(scaled, support, local, 1e-8) is None
+            assert conds[0] > 1000 * rank._EIGENBASIS_COND_MAX, (seed, exponent)
+            interval = s.rank_interval(scaled)
+            assert (interval.lower, interval.upper) == (known, known), (seed, exponent)
+            assert interval.certificate_lower == "JaJa"
+
+
+def test_local_rank_first_order_rests_on_the_eigenbasis_guard(monkeypatch):
+    """Without the guard, round-off lets the defective pencil at the local
+    rank pass ``tol`` (on 9 of the 10 images at seeds 90-99), and the
+    interval would close below the rank."""
+    monkeypatch.setattr(rank, "_EIGENBASIS_COND_MAX", np.inf)
+    t, known = _two_slice_input("2x3x4-4")
+    wrong = []
+    for seed in range(5):
+        image = s.apply_slocc(t, *s.random_slocc(t.shape, 90 + seed, cond_bound=100))
+        interval = s.rank_interval(image)
+        if interval.lower < known:
+            assert (interval.upper, interval.certificate_lower) == (known - 1, "LocalRank")
+            wrong.append(seed)
+    assert wrong
+
+
 def test_interval_below_rank_falls_back_to_als(monkeypatch):
     """With the lower bound forced below the rank, the construction fails
     there, ALS runs at that R, and the construction closes one higher."""
