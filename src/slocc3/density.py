@@ -35,7 +35,7 @@ def mixture(states, probs) -> np.ndarray:
     probs = [float(p) for p in probs]
     if len(states) != len(probs) or not states:
         raise ValueError("need equally many states and probabilities")
-    if any(p < 0 for p in probs):
+    if not all(p >= 0 for p in probs):  # NaN fails too
         raise ValueError("probabilities must be nonnegative")
     if abs(sum(probs) - 1.0) > 1e-12:
         raise ValueError(f"probabilities sum to {sum(probs)}, not 1")

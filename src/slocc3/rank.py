@@ -15,8 +15,11 @@ A failed search proves nothing and is never used to raise a lower bound,
 and a success certifies only that a decomposition with that many terms
 exists numerically (the border rank may be smaller).  The support, its
 bases and the ALS starts come from the singular vectors of one
-``tensor.unfolding_svds`` call, taken at the tensor's exact power-of-two
-scale; certificates are scaled back by that power.
+``tensor.unfolding_svds`` call.  One scale rule holds: the pencil
+construction, ALS starts, sweeps and residuals read the tensor scaled by its
+exact power of two 2^-e, and certificates are scaled back by that power,
+spread over the three factors (:func:`_scale_back`); only the exact
+slice-wise construction reads the tensor itself.
 """
 
 from __future__ import annotations
@@ -236,6 +239,13 @@ class CpResult:
         return json.dumps(doc, sort_keys=True)
 
 
+def _check_residual_tol(tol) -> None:
+    """ValueError unless a residual tolerance is nonnegative and finite; 0 is
+    allowed, and NaN fails the chained comparison."""
+    if not 0.0 <= tol < np.inf:
+        raise ValueError("tol must be nonnegative and finite")
+
+
 def _relative_residual(t, model) -> float:
     """|t - model| / |t|, both norms taken at t's power-of-two scale
     (``unit_exponent``), where they neither overflow nor underflow."""
@@ -327,9 +337,8 @@ def _pencil_construction(t, support, r, tol):
     give a residual below ``tol`` with huge, nearly cancelling terms (a
     border-rank approximation), so an eigenbasis whose condition number
     exceeds ``_EIGENBASIS_COND_MAX`` is refused.  Returns a successful
-    ``CpResult``, its factors scaled back by 2^q, 2^q and 2^(e - 2q) on the
-    mode (q = trunc(e / 3)), when the basis passes and the relative
-    residual is below ``tol``, else None.
+    ``CpResult`` (:func:`_scale_back` on the mode) when the basis passes and
+    the relative residual is below ``tol``, else None.
     """
     e, core, bases = support
     mode = int(np.argmin(core.shape))
@@ -355,10 +364,16 @@ def _pencil_construction(t, support, r, tol):
     residual = _relative_residual(ldexp(t, -e), np.einsum("ir,jr,kr->ijk", *factors))
     if not residual < tol:
         return None
-    # 2^e spread as 2^q, 2^q, 2^(e-2q) keeps each factor finite at any scale
+    return CpResult(True, r, residual, _scale_back(factors, e, mode),
+                    "padded pencil construction")
+
+
+def _scale_back(factors, e, mode):
+    """Factors of t scaled by 2^-e turned into factors of t, as new arrays:
+    2^e is spread as 2^q on two factors and 2^(e - 2q) on ``mode``
+    (q = trunc(e / 3)), which keeps each factor finite at any scale."""
     q = int(e / 3)
-    factors = [ldexp(f, e - 2 * q if p == mode else q) for p, f in enumerate(factors)]
-    return CpResult(True, r, residual, tuple(factors), "padded pencil construction")
+    return tuple(ldexp(f, e - 2 * q if p == mode else q) for p, f in enumerate(factors))
 
 
 def _spectral_init(t, r, vectors):
@@ -457,11 +472,14 @@ def cp_als(t, r: int, restarts: int = 32, max_iter: int = 2000, seed: int = 0,
     ``tol`` at the border rank through decompositions with enormous,
     nearly-cancelling terms; the certificate's factor norms expose this.
     Success always means exactly "a numerical decomposition at the stated
-    residual exists", nothing stronger.  Zero-ness is decided on the entries
-    and every residual on the tensor scaled by an exact power of two
-    (``tensor.unit_exponent``), so no norm under- or overflows at any
-    nonzero scale of ``t``.
+    residual exists", nothing stronger.  Zero-ness is decided on the
+    entries.  Starts, sweeps and residuals read ``t`` scaled by its exact
+    power of two 2^-e (``tensor.unit_exponent``), and the factors are scaled
+    back by that power (:func:`_scale_back`), so no norm or factor under- or
+    overflows at any nonzero scale of ``t``.  ``tol`` must be nonnegative
+    and finite; at 0 each restart runs until it stalls or ends.
     """
+    _check_residual_tol(tol)
     t = as_tensor(t)
     if r < 1:
         raise ValueError("rank must be at least 1")
@@ -475,22 +493,20 @@ def cp_als(t, r: int, restarts: int = 32, max_iter: int = 2000, seed: int = 0,
         residual = _relative_residual(t, np.einsum("ir,jr,kr->ijk", *factors))
         return CpResult(True, r, residual, factors, "direct slice construction")
 
-    # the sweeps fit t scaled by 2^-e, where no norm overflows or underflows;
-    # starts are drawn for t, so every sweep leaves the exact factor 2^-e in
-    # the first factor, which is scaled back
+    # starts, sweeps and residuals read t scaled by 2^-e: no norm overflows
     [e], _, svds = unfolding_svds(t[None], vectors=(0, 1, 2))
     vectors = [svd.U[0] for svd in svds]
     t_unit = ldexp(t, -e)
     norm_t = float(np.linalg.norm(t_unit))
     solve = [_mode_solver(t_unit, mode, r) for mode in (1, 2, 3)]
-    spectral = _spectral_init(t, r, vectors)
+    spectral = _spectral_init(t_unit, r, vectors)
     best = None
     for restart in range(max(1, restarts)):
         rng = np.random.default_rng(np.random.SeedSequence([seed, restart]))
         if restart == 1 and spectral is not None:
-            a, b, c = (f.copy() for f in spectral)
+            a, b, c = spectral
         else:
-            a, b, c = _als_init(t, r, rng, vectors if restart == 0 else None)
+            a, b, c = _als_init(t_unit, r, rng, vectors if restart == 0 else None)
         prev_res = np.inf
         residual = np.inf
         for _ in range(max_iter):
@@ -508,11 +524,8 @@ def cp_als(t, r: int, restarts: int = 32, max_iter: int = 2000, seed: int = 0,
             break
 
     residual, factors, restart = best
-    # own the data: a solve's factor is a view of its whole solution buffer
-    factors = (ldexp(factors[0], e), factors[1].copy(), factors[2].copy())
-    ok = residual < tol
     detail = f"ALS, best of {restart + 1} restart(s)"
-    return CpResult(ok, r, residual, factors, detail)
+    return CpResult(residual < tol, r, residual, _scale_back(factors, e, 0), detail)
 
 
 def map_cp_factors(factors, a, b, c):
@@ -568,6 +581,7 @@ def rank_interval(t, restarts: int = 32, max_iter: int = 2000, seed: int = 0,
     the slice-wise construction succeeds once R reaches the product of the
     two smallest dims.
     """
+    _check_residual_tol(tol)
     t = as_tensor(t)
     support = _support(t)
     if t.shape != (2, 2, 2) and min(support[1].shape) == 2:

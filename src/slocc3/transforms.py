@@ -82,7 +82,7 @@ def random_nonsingular(dim: int, seed, cond_bound: float = 1e6,
     """
     if dim < 1:
         raise ValueError("dim must be at least 1")
-    if cond_bound <= 1:
+    if not cond_bound > 1:  # NaN fails too
         raise ValueError("cond_bound must exceed 1")
     rng = np.random.default_rng(seed)
     for _ in range(max_tries):

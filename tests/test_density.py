@@ -70,6 +70,12 @@ def test_mixture_validates_probs():
         s.mixture([psi, np.ones(3)], [0.5, 0.5])
 
 
+def test_mixture_refuses_nan_probabilities():
+    """Once, a NaN probability passed both checks and gave an all-NaN matrix."""
+    with pytest.raises(ValueError, match="nonnegative"):
+        s.mixture([s.ghz_state()], [np.nan])
+
+
 def test_partial_trace_ghz():
     ghz = s.ghz_state() / np.sqrt(2)
     rho_bc = s.reduced_density(ghz, (2, 2, 2), [0])

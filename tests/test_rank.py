@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -130,6 +131,31 @@ def test_cp_als_failure_is_a_value():
     res = s.cp_als(perm, 3, restarts=4, max_iter=400, seed=0)
     assert not res.success
     assert res.residual > 1e-3
+
+
+def _refuse_work(monkeypatch):
+    """Fail any unfolding SVD, the first work of both searches."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done before the tol check")
+
+    monkeypatch.setattr(rank, "unfolding_svds", refuse)
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1e-8, np.inf])
+def test_cp_als_refuses_a_bad_tol(tol, monkeypatch):
+    """Once, tol=inf reported success for GHZ at R=1 at residual 0.707."""
+    _refuse_work(monkeypatch)
+    with pytest.raises(ValueError, match="tol"):
+        s.cp_als(s.ghz_state(), 1, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1e-8, np.inf])
+def test_rank_interval_refuses_a_bad_tol(tol, monkeypatch):
+    """Once, tol=nan ran every R and returned [3, 9] for the 3x3x3 diagonal
+    state from the slice-wise construction."""
+    _refuse_work(monkeypatch)
+    with pytest.raises(ValueError, match="tol"):
+        s.rank_interval(s.catalog_build("3x3x3-diag"), tol=tol, restarts=1, max_iter=5)
 
 
 def test_cp_als_border_rank_creep_is_flagged_by_factor_norms():
@@ -262,15 +288,16 @@ def _reference_cp_als(t, r, restarts, max_iter, seed, tol, stall_tol):
     """The CP-ALS loop on ``np.linalg.lstsq``; also returns the smallest
     numerical rank of any design matrix it solved with."""
     from slocc3.rank import _als_init, _spectral_init
-    from slocc3.tensor import unfold, unfolding_svds
+    from slocc3.tensor import ldexp, unfold, unfolding_svds
 
     def khatri_rao(u, v):
         return np.einsum("jr,kr->jkr", u, v).reshape(-1, r)
 
     norm_t = float(np.linalg.norm(t))
     unfolds = [unfold(t, m) for m in (1, 2, 3)]
-    vectors = [svd.U[0] for svd in unfolding_svds(t[None], vectors=(0, 1, 2))[2]]
-    spectral = _spectral_init(t, r, vectors)
+    [e], _, svds = unfolding_svds(t[None], vectors=(0, 1, 2))
+    vectors = [svd.U[0] for svd in svds]
+    spectral = _spectral_init(ldexp(t, -e), r, vectors)
     best, min_rank = None, r
     for restart in range(max(1, restarts)):
         rng = np.random.default_rng(np.random.SeedSequence([seed, restart]))
@@ -713,6 +740,76 @@ def test_cp_als_on_a_rank_three_tensor_fails_at_rank_one_at_any_scale(seed, expo
     result = s.cp_als(t * 10.0**exponent, 1, restarts=2, max_iter=50)
     assert not result.success
     assert result.residual > 1e-3
+
+
+RESCALED_ROWS = ["3x3x3-diag", "3x3x3-perm", "w-squared"]
+
+
+@st.composite
+def _normal_rescalings(draw):
+    """A cond <= 100 image of a row, or a random rank-r 3x3x3 or 4x4x4
+    tensor, and two powers of two that keep every nonzero part of it
+    normal: the top one, which puts the largest part in [2^1023, 2^1024),
+    and the bottom one (smallest part in [2^-1022, 2^-1021)) or any
+    between."""
+    kind = draw(st.sampled_from([*RESCALED_ROWS, 3, 4]))
+    seed = draw(st.integers(0, 2**31 - 1))
+    if isinstance(kind, str):
+        t = s.catalog_build(kind)
+        t = s.apply_slocc(t, *s.random_slocc(t.shape, seed, cond_bound=100))
+    else:
+        rng = np.random.default_rng(seed)
+        r = draw(st.integers(1, kind))
+        t = np.einsum("ir,jr,kr->ijk", *(random_tensor(rng, (kind, r)) for _ in range(3)))
+    parts = np.abs(t.view(float))
+    bottom = -1021 - math.frexp(parts[parts > 0].min())[1]
+    top = 1024 - unit_exponent(t)
+    return t, (top, draw(st.sampled_from([bottom]) | st.integers(bottom, top)))
+
+
+def _unit_residual(t, factors):
+    """Relative residual of the model of ``factors`` against ``t``, with
+    each factor taken at its own power-of-two scale and ``t`` at their sum,
+    so no product over- or underflows however the scale is shared."""
+    exps = [unit_exponent(f) for f in factors]
+    model = np.einsum("ir,jr,kr->ijk", *(ldexp(f, -x) for f, x in zip(factors, exps)))
+    return rank._relative_residual(ldexp(t, -sum(exps)), model)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(case=_normal_rescalings())
+def test_rank_interval_is_the_same_under_normal_power_of_two_rescaling(case):
+    """Interval, lower certificate, residual and detail equal their scale-1
+    values, and the factors are finite and reconstruct the rescaled tensor.
+    Once, ALS started restart 1 from the input scale and put all of 2^e back
+    into the first factor, so at the top of the range intervals widened and
+    certificates held inf."""
+    t, exponents = case
+    want = s.rank_interval(t, restarts=2, max_iter=300)
+    for k in exponents:
+        got = s.rank_interval(ldexp(t, k), restarts=2, max_iter=300)
+        assert (got.lower, got.upper, got.certificate_lower) == (
+            want.lower, want.upper, want.certificate_lower), k
+        cert = got.certificate_upper
+        assert (cert.residual, cert.detail) == (
+            want.certificate_upper.residual, want.certificate_upper.detail), k
+        assert all(np.all(np.isfinite(f)) for f in cert.factors), k
+        assert _unit_residual(ldexp(t, k), cert.factors) < 1e-8, k
+
+
+def test_cp_als_factors_stay_finite_at_the_top_of_the_range():
+    """A random 3x3x3 tensor at R = 5, its largest part 1.796e308: the
+    scale-1 success, residual and detail, with finite factors.  Once, a
+    success at residual 9.8e-9 whose first factor held inf."""
+    t = random_tensor(np.random.default_rng(5), (3, 3, 3))
+    top = ldexp(t, 1024 - unit_exponent(t))
+    assert np.max(np.abs(top.view(float))) > 1.79e308
+    want = s.cp_als(t, 5, restarts=2, max_iter=300)
+    got = s.cp_als(top, 5, restarts=2, max_iter=300)
+    assert got.success and want.success
+    assert (got.residual, got.detail) == (want.residual, want.detail)
+    assert all(np.all(np.isfinite(f)) for f in got.factors)
+    assert _unit_residual(top, got.factors) < 1e-8
 
 
 def test_fixed_draws_are_made_once_per_shape(monkeypatch):

@@ -156,3 +156,13 @@ def test_random_nonsingular_validates_args():
         s.random_nonsingular(0, 0)
     with pytest.raises(ValueError):
         s.random_nonsingular(2, 0, cond_bound=1.0)
+
+
+def test_random_nonsingular_refuses_nan_cond_bound_up_front(monkeypatch):
+    """Once, a NaN bound made every draw fail and ended in ArithmeticError."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a matrix was drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    with pytest.raises(ValueError, match="cond_bound"):
+        s.random_nonsingular(3, 0, cond_bound=np.nan)
