@@ -10,16 +10,19 @@ nonsingular 3x3 matrix G acting on the variable row vector as
 numerically and never converts a failed search into a verdict of
 inequivalence.
 
-One kernel evaluates determinants of slice combinations: :func:`det_grid`
-on a roots-of-unity grid, :func:`det_coefficients` its exact DFT inverse.
-It serves ``det_poly`` for n >= 7, the pencil minors and every measure of
-the equivalence test.  For n <= 6 ``det_poly`` expands cofactors exactly,
-so the structural zeros of sparse tensors stay exact zeros.
+A polynomial is one coefficient grid, ``grid[p, q]`` the coefficient of
+x^p y^q z^(n-p-q).  :func:`det_grid` evaluates determinants of slice
+combinations on roots of unity, :func:`det_coefficients` is its exact DFT
+inverse; they serve ``det_poly`` for n >= 7, the pencil minors and the
+equivalence test.  For n <= 6 ``det_poly`` expands minors exactly with
+:func:`_times_linear`, so the structural zeros of sparse tensors stay exact
+zeros; :func:`substitute` runs on the same kernel.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -45,90 +48,75 @@ def monomials(degree: int):
 
 
 class HomPoly3:
-    """Homogeneous complex polynomial in (x, y, z), monomial-coefficient map.
+    """Homogeneous complex polynomial in (x, y, z) of a given degree d.
 
-    Coefficients are stored sparsely; exact zeros are dropped.  The degree is
-    carried explicitly so the zero polynomial of any degree is representable.
+    One ``(d+1, d+1)`` complex grid holds it, in the layout of
+    :func:`det_coefficients`: ``grid[p, q]`` is the coefficient of
+    x^p y^q z^(d-p-q), and entries with p + q > d are zero.  ``coeffs`` reads
+    it as a map from exponent triples to the nonzero coefficients, in lex
+    order.  Polynomials add and scale; :func:`_times_linear` multiplies.
     """
 
-    __slots__ = ("degree", "coeffs")
+    __slots__ = ("degree", "grid")
 
     def __init__(self, degree: int, coeffs=None):
         self.degree = int(degree)
-        self.coeffs = {}
-        if coeffs:
-            for exp, c in coeffs.items():
-                if sum(exp) != self.degree:
-                    raise ValueError(f"exponent {exp} does not sum to {self.degree}")
-                c = complex(c)
-                if c != 0:
-                    self.coeffs[tuple(exp)] = c
+        if self.degree < 0:
+            raise ValueError(f"degree must be non-negative, got {self.degree}")
+        self.grid = np.zeros((self.degree + 1, self.degree + 1), dtype=complex)
+        for exp, c in (coeffs or {}).items():
+            naturals = all(isinstance(e, (int, np.integer)) and e >= 0 for e in exp)
+            if not (len(exp) == 3 and naturals and sum(exp) == self.degree):
+                raise ValueError(f"exponent {exp} is not three non-negative integers "
+                                 f"summing to {self.degree}")
+            self.grid[exp[0], exp[1]] = c
 
     @classmethod
-    def constant(cls, value):
-        return cls(0, {(0, 0, 0): value})
+    def _from_grid(cls, grid) -> "HomPoly3":
+        f = cls.__new__(cls)
+        f.degree, f.grid = grid.shape[-1] - 1, grid
+        return f
 
-    @classmethod
-    def linear(cls, cx, cy, cz):
-        return cls(1, {(1, 0, 0): cx, (0, 1, 0): cy, (0, 0, 1): cz})
+    @property
+    def coeffs(self) -> dict:
+        return {exp: complex(c) for exp, c in zip(monomials(self.degree), self.coeff_vector())
+                if c != 0}
 
     def __add__(self, other):
         if self.degree != other.degree:
             raise ValueError("cannot add polynomials of different degree")
-        out = dict(self.coeffs)
-        for exp, c in other.coeffs.items():
-            out[exp] = out.get(exp, 0.0) + c
-        return HomPoly3(self.degree, out)
+        return HomPoly3._from_grid(self.grid + other.grid)
 
-    def __mul__(self, other):
-        if isinstance(other, HomPoly3):
-            out = {}
-            for e1, c1 in self.coeffs.items():
-                for e2, c2 in other.coeffs.items():
-                    exp = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                    out[exp] = out.get(exp, 0.0) + c1 * c2
-            return HomPoly3(self.degree + other.degree, out)
-        out = {exp: c * other for exp, c in self.coeffs.items()}
-        return HomPoly3(self.degree, out)
+    def __mul__(self, scalar):
+        return HomPoly3._from_grid(self.grid * complex(scalar))
 
     __rmul__ = __mul__
 
     def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
+        return float(np.max(np.abs(self.grid)))
 
     def coeff_vector(self) -> np.ndarray:
         """Dense coefficient vector over the degree's monomials in lex order."""
-        return np.array(
-            [self.coeffs.get(exp, 0.0) for exp in monomials(self.degree)],
-            dtype=complex,
-        )
+        return np.array([self.grid[p, q] for p, q, _ in monomials(self.degree)], dtype=complex)
 
     def __call__(self, x, y, z):
-        total = 0.0 + 0.0j
-        for (p, q, r), c in self.coeffs.items():
-            total += c * (x**p) * (y**q) * (z**r)
-        return total
+        return sum((c * x**p * y**q * z**r for (p, q, r), c in self.coeffs.items()), 0j)
 
     def leading(self, rel_tol: float = 1e-12):
         """Lexicographically greatest monomial with a non-negligible coefficient."""
         scale = self.max_abs_coeff()
-        if scale == 0.0:
-            return None
-        for exp in sorted(self.coeffs, reverse=True):
-            if abs(self.coeffs[exp]) > rel_tol * scale:
-                return exp
-        return None
+        return next((exp for exp, c in self.coeffs.items() if abs(c) > rel_tol * scale), None)
 
     def __repr__(self):
         return f"HomPoly3({self.degree}, {self.coeffs!r})"
 
     def to_text(self) -> str:
         """Render as e.g. ``x^2*y + 2*x*y*z - (0.5+1i)*z^3`` in lex order."""
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts = []
-        for exp in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[exp]
+        for exp, c in coeffs.items():
             vars_ = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip("xyz", exp) if e > 0)
             cs = _format_coeff(c, None)
             if vars_:
@@ -142,9 +130,9 @@ class HomPoly3:
         return out
 
     def to_json(self) -> str:
-        exps = sorted(self.coeffs, reverse=True)
-        pairs = complex_to_pairs([self.coeffs[exp] for exp in exps])
-        terms = [{"exp": list(exp), "coef": c} for exp, c in zip(exps, pairs)]
+        coeffs = self.coeffs
+        pairs = complex_to_pairs(list(coeffs.values()))
+        terms = [{"exp": list(exp), "coef": c} for exp, c in zip(coeffs, pairs)]
         return json.dumps({"degree": self.degree, "terms": terms})
 
     @classmethod
@@ -155,19 +143,34 @@ class HomPoly3:
         return cls(int(doc["degree"]), {tuple(t["exp"]): c for t, c in zip(terms, coefs)})
 
 
+def _times_linear(grids, forms) -> np.ndarray:
+    """Every grid of a stack times the linear form a*x + b*y + c*z in the
+    same place of ``forms``: shapes (..., d+1, d+1) and (..., 3) give
+    (..., d+2, d+2).  Each product adds the x, y and z terms in that order."""
+    a, b, c = (forms[..., i, None, None] for i in range(3))
+    out = np.zeros(grids.shape[:-2] + (grids.shape[-1] + 1,) * 2, dtype=complex)
+    out[..., 1:, :-1] = a * grids
+    out[..., :-1, 1:] += b * grids
+    out[..., :-1, :-1] += c * grids
+    return out
+
+
 # --- determinant polynomial --------------------------------------------------
 
 
 def det_poly(t) -> HomPoly3:
     """Determinant polynomial det(x*A + y*B + z*C) of an n x n x 3 tensor.
 
-    Exact cofactor expansion over polynomial entries for n <= 6; for larger n
-    the coefficients come from :func:`det_coefficients`.
+    For n <= 6 an exact Laplace expansion on coefficient grids
+    (:func:`_det_poly_laplace`); for larger n the coefficients come from
+    :func:`det_coefficients`.  ArithmeticError if a coefficient overflows.
     """
     t = _square_slices(t)
-    if t.shape[0] <= 6:
-        return _det_poly_symbolic(t)
-    return _det_poly_interpolate(t)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        f = _det_poly_laplace(t) if t.shape[0] <= 6 else _det_poly_interpolate(t)
+    if not np.all(np.isfinite(f.grid)):
+        raise ArithmeticError("determinant polynomial overflows at this scale of the tensor")
+    return f
 
 
 def _square_slices(t) -> np.ndarray:
@@ -181,32 +184,34 @@ def _square_slices(t) -> np.ndarray:
     return t
 
 
-def _det_poly_symbolic(t) -> HomPoly3:
+def _det_poly_laplace(t) -> HomPoly3:
+    """Laplace expansion along the first row, bottom up: level k holds the
+    minors on the last k rows, one per k-column subset, and costs one
+    batched :func:`_times_linear` call over its k expansion terms."""
     n = t.shape[0]
-    entries = [
-        [HomPoly3.linear(t[i, j, 0], t[i, j, 1], t[i, j, 2]) for j in range(n)]
-        for i in range(n)
-    ]
-    cache = {}
+    minors = np.ones((1, 1, 1), dtype=complex)
+    for k, (sub, cols, signs) in enumerate(_laplace_plan(n), start=1):
+        minors = _times_linear(minors[sub], signs * t[n - k][cols]).sum(axis=0)
+    return HomPoly3._from_grid(minors[0])
 
-    def minor(rows_start: int, cols: tuple) -> HomPoly3:
-        # determinant of the submatrix on rows rows_start.. and the given columns
-        if len(cols) == 1:
-            return entries[rows_start][cols[0]]
-        key = (rows_start, cols)
-        if key in cache:
-            return cache[key]
-        acc = HomPoly3(len(cols), {})
-        sign = 1.0
-        for pos, c in enumerate(cols):
-            rest = cols[:pos] + cols[pos + 1 :]
-            term = entries[rows_start][c] * minor(rows_start + 1, rest)
-            acc = acc + term * sign
-            sign = -sign
-        cache[key] = acc
-        return acc
 
-    return minor(0, tuple(range(n)))
+@functools.cache
+def _laplace_plan(n: int):
+    """Index plan of :func:`_det_poly_laplace`, made once per n; read-only.
+    Level k lists the k-column subsets in lex order; row ``pos`` of its index
+    arrays holds, per subset, the place in level k-1 of the subset without
+    its pos-th column, and that column, whose sign is (-1)^pos."""
+    plan, places = [], {(): 0}
+    for k in range(1, n + 1):
+        subsets = list(itertools.combinations(range(n), k))
+        level = (np.array([[places[s[:pos] + s[pos + 1:]] for s in subsets] for pos in range(k)]),
+                 np.array([[s[pos] for s in subsets] for pos in range(k)]),
+                 (-1.0) ** np.arange(k)[:, None, None])
+        for a in level:
+            a.setflags(write=False)
+        plan.append(level)
+        places = {s: i for i, s in enumerate(subsets)}
+    return tuple(plan)
 
 
 def _det_poly_interpolate(t) -> HomPoly3:
@@ -214,10 +219,9 @@ def _det_poly_interpolate(t) -> HomPoly3:
     grid = det_coefficients(*t.transpose(2, 0, 1))
     p, q = np.indices(grid.shape)
     if np.any(np.abs(grid[p + q > n]) > 1e-8 * max(np.max(np.abs(grid)), 1.0)):
-        raise ArithmeticError(
-            "determinant interpolation produced spurious high-order terms"
-        )
-    return HomPoly3(n, {(a, b, c): grid[a, b] for a, b, c in monomials(n)})
+        raise ArithmeticError("determinant interpolation produced spurious high-order terms")
+    grid[p + q > n] = 0
+    return HomPoly3._from_grid(grid)
 
 
 def det_grid(*slices) -> np.ndarray:
@@ -271,18 +275,12 @@ def substitute(f: HomPoly3, g) -> HomPoly3:
     g = np.asarray(g, dtype=complex)
     if g.shape != (3, 3):
         raise ValueError("substitution matrix must be 3x3")
-    forms = [HomPoly3.linear(*g[i]) for i in range(3)]
-    # cache powers of each linear form up to the needed exponent
-    powers = [[HomPoly3.constant(1.0)] for _ in range(3)]
-    for var in range(3):
-        need = max((exp[var] for exp in f.coeffs), default=0)
-        for _ in range(need):
-            powers[var].append(powers[var][-1] * forms[var])
-    acc = HomPoly3(f.degree, {})
-    for (p, q, r), c in f.coeffs.items():
-        term = powers[0][p] * powers[1][q] * powers[2][r]
-        acc = acc + term * c
-    return acc
+    p, q = np.nonzero(f.grid)
+    terms = f.grid[p, q, None, None]
+    for step in range(f.degree):
+        # x^p y^q z^r takes the row of G for x in its first p steps, then y, then z
+        terms = _times_linear(terms, g[(p <= step) + (p + q <= step).astype(int)])
+    return HomPoly3._from_grid(terms.sum(axis=0))
 
 
 def monic_normalize(f: HomPoly3):
@@ -293,7 +291,7 @@ def monic_normalize(f: HomPoly3):
     lead = f.leading()
     if lead is None:
         raise ValueError("cannot normalize the zero polynomial")
-    c = f.coeffs[lead]
+    c = complex(f.grid[lead[:2]])
     return f * (1.0 / c), c
 
 

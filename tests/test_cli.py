@@ -95,6 +95,24 @@ def test_ptrace_out_of_range_scale_is_a_numeric_error(tmp_path, capsys, scale):
     assert out == ""
 
 
+@pytest.mark.parametrize("mode", ["text", "json"])
+@pytest.mark.parametrize("path_kind", ["laplace", "interpolation"])
+def test_detpoly_overflow_is_a_numeric_error(tmp_path, capsys, mode, path_kind):
+    """Determinant coefficients past the float range exit 3 with no payload
+    in either output mode: 1e360 from a 3x3x3 ket, NaN from a 7x7x3 tensor."""
+    if path_kind == "laplace":
+        source = ["--ket", "1e120|000>+1e120|111>+1e120|222>", "--dims", "3,3,3"]
+    else:
+        rng = np.random.default_rng(0)
+        path = tmp_path / "t.json"
+        path.write_text(s.tensor_to_json(
+            1e50 * (rng.standard_normal((7, 7, 3)) + 1j * rng.standard_normal((7, 7, 3)))))
+        source = [str(path)]
+    code, out = run_cli(["detpoly", *source, "--output", mode], capsys)
+    assert code == cli.EXIT_NUMERIC == 3
+    assert out == ""
+
+
 def test_only_the_requested_format_is_built(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("built an output format that was not asked for")

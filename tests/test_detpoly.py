@@ -1,5 +1,7 @@
 """Tests for determinant polynomials and the substitution equivalence test."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,13 +12,13 @@ from slocc3 import detpoly
 from slocc3.detpoly import (
     HomPoly3,
     _det_poly_interpolate,
-    _det_poly_symbolic,
     _node_values,
     _value_residual,
     det_coefficients,
     det_grid,
     monomials,
 )
+from test_detpoly_reference import _det_poly_symbolic
 
 
 def _t1_t2():
@@ -116,6 +118,18 @@ def test_det_poly_agrees_with_sympy_on_gaussian_integers(n, data):
     assert np.max(np.abs(_det_poly_interpolate(t).coeff_vector() - reference)) <= 1e-9 * scale
 
 
+@pytest.mark.parametrize("t", [
+    s.parse_ket("1e120|000>+1e120|111>+1e120|222>", (3, 3, 3)),
+    1e50 * (np.random.default_rng(0).standard_normal((7, 7, 3))
+            + 1j * np.random.default_rng(1).standard_normal((7, 7, 3))),
+], ids=["laplace", "interpolation"])
+def test_det_poly_overflow_is_an_arithmetic_error(t):
+    """Coefficients past the float range raise, never come out as inf/nan:
+    1e360 on the Laplace path, an all-NaN grid on the interpolation path."""
+    with pytest.raises(ArithmeticError, match="overflows"):
+        s.det_poly(t)
+
+
 @pytest.mark.parametrize("n, k", [(3, 1), (3, 2), (4, 2)])
 def test_det_grid_makes_its_nodes_once(monkeypatch, n, k):
     """The cached nodes give the values the per-call grid gave, bit for bit,
@@ -196,6 +210,30 @@ def test_substitute_is_linear_and_degree_preserving():
     split = s.substitute(f, g) + s.substitute(h, g)
     assert combo.degree == 2
     np.testing.assert_allclose(combo.coeff_vector(), split.coeff_vector(), atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(degree=st.integers(1, 4), data=st.data())
+def test_substitute_agrees_with_sympy_on_gaussian_integers(degree, data):
+    """On Gaussian-integer f and G every product and sum is an exact integer,
+    so f o G equals sympy's expansion coefficient for coefficient."""
+    import sympy
+
+    gaussian = st.builds(complex, st.integers(-2, 2), st.integers(-2, 2))
+    exps = monomials(degree)
+    f = HomPoly3(degree, dict(zip(exps, data.draw(
+        st.lists(gaussian, min_size=len(exps), max_size=len(exps))))))
+    g = np.array(data.draw(st.lists(gaussian, min_size=9, max_size=9))).reshape(3, 3)
+    xyz = sympy.symbols("x y z")
+
+    def exact(c):
+        return int(c.real) + sympy.I * int(c.imag)
+
+    forms = [sum(exact(c) * v for c, v in zip(row, xyz)) for row in g]
+    expr = sum(exact(c) * forms[0]**p * forms[1]**q * forms[2]**r
+               for (p, q, r), c in f.coeffs.items())
+    expected = {exp: complex(c) for exp, c in sympy.Poly(expr, *xyz).terms() if c != 0}
+    assert s.substitute(f, g).coeffs == expected
 
 
 def test_monic_normalize_scalar_multiple():
@@ -407,6 +445,20 @@ def test_poly_text_writes_unit_imaginary_coefficients_as_kets_do():
     assert HomPoly3(2, {(2, 0, 0): 1j, (1, 1, 0): -1j}).to_text() == "i*x^2 - i*x*y"
     assert HomPoly3(0, {(0, 0, 0): -1j}).to_text() == "-i"
     assert HomPoly3(1, {(1, 0, 0): 2j, (0, 0, 1): 0.5 - 1j}).to_text() == "2i*x + (0.5-1i)*z"
+
+
+@pytest.mark.parametrize("degree, exp", [
+    (2, (3, -1, 0)), (2, (1, 1)), (2, (1, 1, 0, 0)), (2, (1.0, 1, 0)), (2, (1, 1, None)),
+    (2, (1, 0, 0)),
+])
+def test_poly_rejects_exponents_off_its_degree(degree, exp):
+    """An exponent is three non-negative integers summing to the degree,
+    in the constructor and in JSON read back."""
+    with pytest.raises(ValueError, match="exponent"):
+        HomPoly3(degree, {exp: 1.0})
+    doc = {"degree": degree, "terms": [{"exp": list(exp), "coef": [1.0, 0.0]}]}
+    with pytest.raises(ValueError, match="exponent"):
+        HomPoly3.from_json(json.dumps(doc))
 
 
 def test_monomials_order():
