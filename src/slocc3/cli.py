@@ -1,12 +1,14 @@
 """Command-line surface: one subcommand per library operation.
 
 Every randomized command takes an explicit --seed and produces byte-identical
-output when repeated with the same arguments.  Inconclusive verdicts exit 0
-by default with the verdict in the payload; --strict maps them to exit 4 so
-scripts can distinguish "not decided" from "decided".
+output when repeated with the same arguments.  Three commands can answer
+"not decided": detpoly-equiv, product-count and range-compare.  Such a
+verdict exits 0 by default with the verdict in the payload; their --strict
+maps it to exit 4 so scripts can distinguish "not decided" from "decided".
+No other command has --strict.
 
 Exit codes: 0 success, 1 usage error, 2 parse or format error,
-3 numeric failure, 4 inconclusive verdict under --strict.
+3 numeric failure, 4 inconclusive verdict under --strict (those three only).
 """
 
 from __future__ import annotations
@@ -98,23 +100,29 @@ def _load_tensor(args, ket_attr="ket", dims_attr="dims", file_attr="file"):
     raise ValueError(f"provide either {ket_flag} with {dims_flag} or {source}")
 
 
-def _emit(args, json_doc, text_lines):
-    """Print the output format asked for; ``json_doc`` and ``text_lines`` are
-    zero-argument callables, so only that format is built."""
+def _emit(args, json_doc, text_lines, inconclusive=False) -> int:
+    """Print the output format asked for and return the exit code: 4 for an
+    ``inconclusive`` verdict under --strict, else 0.  ``json_doc`` and
+    ``text_lines`` are zero-argument callables, so only that format is built."""
     if args.output == "json":
         print(json_doc())
     else:
         for line in text_lines():
             print(line)
+    return EXIT_INCONCLUSIVE if inconclusive and args.strict else EXIT_OK
 
 
-def _add_common(p, randomized=False):
+def _add_common(p, restarts=None, strict=False):
+    """--output; --seed and --restarts for a randomized command (one with a
+    ``restarts`` default); --strict for one whose verdict can be inconclusive."""
     p.add_argument("--output", choices=("json", "text"), default="text")
-    p.add_argument("--strict", action="store_true",
-                   help="exit 4 on inconclusive verdicts")
-    if randomized:
+    if strict:
+        p.add_argument("--strict", action="store_true",
+                       help="exit 4 on inconclusive verdicts")
+    if restarts is not None:
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--restarts", type=int, default=None)
+        p.add_argument("--restarts", type=int, default=restarts,
+                       help="random starts (default: %(default)s)")
 
 
 def _add_tensor_source(p):
@@ -128,12 +136,6 @@ def _positive(args, name):
     # written so that NaN, which compares false with everything, fails
     if val is not None and not 0 < val < float("inf"):
         raise ValueError(f"--{name} must be positive and finite")
-    return val
-
-
-def _restarts(args, default: int) -> int:
-    val = _positive(args, "restarts")
-    return default if val is None else val
 
 
 def build_parser() -> _Parser:
@@ -155,7 +157,7 @@ def build_parser() -> _Parser:
     _add_tensor_source(p)
     p.add_argument("--tol-als", type=float, default=1e-8)
     p.add_argument("--max-iter", type=int, default=2000)
-    _add_common(p, randomized=True)
+    _add_common(p, restarts=32)
 
     p = sub.add_parser("detpoly", help="determinant polynomial of an n x n x 3 tensor")
     _add_tensor_source(p)
@@ -168,7 +170,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tol-equiv", type=float, default=1e-8,
                    help="bound on the residual |c*(f1 o G) - f2|^2 / |f2|^2, in [0, 1]; "
                         "1e-8 is a relative coefficient distance of 1e-4")
-    _add_common(p, randomized=True)
+    _add_common(p, restarts=64, strict=True)
 
     p = sub.add_parser("ptrace", help="reduced density matrix of a pure state")
     _add_tensor_source(p)
@@ -180,7 +182,7 @@ def build_parser() -> _Parser:
     _add_tensor_source(p)
     p.add_argument("--traced", required=True, choices=("A", "B", "C"))
     p.add_argument("--tol-minor", type=float, default=1e-7)
-    _add_common(p, randomized=True)
+    _add_common(p, restarts=16, strict=True)
 
     p = sub.add_parser("range-compare",
                        help="range-criterion comparison of two states")
@@ -188,7 +190,7 @@ def build_parser() -> _Parser:
     p.add_argument("t2")
     p.add_argument("--traced", required=True, choices=("A", "B", "C"))
     p.add_argument("--tol-minor", type=float, default=1e-7)
-    _add_common(p, randomized=True)
+    _add_common(p, restarts=16, strict=True)
 
     p = sub.add_parser("slocc-apply", help="apply one matrix per party")
     _add_tensor_source(p)
@@ -230,102 +232,88 @@ def build_parser() -> _Parser:
 
 
 def _run(args) -> int:
+    for name in ("tol-als", "max-iter", "restarts", "tol-equiv", "tol-minor", "precision"):
+        _positive(args, name)
     cmd = args.command
 
     if cmd == "parse":
         t = parse_ket(args.ket, _parse_dims(args.dims), normalize=args.normalize)
-        _emit(args, lambda: tensor_to_json(t),
-              lambda: [f"dims: {t.shape}", f"state: {print_ket(t)}"])
-        return EXIT_OK
+        return _emit(args, lambda: tensor_to_json(t),
+                     lambda: [f"dims: {t.shape}", f"state: {print_ket(t)}"])
 
     if cmd == "print":
         t = _load_tensor(args)
-        text = print_ket(t, precision=_positive(args, "precision"))
-        _emit(args, lambda: json.dumps({"ket": text}), lambda: [text])
-        return EXIT_OK
+        text = print_ket(t, precision=args.precision)
+        return _emit(args, lambda: json.dumps({"ket": text}), lambda: [text])
 
     if cmd == "rank":
         t = _load_tensor(args)
-        _positive(args, "tol-als")
         interval = rank_interval(
             t,
-            restarts=_restarts(args, 32),
-            max_iter=_positive(args, "max-iter"),
+            restarts=args.restarts,
+            max_iter=args.max_iter,
             seed=args.seed,
             tol=args.tol_als,
         )
-        _emit(args, interval.to_json, lambda: [
+        return _emit(args, interval.to_json, lambda: [
             f"rank interval: [{interval.lower}, {interval.upper}]",
             f"lower bound: {interval.certificate_lower}",
             f"upper bound: {interval.certificate_upper.detail}, "
             f"residual {interval.certificate_upper.residual:.3e}",
             f"caveat: {interval.caveat}",
         ])
-        return EXIT_OK
 
     if cmd == "detpoly":
         t = _load_tensor(args)
         f = det_poly(t)
-        _emit(args, f.to_json, lambda: [f.to_text()])
-        return EXIT_OK
+        return _emit(args, f.to_json, lambda: [f.to_text()])
 
     if cmd == "detpoly-equiv":
         t1 = tensor_from_json(_read_text(args.t1))
         t2 = tensor_from_json(_read_text(args.t2))
-        _positive(args, "tol-equiv")
         verdict = detpoly_equiv_test(
             t1, t2,
-            restarts=_restarts(args, 64),
+            restarts=args.restarts,
             seed=args.seed,
             tol=args.tol_equiv,
         )
         residual = [] if verdict.residual is None else [f"residual: {verdict.residual:.6e}"]
-        _emit(args, verdict.to_json,
-              lambda: [f"verdict: {verdict.kind}", *residual, verdict.detail])
-        if args.strict and verdict.kind == "NoCandidateFound":
-            return EXIT_INCONCLUSIVE
-        return EXIT_OK
+        return _emit(args, verdict.to_json,
+                     lambda: [f"verdict: {verdict.kind}", *residual, verdict.detail],
+                     inconclusive=verdict.kind == "NoCandidateFound")
 
     if cmd == "ptrace":
         t = _load_tensor(args)
         traced = PARTY_SETS[args.traced]
         rho = reduced_density(t, t.shape, traced)
         kept = [d for i, d in enumerate(t.shape) if i not in traced]
-        _emit(args, lambda: density_to_json(rho, kept), lambda: [
+        return _emit(args, lambda: density_to_json(rho, kept), lambda: [
             f"reduced density on parties "
             f"{[p for p in 'ABC' if PARTY_SETS[p][0] not in traced]}",
             np.array_str(np.round(rho, 6)),
         ])
-        return EXIT_OK
 
     if cmd == "product-count":
         t = _load_tensor(args)
-        _positive(args, "tol-minor")
         report = range_product_count(
             t, args.traced, tol=args.tol_minor,
-            starts=_restarts(args, 16), seed=args.seed,
+            starts=args.restarts, seed=args.seed,
         )
-        _emit(args, report.to_json, lambda: [
+        return _emit(args, report.to_json, lambda: [
             f"independent product vectors: {report.independent_count}",
             f"exactness: {report.exactness}"
             + (" (continuum)" if report.continuum else ""),
-        ])
-        if args.strict and report.exactness == "LowerBound":
-            return EXIT_INCONCLUSIVE
-        return EXIT_OK
+        ], inconclusive=report.exactness == "LowerBound")
 
     if cmd == "range-compare":
         t1 = tensor_from_json(_read_text(args.t1))
         t2 = tensor_from_json(_read_text(args.t2))
-        _positive(args, "tol-minor")
         verdict = range_criterion_compare(
             t1, t2, args.traced, tol=args.tol_minor,
-            starts=_restarts(args, 16), seed=args.seed,
+            starts=args.restarts, seed=args.seed,
         )
-        _emit(args, lambda: json.dumps({"verdict": verdict}), lambda: [f"verdict: {verdict}"])
-        if args.strict and verdict == "Inconclusive":
-            return EXIT_INCONCLUSIVE
-        return EXIT_OK
+        return _emit(args, lambda: json.dumps({"verdict": verdict}),
+                     lambda: [f"verdict: {verdict}"], inconclusive=verdict == "Inconclusive")
 
     if cmd == "slocc-apply":
         t = _load_tensor(args)
@@ -333,8 +321,7 @@ def _run(args) -> int:
         b = matrix_from_json(_read_text(args.b))
         c = matrix_from_json(_read_text(args.c))
         out = apply_slocc(t, a, b, c)
-        _emit(args, lambda: tensor_to_json(out), lambda: [print_ket(out, precision=12)])
-        return EXIT_OK
+        return _emit(args, lambda: tensor_to_json(out), lambda: [print_ket(out, precision=12)])
 
     if cmd == "classify2mn":
         t = _load_tensor(args)
@@ -346,15 +333,13 @@ def _run(args) -> int:
         ]
         if res.matched:
             lines.insert(1, f"representative: {res.entry.ket_text}")
-        _emit(args, res.to_json, lambda: lines)
-        return EXIT_OK
+        return _emit(args, res.to_json, lambda: lines)
 
     if cmd == "catalog":
         if args.action == "list":
             entries = cat.catalog_list()
-            _emit(args, lambda: json.dumps([json.loads(e.to_json()) for e in entries]),
-                  lambda: [f"{e.id:12s} {str(e.system):12s} {e.ket_text}" for e in entries])
-            return EXIT_OK
+            return _emit(args, lambda: json.dumps([json.loads(e.to_json()) for e in entries]),
+                         lambda: [f"{e.id:12s} {str(e.system):12s} {e.ket_text}" for e in entries])
         if args.id is None:
             raise ValueError(f"catalog {args.action} requires an id")
         try:
@@ -362,14 +347,12 @@ def _run(args) -> int:
         except KeyError as exc:
             raise _UsageExit(exc.args[0]) from None
         if args.action == "get":
-            _emit(args, entry.to_json, lambda: [
+            return _emit(args, entry.to_json, lambda: [
                 f"id: {entry.id}", f"system: {entry.system}",
                 f"ket: {entry.ket_text}", f"rank_note: {entry.rank_note}",
             ])
-        else:
-            t = entry.build()
-            _emit(args, lambda: tensor_to_json(t), lambda: [print_ket(t)])
-        return EXIT_OK
+        t = entry.build()
+        return _emit(args, lambda: tensor_to_json(t), lambda: [print_ket(t)])
 
     if cmd == "lhrgm":
         if args.base_ket is not None:
@@ -387,20 +370,16 @@ def _run(args) -> int:
             args.kind, args.m, args.n, base,
             a=_parse_complex(args.a), b=_parse_complex(args.b), chi=chi,
         )
-        _emit(args, lambda: tensor_to_json(out), lambda: [print_ket(out)])
-        return EXIT_OK
+        return _emit(args, lambda: tensor_to_json(out), lambda: [print_ket(out)])
 
-    if cmd == "build335":
-        out = cat.build_335(
-            _load_tensor(args, "psi_ket", "psi_dims", "psi_file"),
-            _parse_cvector(args.alpha),
-            _parse_cvector(args.beta),
-            _parse_cvector(args.gamma),
-        )
-        _emit(args, lambda: tensor_to_json(out), lambda: [print_ket(out)])
-        return EXIT_OK
-
-    raise ValueError(f"unknown command {cmd!r}")
+    # build335, the last subcommand; the parser requires one
+    out = cat.build_335(
+        _load_tensor(args, "psi_ket", "psi_dims", "psi_file"),
+        _parse_cvector(args.alpha),
+        _parse_cvector(args.beta),
+        _parse_cvector(args.gamma),
+    )
+    return _emit(args, lambda: tensor_to_json(out), lambda: [print_ket(out)])
 
 
 def main(argv=None) -> int:

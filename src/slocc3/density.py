@@ -13,9 +13,8 @@ import json
 
 import numpy as np
 
-from .tensor import check_tol, column_space, complex_to_pairs
+from .tensor import DEFAULT_RANK_TOL, check_tol, column_space, complex_to_pairs
 
-EIGEN_RANK_TOL = 1e-9
 # input checks of partial_trace, relative to the largest entry modulus and
 # the largest eigenvalue: round-off leaves ~1e-16 in both
 HERMITIAN_TOL = 1e-12
@@ -131,7 +130,7 @@ def reduced_density(psi, party_dims, traced) -> np.ndarray:
     return rho
 
 
-def range_basis(rho, tol: float = EIGEN_RANK_TOL):
+def range_basis(rho, tol: float = DEFAULT_RANK_TOL):
     """Orthonormal basis of the column space of a Hermitian PSD matrix.
 
     Left singular vectors of ``rho`` (:func:`tensor.column_space`): for a

@@ -138,9 +138,12 @@ class HomPoly3:
     @classmethod
     def from_json(cls, text: str) -> "HomPoly3":
         doc = json.loads(text)
-        terms = doc["terms"]
-        coefs = complex_from_pairs([t["coef"] for t in terms])
-        return cls(int(doc["degree"]), {tuple(t["exp"]): c for t, c in zip(terms, coefs)})
+        try:
+            terms = doc["terms"]
+            coefs = complex_from_pairs([t["coef"] for t in terms])
+            return cls(int(doc["degree"]), {tuple(t["exp"]): c for t, c in zip(terms, coefs)})
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed polynomial JSON: {exc}") from exc
 
 
 def _times_linear(grids, forms) -> np.ndarray:

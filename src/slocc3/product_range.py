@@ -76,7 +76,7 @@ class MatrixSubspace:
             if b.shape != (self.m, self.n):
                 raise ValueError(f"basis matrix shape {b.shape} != ({self.m},{self.n})")
         self.stack = np.stack([b.ravel() for b in self.basis])
-        self.ortho = column_space(self.stack.T, 1e-9).T
+        self.ortho = column_space(self.stack.T, DEFAULT_RANK_TOL).T
         if len(self.ortho) != k:
             raise ValueError("basis matrices are linearly dependent")
 
@@ -259,7 +259,8 @@ def _report(cands, exactness, continuum=False, detail="") -> ProductVectorReport
                                     for _, _, m_hat in found):
             found.append(cand)
     members = np.array([m.ravel() for _, _, m in found])
-    count = int(_ranks_above(np.linalg.svd(members, compute_uv=False), 1e-9)) if found else 0
+    count = (int(_ranks_above(np.linalg.svd(members, compute_uv=False), DEFAULT_RANK_TOL))
+             if found else 0)
     return ProductVectorReport(
         vectors=[(u, v) for u, v, _ in found],
         independent_count=count,
@@ -426,7 +427,7 @@ def _chart_zeros(qs, h) -> list:
     neither vanish nor lose their degree are solved by one
     ``pencil._companion_roots`` call; x is back-substituted for every
     (pair, root) at once.  A root where the two quadratics in x are
-    proportional takes the roots of Q_a's there (None if it has none).
+    proportional leaves the pair undecided (None), as a vanishing quartic does.
     """
     a0, a1 = qs[:, :1, 0, 0], qs[:, 1:, 0, 0]
     b = 2.0 * qs[:, :, 0, 1:]
@@ -458,16 +459,6 @@ def _chart_zeros(qs, h) -> list:
     for j, i in enumerate(solved):
         if single[j].all():
             points[i] = charts[j]
-            continue
-        # the two quadratics in x are proportional at some y: the roots of Q_a there
-        chart = []
-        for x, y, ok, by_a, cy_a in zip(xs[j], ys[j], single[j], by[j, 0], cy[j, 0]):
-            roots = [x] if ok else np.roots([a0[j, 0], by_a, cy_a])
-            if len(roots) == 0:
-                break
-            chart += [(root, y, 1.0) for root in roots]
-        else:
-            points[i] = np.array(chart) @ h.T
     return points
 
 

@@ -33,8 +33,8 @@ from numpy.linalg import lapack_lite
 
 from . import catalog as _catalog
 from .pencil import pencil_invariants
-from .tensor import (as_tensor, check_tol, complex_to_pairs, ldexp, local_ranks, unfold,
-                     unfolding_svds, unit_exponent)
+from .tensor import (DEFAULT_RANK_TOL, as_tensor, check_tol, complex_to_pairs, ldexp, local_ranks,
+                     unfold, unfolding_svds, unit_exponent)
 
 BORDER_RANK_CAVEAT = (
     "numerical decomposition certificate: rank <= R at the stated residual; "
@@ -159,7 +159,7 @@ def _strassen_bound(core, mode: int):
     return n + -(-int(np.count_nonzero(sv > tol)) // 2)
 
 
-def rank_lower_bound(t, tol: float = 1e-9):
+def rank_lower_bound(t, tol: float = DEFAULT_RANK_TOL):
     """Certified lower bound on the tensor rank, and the argument behind it.
 
     Returns (bound, certificate) where certificate names the argument:
@@ -590,7 +590,6 @@ def rank_interval(t, restarts: int = 32, max_iter: int = 2000, seed: int = 0,
         if result is not None:
             return RankInterval(r, r, "LocalRank", result)
     lower, cert = _lower_bound(t, support[1])
-    dims = sorted(t.shape)
     r = lower
     while True:
         result = _pencil_construction(t, support, r, tol) or cp_als(
@@ -598,8 +597,6 @@ def rank_interval(t, restarts: int = 32, max_iter: int = 2000, seed: int = 0,
         if result.success:
             return RankInterval(lower, r, cert, result)
         r += 1
-        if r > dims[0] * dims[1]:
-            raise ArithmeticError("rank search exceeded the trivial bound")
 
 
 # --- 2 x M x N classification ---------------------------------------------------
@@ -630,7 +627,7 @@ class ClassifyResult:
         )
 
 
-def _support(t, tol: float = 1e-9):
+def _support(t, tol: float = DEFAULT_RANK_TOL):
     """Restrict each party to the support of its unfolding (full local ranks).
 
     Returns (e, core, bases): the bases (u1, u2, u3) are left singular

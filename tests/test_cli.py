@@ -163,6 +163,44 @@ def test_range_compare_strict_inconclusive(tmp_path, capsys):
     assert code == 4
 
 
+GHZ = ["--ket", "|000>+|111>", "--dims", "2,2,2"]
+NO_STRICT = [
+    ["parse", *GHZ],
+    ["print", *GHZ],
+    ["rank", *GHZ],
+    ["detpoly", "--ket", "|000>+|111>+|222>", "--dims", "3,3,3"],
+    ["ptrace", *GHZ, "--traced", "A"],
+    ["slocc-apply", *GHZ, "--a", "EYE", "--b", "EYE", "--c", "EYE"],
+    ["classify2mn", *GHZ],
+    ["catalog", "list"],
+    ["lhrgm", "--kind", "omega0", "--m", "3", "--n", "3", "--base-ket", "|000>+|011>"],
+    ["build335", "--psi-ket", "|000>+|011>", "--psi-dims", "2,2,2"],
+]
+
+
+@pytest.mark.parametrize("argv", NO_STRICT, ids=[a[0] for a in NO_STRICT])
+def test_strict_is_a_usage_error_where_no_verdict_is_inconclusive(argv, tmp_path, capsys):
+    """Only detpoly-equiv, product-count and range-compare take --strict;
+    the other commands run without it and reject it as a usage error."""
+    eye = tmp_path / "eye.json"
+    eye.write_text(s.matrix_to_json(np.eye(2)))
+    argv = [str(eye) if a == "EYE" else a for a in argv]
+    assert run_cli(argv, capsys)[0] == 0
+    code = main([*argv, "--strict"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE == 1
+    assert captured.out == ""
+    assert captured.err == "usage error: unrecognized arguments: --strict\n"
+
+
+@pytest.mark.parametrize("command,default", [
+    ("rank", 32), ("detpoly-equiv", 64), ("product-count", 16), ("range-compare", 16),
+])
+def test_restarts_default_shows_in_help(command, default, capsys):
+    assert main([command, "--help"]) == 0
+    assert f"random starts (default: {default})" in capsys.readouterr().out
+
+
 def test_slocc_apply(tmp_path, capsys):
     t = tmp_path / "t.json"
     t.write_text(s.tensor_to_json(s.ghz_state()))

@@ -461,6 +461,24 @@ def test_poly_rejects_exponents_off_its_degree(degree, exp):
         HomPoly3.from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("doc", [
+    {"degree": 2, "terms": [{"exp": 5, "coef": [1, 0]}]},
+    {"degree": 2, "terms": [{"coef": [1, 0]}]},
+    {"degree": 2, "terms": [{"exp": [2, 0, 0]}]},
+    {"degree": None, "terms": []},
+    {"terms": []},
+    {"degree": 2},
+    {"degree": 2, "terms": 5},
+    {"degree": 2, "terms": [{"exp": [2, 0, 0], "coef": "ab"}]},
+    [2],
+])
+def test_poly_json_rejects_malformed_terms_with_value_error(doc):
+    """Missing keys and values of the wrong type are ValueErrors, as they
+    are for tensor JSON, never a KeyError or TypeError."""
+    with pytest.raises(ValueError, match="malformed polynomial JSON"):
+        HomPoly3.from_json(json.dumps(doc))
+
+
 def test_monomials_order():
     assert monomials(2) == [
         (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)

@@ -879,13 +879,9 @@ def _chart_zeros_loop(q, h):
     for y in np.roots(quartic):
         by, cy = b @ [y, 1.0], c @ [y * y, y, 1.0]
         den = a[0] * by[1] - a[1] * by[0]
-        if abs(den) > 1e-8 * (abs(a[0] * by[1]) + abs(a[1] * by[0])):
-            xs = [-(a[0] * cy[1] - a[1] * cy[0]) / den]
-        else:
-            xs = np.roots([a[0], by[0], cy[0]])
-            if len(xs) == 0:
-                return None
-        points += [(x, y, 1.0) for x in xs]
+        if abs(den) <= 1e-8 * (abs(a[0] * by[1]) + abs(a[1] * by[0])):
+            return None  # the quadratics in x are proportional at y
+        points.append((-(a[0] * cy[1] - a[1] * cy[0]) / den, y, 1.0))
     return np.array(points) @ h.T
 
 
@@ -908,31 +904,55 @@ def _chart_cases():
     h = np.linalg.qr(_random_complex(rng, (3, 3)))[0]
     qs = _sym(_random_complex(rng, (6, 2, 3, 3)))
     qs[2, 1] = (1.0 - 2.0j) * qs[2, 0]  # Q_a ~ Q_b: the quartic vanishes
-    yield "random stack", qs, h, 0
-    yield "proportional quadratics", np.stack([_proportional_pair(i) for i in range(4)]), np.eye(3), 8
+    yield "random stack", qs, h, [2]
+    yield ("proportional quadratics", np.stack([_proportional_pair(i) for i in range(4)]),
+           np.eye(3), [0, 1, 2, 3])
 
 
 CHART_CASES = list(_chart_cases())
 
 
-@pytest.mark.parametrize("name,qs,h,fallbacks", CHART_CASES, ids=[c[0] for c in CHART_CASES])
-def test_batched_chart_zeros_match_per_pair_loop(monkeypatch, name, qs, h, fallbacks):
+def _refuse_np_roots(monkeypatch):
+    def refuse(p):
+        raise AssertionError("_chart_zeros called np.roots")
+
+    monkeypatch.setattr(np, "roots", refuse)
+
+
+@pytest.mark.parametrize("name,qs,h,undecided", CHART_CASES, ids=[c[0] for c in CHART_CASES])
+def test_batched_chart_zeros_match_per_pair_loop(monkeypatch, name, qs, h, undecided):
     """One ``eigvals`` of the stacked companion matrices and a vectorised
     back-substitution give the per-pair loop's zeros, in its order, to
-    1e-12; a root with proportional quadratics in x takes the loop's
-    ``np.roots`` fallback (two per pair of the proportional case)."""
+    1e-12, with no ``np.roots`` call; a vanishing quartic, or a root with
+    proportional quadratics in x, leaves the pair undecided (None)."""
     ref = [_chart_zeros_loop(q, h) for q in qs]
-    roots = []
-    real = np.roots
-    monkeypatch.setattr(np, "roots", lambda p: roots.append(p) or real(p))
+    _refuse_np_roots(monkeypatch)
     got = _chart_zeros(qs, h)
-    assert len(roots) == fallbacks
+    assert [i for i, p in enumerate(ref) if p is None] == undecided
     assert [p is None for p in got] == [p is None for p in ref]
-    assert any(p is not None for p in ref)
     for g, r in zip(got, ref):
         if r is not None:
             assert g.shape == r.shape
             np.testing.assert_allclose(g, r, rtol=0, atol=1e-12 * max(1.0, np.abs(r).max()))
+
+
+def _line_pair(l, m):
+    """Symmetric matrix of the conic l(c) * m(c), c = (x, y, w)."""
+    return 0.5 * (np.outer(l, m) + np.outer(m, l))
+
+
+def test_chart_zeros_leave_proportional_quadratics_undecided(monkeypatch):
+    """Two conics of the pencil through (1,0,1), (2,0,1), (0,1,1) and
+    (3,2,1): both quadratics in x vanish at x = 1, 2 on y = 0, so they are
+    proportional at the double root y = 0 of the quartic.  The pair is left
+    to the search (None) rather than solved for x by a second root finder."""
+    qa = _line_pair([1.0, 1.0, -1.0], [2.0, -1.0, -4.0])  # (x+y-1)(2x-y-4)
+    qb = _line_pair([0.0, 1.0, 0.0], [1.0, -3.0, 3.0])  # y (x-3y+3)
+    for qi in (qa, qb):
+        for c in ((1, 0, 1), (2, 0, 1), (0, 1, 1), (3, 2, 1)):
+            assert np.array(c) @ qi @ np.array(c) == 0
+    _refuse_np_roots(monkeypatch)
+    assert _chart_zeros(np.array([[qa, qb]], dtype=complex), np.eye(3)) == [None]
 
 
 def _counting(monkeypatch, module, name):
