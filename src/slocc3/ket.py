@@ -86,54 +86,70 @@ def _mul(a, b):
     return [(ca * cb, ia + ib) for ca, ia in a for cb, ib in b]
 
 
+def _product(value, op, rhs, pos):
+    """value * rhs or value / rhs, the operator at ``pos``."""
+    if op == "*":
+        return _mul(value, rhs)
+    if not _scalar(rhs):
+        raise KetSyntaxError("cannot divide by a ket expression", pos)
+    if rhs[0][0] == 0:
+        raise KetSyntaxError("division by zero", pos)
+    return [(c / rhs[0][0], idx) for c, idx in value]
+
+
+# Parentheses, those of sqrt(...) included, nest at most this deep.  A level
+# costs two interpreter frames (parse_expr and parse_atom), so the deepest
+# ket parses well inside the default recursion limit of 1000 from any
+# ordinary call depth, and the limit and the position an over-deep ket
+# reports do not depend on the caller.
+MAX_NESTING = 250
+
+
 class _Parser:
     def __init__(self, tokens, dims):
         self.tokens = tokens  # ends with the sentinel (None, None, -1)
         self.wide = any(d > 10 for d in dims)
         self.k = 0
+        self.depth = 0  # parentheses open at the current token
 
     def next(self):
         tok = self.tokens[self.k]
         self.k += 1
         return tok
 
+    def peek(self):
+        return self.tokens[self.k][0]
+
     def parse_expr(self):
-        value = self.parse_term()
-        while self.tokens[self.k][0] in ("+", "-"):
+        """expr, its terms and their factors, in loops: only a parenthesis
+        recurses, through :meth:`parse_atom`."""
+        value = None
+        while True:
+            term = None
+            while term is None or self.peek() in ("num", "i", "sqrt", "(", "ket"):
+                # a factor: signs, then atoms joined by '*' and '/', signs outermost
+                negate = 0
+                while self.peek() in ("+", "-"):
+                    negate += self.next()[0] == "-"
+                factor = self.parse_atom()
+                while self.peek() in ("*", "/"):
+                    op, _, at = self.next()
+                    factor = _product(factor, op, self.parse_atom(), at)
+                for _ in range(negate):
+                    factor = _mul([(-1.0 + 0.0j, ())], factor)
+                term = factor if term is None else _mul(term, factor)
+            if value is None:
+                value = term
+            else:
+                rhs = [(sign * c, idx) for c, idx in term]
+                if _scalar(value) != _scalar(rhs):
+                    raise KetSyntaxError("cannot add a number and a ket expression", pos)
+                # number + number stays one term
+                value = [(value[0][0] + rhs[0][0], ())] if _scalar(value) else value + rhs
+            if self.peek() not in ("+", "-"):
+                return value
             op, _, pos = self.next()
             sign = 1 if op == "+" else -1
-            rhs = [(sign * c, idx) for c, idx in self.parse_term()]
-            if _scalar(value) != _scalar(rhs):
-                raise KetSyntaxError("cannot add a number and a ket expression", pos)
-            # number + number stays one term
-            value = [(value[0][0] + rhs[0][0], ())] if _scalar(value) else value + rhs
-        return value
-
-    def parse_term(self):
-        value = self.parse_factor()
-        while self.tokens[self.k][0] in ("num", "i", "sqrt", "(", "ket"):
-            value = _mul(value, self.parse_factor())
-        return value
-
-    def parse_factor(self):
-        kind = self.tokens[self.k][0]
-        if kind in ("+", "-"):
-            self.k += 1
-            v = self.parse_factor()
-            return _mul([(-1.0 + 0.0j, ())], v) if kind == "-" else v
-        value = self.parse_atom()
-        while self.tokens[self.k][0] in ("*", "/"):
-            op, _, pos = self.next()
-            rhs = self.parse_atom()
-            if op == "*":
-                value = _mul(value, rhs)
-            elif not _scalar(rhs):
-                raise KetSyntaxError("cannot divide by a ket expression", pos)
-            elif rhs[0][0] == 0:
-                raise KetSyntaxError("division by zero", pos)
-            else:
-                value = [(c / rhs[0][0], idx) for c, idx in value]
-        return value
 
     def parse_atom(self):
         kind, val, pos = self.next()
@@ -147,21 +163,27 @@ class _Parser:
             return [(complex(val), ())]
         if kind == "i":
             return [(1j, ())]
-        if kind == "sqrt":
-            # the argument is the parenthesized atom that must follow
-            kind, _, at = self.tokens[self.k]
+        root = kind == "sqrt"
+        if root:  # its argument is the parenthesized expression that must follow
+            kind, _, at = self.next()
             if kind != "(":
                 raise KetSyntaxError("expected '('", at)
-            inner = self.parse_atom()
+        else:
+            at = pos
+        if kind == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise KetSyntaxError("expression nested too deeply", at)
+            inner = self.parse_expr()
+            kind, _, end = self.next()
+            if kind != ")":
+                raise KetSyntaxError("expected ')'", end)
+            self.depth -= 1
+            if not root:
+                return inner
             if not _scalar(inner):
                 raise KetSyntaxError("sqrt of a ket expression", pos)
             return [(cmath.sqrt(inner[0][0]), ())]
-        if kind == "(":
-            inner = self.parse_expr()
-            kind, _, at = self.next()
-            if kind != ")":
-                raise KetSyntaxError("expected ')'", at)
-            return inner
         raise KetSyntaxError("expected a number, coefficient or ket", pos)
 
 
@@ -180,10 +202,7 @@ def parse_ket(text: str, dims, normalize: bool = False) -> np.ndarray:
         raise KetSyntaxError("empty expression", 0)
     tokens.append((None, None, -1))
     parser = _Parser(tokens, dims)
-    try:
-        value = parser.parse_expr()
-    except RecursionError:  # at the '(' that opened one level too many
-        raise KetSyntaxError("expression nested too deeply", tokens[parser.k - 1][2]) from None
+    value = parser.parse_expr()
     if parser.k < len(tokens) - 1:
         raise KetSyntaxError("unexpected trailing input", tokens[parser.k][2])
 

@@ -17,7 +17,12 @@ underflows at any nonzero input scale, then the larger slice norm.
   det(W (x*S0 + y*S1) V), W and V fixed r x M and N x r isometries (r the
   normal rank), verified by an actual rank drop: any such compression is
   singular wherever the pencil drops below rank r, and its binary form is
-  one call of ``detpoly.det_coefficients``,
+  one call of ``detpoly.det_coefficients``; or, from ``rank``, the
+  eigenvalues of a square completion of the pencil that the caller has
+  already diagonalised (see :func:`pencil_invariants`),
+* candidate roots clustered at a fine and a coarse chordal radius, the
+  coarse one only needed when the fine one leaves a multiple root split;
+  the drops and jets at both radii's points are decided in one pass,
 * the partition at a point from nullities of jet (block bidiagonal)
   matrices less their reference value k*(N - r) for the k-jet: each of the
   N - r blocks L_eps has full row rank at every point, so its k-jet has
@@ -26,11 +31,12 @@ underflows at any nonzero input scale, then the larger slice norm.
 
 Each stage decides its ranks in one stacked ``np.linalg.svd`` call: the
 pencils at the six generic points, the pencils at every candidate
-eigen-point, and, per order k, the k-jets at every eigen-point.  Numpy runs
-the same LAPACK routine on each matrix of a stack, so every decision is the
-one a call per matrix makes.  Only the Sylvester nullities stay one call per
-degree, as their shapes grow with it and the search stops early.  The fixed
-draws (generic points, isometries W and V) are made once per shape.
+eigen-point of either radius, and, per order k, the k-jets at every
+eigen-point.  Numpy runs the same LAPACK routine on each matrix of a stack,
+so every decision is the one a call per matrix makes.  Only the Sylvester
+nullities stay one call per degree, as their shapes grow with it and the
+search stops early.  The fixed draws (generic points, isometries W and V)
+are made once per shape.
 
 Local one-party maps on the 2-dimensional mode act as Moebius maps on the
 parameter line: they move eigenvalues but preserve the partition data and
@@ -51,6 +57,8 @@ from .tensor import as_tensor, check_tol, complex_to_pairs, ldexp, unit_exponent
 
 PENCIL_RANK_TOL = 1e-8
 EIGEN_CLUSTER_RADIUS = 1e-6
+# the fine radius, and the coarse one tried when it leaves a multiple root split
+_CLUSTER_RADII = (EIGEN_CLUSTER_RADIUS, 1e-4)
 
 
 @dataclass
@@ -273,25 +281,32 @@ def _partition_from_weyr(deltas):
     return tuple(s for s in range(len(weyr) - 1, 0, -1) for _ in range(weyr[s - 1] - weyr[s]))
 
 
-def _divisor_structure(s0, s1, roots, r, total_divisor, tol, cluster_radius):
-    """Eigen-points and their partitions for one choice of cluster radius.
-
-    A root of the compressed determinant (``roots``) is an eigen-point when
-    the pencil drops below rank ``r`` there.  Its partition comes from the jet
-    nullities less k*(n - r): the n - r blocks L_eps have full row rank at
-    every point, so their k-jet has nullity k each."""
-    notes = []
+def _eigen_candidates(roots, cluster_radius) -> list:
+    """The points of :func:`_clustered` at ``cluster_radius``, less any
+    within that radius of an earlier one (a large root near infinity)."""
     points = []
     for cand in _clustered(roots, cluster_radius):
         if all(_chordal(cand, q) > cluster_radius for q in points):
             points.append(cand)
-    drops, nullities = _drops_and_jets(s0, s1, points, r, total_divisor, tol)
-    base = np.arange(1, total_divisor + 1) * (s0.shape[1] - r)
+    return points
+
+
+def _assign_divisors(decided, points, n, r, total_divisor, cluster_radius):
+    """Eigen-points and their partitions for one choice of cluster radius.
+
+    ``decided`` maps each candidate point where the pencil drops below rank
+    ``r`` to its jet nullities (:func:`_drops_and_jets`); the partition at
+    a point comes from them less k*(n - r): the n - r blocks L_eps have full
+    row rank at every point, so their k-jet has nullity k each."""
+    notes = []
+    base = np.arange(1, total_divisor + 1) * (n - r)
     finite = []
     infinite = ()
     assigned = 0
-    for pt, nul in zip(drops, nullities):
-        part = _partition_from_weyr((nul - base).tolist())
+    for pt in points:
+        if pt not in decided:  # no rank drop there
+            continue
+        part = _partition_from_weyr((decided[pt] - base).tolist())
         if part is None or not part:
             notes.append(f"irregular nullity sequence at point {pt}")
             continue
@@ -304,7 +319,29 @@ def _divisor_structure(s0, s1, roots, r, total_divisor, tol, cluster_radius):
     return finite, infinite, assigned, notes
 
 
-def pencil_invariants(t, tol: float = PENCIL_RANK_TOL) -> PencilInvariants:
+def _divisor_structure(s0, s1, roots, r, total_divisor, tol):
+    """Eigen-points and partitions, clustering ``roots`` at the fine radius,
+    else at the coarse one; the notes, and whether both missed the degree
+    identity.
+
+    Clustered multiple roots are recovered through their centroid; if the
+    fine radius leaves a multiple root split (its degree identity then
+    fails) the coarse radius may join it.  The rank drops and jets at both
+    radii's candidate points are decided in one :func:`_drops_and_jets`
+    call, on the union of the two point lists when they differ."""
+    candidates = [_eigen_candidates(roots, radius) for radius in _CLUSTER_RADII]
+    union = candidates[0] + [p for p in candidates[1] if p not in candidates[0]]
+    decided = dict(zip(*_drops_and_jets(s0, s1, union, r, total_divisor, tol)))
+    for radius, points in zip(_CLUSTER_RADII, candidates):
+        finite, infinite, assigned, notes = _assign_divisors(
+            decided, points, s0.shape[1], r, total_divisor, radius)
+        if assigned == total_divisor:
+            return finite, infinite, notes, False
+    notes.append(f"divisor degrees sum to {assigned}, expected {total_divisor}")
+    return finite, infinite, notes, True
+
+
+def pencil_invariants(t, tol: float = PENCIL_RANK_TOL, *, _roots=None) -> PencilInvariants:
     """Kronecker invariants of the slice pencil x*t[0] + y*t[1].
 
     Requires mode-1 dimension 2.  The tensor is scaled by the power of two
@@ -312,7 +349,18 @@ def pencil_invariants(t, tol: float = PENCIL_RANK_TOL) -> PencilInvariants:
     at any nonzero scale), then to unit pencil norm.  Rank decisions count
     singular values above ``tol``, one stacked SVD call per stage (normal
     rank, rank drops, each jet order), and eigen-points are clustered at
-    chordal radius 1e-6.
+    chordal radius 1e-6, else 1e-4.
+
+    The candidate eigen-points are the roots y/x of the compressed
+    determinant.  ``_roots``, private to ``rank``, replaces them by values
+    y/x that include every eigen-point: the eigenvalues of a max(M, N)
+    square completion of the pencil do.  Where the pencil has normal rank
+    r = min(M, N), the completion is regular, and at a point where the
+    pencil drops below r it has rank at most (r - 1) + |M - N| < max(M, N).
+    Below that normal rank the completion is singular and its eigenvalues
+    mean nothing, so ``_roots`` is ignored.  A spurious value fails the
+    rank-drop check; a missed point fails the degree identity and sets
+    ``borderline``.
     """
     check_tol(tol)
     t = as_tensor(t)
@@ -326,9 +374,6 @@ def pencil_invariants(t, tol: float = PENCIL_RANK_TOL) -> PencilInvariants:
     s1 /= scale
     m, n = s0.shape
 
-    notes = []
-    borderline = False
-
     r = _normal_rank(s0, s1, tol)
     p_count = n - r
     q_count = m - r
@@ -340,26 +385,12 @@ def pencil_invariants(t, tol: float = PENCIL_RANK_TOL) -> PencilInvariants:
             "inconsistent pencil structure: minimal indices exceed normal rank"
         )
 
-    finite = []
-    infinite = ()
+    finite, infinite, notes, borderline = [], (), [], False
     if total_divisor > 0:
-        [roots] = _form_roots(_compressed_form(s0, s1, r)[None])
-        # clustered multiple roots are recovered through their centroid; if
-        # the fine radius leaves a multiple root split (its degree identity
-        # then fails) re-cluster the same roots once at a coarser radius
-        for radius in (EIGEN_CLUSTER_RADIUS, 1e-4):
-            finite, infinite, assigned, attempt_notes = _divisor_structure(
-                s0, s1, roots, r, total_divisor, tol, radius
-            )
-            if assigned == total_divisor:
-                notes.extend(attempt_notes)
-                break
-        else:
-            borderline = True
-            notes.extend(attempt_notes)
-            notes.append(
-                f"divisor degrees sum to {assigned}, expected {total_divisor}"
-            )
+        if _roots is None or r < min(m, n):
+            [_roots] = _form_roots(_compressed_form(s0, s1, r)[None])
+        finite, infinite, notes, borderline = _divisor_structure(
+            s0, s1, _roots, r, total_divisor, tol)
 
     finite.sort(key=lambda item: (item[1], item[0].real, item[0].imag))
     return PencilInvariants(

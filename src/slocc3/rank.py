@@ -10,16 +10,20 @@ Upper bounds are explicit numerical decompositions, searched from the lower
 bound up.  When the support has a mode of dim at most 2 they are built
 directly: the slice pencil, padded to R x R with fixed generic entries, is
 diagonalised by one eigendecomposition (:func:`_pencil_construction`).
-Otherwise, or when that construction misses ``tol``, seeded CP-ALS searches.
-A failed search proves nothing and is never used to raise a lower bound,
-and a success certifies only that a decomposition with that many terms
-exists numerically (the border rank may be smaller).  The support, its
-bases and the ALS starts come from the singular vectors of one
-``tensor.unfolding_svds`` call.  One scale rule holds: the pencil
-construction, ALS starts, sweeps and residuals read the tensor scaled by its
-exact power of two 2^-e, and certificates are scaled back by that power,
-spread over the three factors (:func:`_scale_back`); only the exact
-slice-wise construction reads the tensor itself.
+:func:`rank_interval` tries it at the largest local rank first; when it is
+refused there, its eigenvalues are the candidate eigen-points of Ja'Ja's
+bound, so each pencil is solved once.  Otherwise, or when that
+construction misses ``tol``, seeded CP-ALS searches.  A failed search
+proves nothing and is never used to raise a lower bound, and a success
+certifies only that a decomposition with that many terms exists
+numerically (the border rank may be smaller).  Within one
+:func:`rank_interval`, the support, its bases and the ALS starts come from
+the singular vectors of one ``tensor.unfolding_svds`` call.  One scale
+rule holds: the pencil construction, ALS starts, sweeps and residuals read
+the tensor scaled by its exact power of two 2^-e, and certificates are
+scaled back by that power, spread over the three factors
+(:func:`_scale_back`); only the exact slice-wise construction reads the
+tensor itself.
 """
 
 from __future__ import annotations
@@ -180,8 +184,16 @@ def rank_lower_bound(t, tol: float = DEFAULT_RANK_TOL):
     return _lower_bound(t, _support(t, tol)[1])
 
 
-def _lower_bound(t, core):
-    """:func:`rank_lower_bound` of ``t``, given its support ``core``."""
+def _lower_bound(t, core, c=None):
+    """:func:`rank_lower_bound` of ``t``, given its support ``core``.
+
+    ``c`` (2, R), when given, is the diagonal of the padded slice pencil
+    of ``core`` that :func:`_pencil_construction` diagonalised: the padded
+    pencil is singular at y/x = -c[0] / c[1], and for R = max(M, N) these
+    points include every eigen-point of the slice pencil, so they replace
+    the roots of its compressed determinant (:func:`pencil_invariants`).
+    c[1] = 0 is the point at infinity, which the invariants always test.
+    """
     if not np.any(t):
         raise ValueError("zero tensor has no rank bound")
     if t.shape == (2, 2, 2):
@@ -191,7 +203,8 @@ def _lower_bound(t, core):
     local = max(dims)
     bound, cert = None, None
     if min(dims) == 2:
-        inv = pencil_invariants(np.moveaxis(core, dims.index(2), 0))
+        roots = None if c is None else [-a / b for a, b in zip(*c.tolist()) if b]
+        inv = pencil_invariants(np.moveaxis(core, dims.index(2), 0), _roots=roots)
         if not inv.borderline:
             bound, cert = _jaja_rank(inv), "JaJa"
     elif min(dims) >= 3:
@@ -318,11 +331,11 @@ def _padding(r: int) -> np.ndarray:
 _EIGENBASIS_COND_MAX = np.finfo(float).eps ** -0.25
 
 
-def _pencil_construction(t, support, r, tol):
+def _pencil_construction(t, support, r, tol, eigen=None):
     """R-term decomposition of ``t`` built from its padded slice pencil.
 
-    ``support`` is (e, core, bases) of :func:`_support`, the core taken of
-    ``t`` scaled by 2^-e.  When a mode of ``core`` has dim <= 2, its
+    ``support`` is (e, core, bases, vectors) of :func:`_support`, the core
+    taken of ``t`` scaled by 2^-e.  When a mode of ``core`` has dim <= 2, its
     slices (a zero second slice for dim 1) form an M x N pencil.  Embedded
     in an r x r pencil whose other entries are fixed generic numbers, it is
     diagonalisable exactly when the rank is at most r: an r-term
@@ -338,9 +351,12 @@ def _pencil_construction(t, support, r, tol):
     border-rank approximation), so an eigenbasis whose condition number
     exceeds ``_EIGENBASIS_COND_MAX`` is refused.  Returns a successful
     ``CpResult`` (:func:`_scale_back` on the mode) when the basis passes and
-    the relative residual is below ``tol``, else None.
+    the relative residual is below ``tol``, else None.  A list ``eigen``
+    receives the diagonal c of P_k = w diag(c[k]) v.T, k = 0, 1, whenever
+    the padded pencil was diagonalised, success or not (:func:`_lower_bound`
+    reads its eigen-points).
     """
-    e, core, bases = support
+    e, core, bases, _ = support
     mode = int(np.argmin(core.shape))
     slices = np.moveaxis(core, mode, 0)
     k, m, n = slices.shape
@@ -354,6 +370,8 @@ def _pencil_construction(t, support, r, tol):
         w, v, c = _diagonalize_pencil(*pencil)
     except np.linalg.LinAlgError:
         return None
+    if eigen is not None:
+        eigen.append(c)
     if not np.linalg.cond(w) <= _EIGENBASIS_COND_MAX:
         return None
     rows, cols = (p for p in range(3) if p != mode)
@@ -451,7 +469,7 @@ def _mode_solver(t, mode, r):
 
 
 def cp_als(t, r: int, restarts: int = 32, max_iter: int = 2000, seed: int = 0,
-           tol: float = 1e-8, stall_tol: float = 1e-12) -> CpResult:
+           tol: float = 1e-8, stall_tol: float = 1e-12, *, _support=None) -> CpResult:
     """Search for an R-term decomposition by alternating least squares.
 
     Success means some restart reached relative residual below ``tol``.
@@ -459,8 +477,9 @@ def cp_als(t, r: int, restarts: int = 32, max_iter: int = 2000, seed: int = 0,
     slice-wise construction is returned directly.  Restart 0 is initialized
     from the singular vectors of one ``tensor.unfolding_svds`` call, restart
     1 from their generalized eigenvector construction when R fits two of the
-    dims, the rest from seeded Gaussians; restarts stop at the first success
-    and the best attempt wins ties by restart order.
+    dims (built only when restart 1 runs), the rest from seeded Gaussians;
+    restarts stop at the first success and the best attempt wins ties by
+    restart order.
 
     Each factor update is a linear least-squares solve by LAPACK ``zgelsd``
     (the SVD-based routine behind ``np.linalg.lstsq``), called through
@@ -478,6 +497,9 @@ def cp_als(t, r: int, restarts: int = 32, max_iter: int = 2000, seed: int = 0,
     back by that power (:func:`_scale_back`), so no norm or factor under- or
     overflows at any nonzero scale of ``t``.  ``tol`` must be nonnegative
     and finite; at 0 each restart runs until it stalls or ends.
+
+    ``_support``, private to :func:`rank_interval`, is :func:`_support` of
+    ``t``, whose ``unfolding_svds`` call the starts then reuse.
     """
     _check_residual_tol(tol)
     t = as_tensor(t)
@@ -494,16 +516,18 @@ def cp_als(t, r: int, restarts: int = 32, max_iter: int = 2000, seed: int = 0,
         return CpResult(True, r, residual, factors, "direct slice construction")
 
     # starts, sweeps and residuals read t scaled by 2^-e: no norm overflows
-    [e], _, svds = unfolding_svds(t[None], vectors=(0, 1, 2))
-    vectors = [svd.U[0] for svd in svds]
+    if _support is None:
+        [e], _, svds = unfolding_svds(t[None], vectors=(0, 1, 2))
+        vectors = [svd.U[0] for svd in svds]
+    else:
+        e, _, _, vectors = _support
     t_unit = ldexp(t, -e)
     norm_t = float(np.linalg.norm(t_unit))
     solve = [_mode_solver(t_unit, mode, r) for mode in (1, 2, 3)]
-    spectral = _spectral_init(t_unit, r, vectors)
     best = None
     for restart in range(max(1, restarts)):
         rng = np.random.default_rng(np.random.SeedSequence([seed, restart]))
-        if restart == 1 and spectral is not None:
+        if restart == 1 and (spectral := _spectral_init(t_unit, r, vectors)) is not None:
             a, b, c = spectral
         else:
             a, b, c = _als_init(t_unit, r, rng, vectors if restart == 0 else None)
@@ -577,23 +601,26 @@ def rank_interval(t, restarts: int = 32, max_iter: int = 2000, seed: int = 0,
     ``LocalRank``.  Otherwise each R from the lower bound up tries the
     construction (for a mode of dim at most 2, where Ja'Ja's bound is the
     rank, so the interval closes with no ALS), then :func:`cp_als` with the
-    given budget.  The support is computed once for both.  The search ends:
-    the slice-wise construction succeeds once R reaches the product of the
-    two smallest dims.
+    given budget.  The support, and its one ``unfolding_svds`` call, serve
+    all three.  A refused construction at the local rank hands its padded
+    pencil's eigenvalues to Ja'Ja's bound as the candidate eigen-points, so
+    the pencil is solved once.  The search ends: the slice-wise construction
+    succeeds once R reaches the product of the two smallest dims.
     """
     _check_residual_tol(tol)
     t = as_tensor(t)
     support = _support(t)
+    eigen = []  # stays empty when the pencil could not be diagonalised
     if t.shape != (2, 2, 2) and min(support[1].shape) == 2:
         r = max(support[1].shape)
-        result = _pencil_construction(t, support, r, tol)
+        result = _pencil_construction(t, support, r, tol, eigen)
         if result is not None:
             return RankInterval(r, r, "LocalRank", result)
-    lower, cert = _lower_bound(t, support[1])
+    lower, cert = _lower_bound(t, support[1], *eigen)
     r = lower
     while True:
         result = _pencil_construction(t, support, r, tol) or cp_als(
-            t, r, restarts=restarts, max_iter=max_iter, seed=seed, tol=tol)
+            t, r, restarts=restarts, max_iter=max_iter, seed=seed, tol=tol, _support=support)
         if result.success:
             return RankInterval(lower, r, cert, result)
         r += 1
@@ -630,14 +657,17 @@ class ClassifyResult:
 def _support(t, tol: float = DEFAULT_RANK_TOL):
     """Restrict each party to the support of its unfolding (full local ranks).
 
-    Returns (e, core, bases): the bases (u1, u2, u3) are left singular
-    vectors of ``tensor.unfolding_svds``, and ``t`` scaled by 2^-e is the
-    core mapped by them whenever its discarded singular values are zero.
+    Returns (e, core, bases, vectors): ``vectors`` are the left singular
+    vectors of the three unfoldings, from one ``tensor.unfolding_svds``
+    call, the bases (u1, u2, u3) their leading columns, and ``t`` scaled by
+    2^-e is the core mapped by them whenever its discarded singular values
+    are zero.
     """
     [e], [ranks], svds = unfolding_svds(t[None], tol, vectors=(0, 1, 2))
-    bases = tuple(svd.U[0, :, :r] for svd, r in zip(svds, ranks))
+    vectors = tuple(svd.U[0] for svd in svds)
+    bases = tuple(u[:, :r] for u, r in zip(vectors, ranks))
     core = np.einsum("ip,jq,kr,ijk->pqr", *(u.conj() for u in bases), ldexp(t, -e))
-    return e, core, bases
+    return e, core, bases, vectors
 
 
 def _entry_signature(t):

@@ -1,5 +1,7 @@
 """Tests for the ket expression parser and printer."""
 
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 import slocc3 as s
 from slocc3.cli import main
-from slocc3.ket import KetSyntaxError
+from slocc3.ket import MAX_NESTING, KetSyntaxError
 
 
 def test_parse_ghz():
@@ -88,6 +90,66 @@ def test_240_nested_levels_parse_from_a_shallow_stack():
     thread.join(timeout=30)
     assert not thread.is_alive()
     np.testing.assert_array_equal(parsed[0], s.parse_ket("|000>", (2, 2, 2)))
+
+
+def _below(frames, fn):
+    """fn() called ``frames`` interpreter frames deeper than the caller."""
+    return _below(frames - 1, fn) if frames else fn()
+
+
+def _in_thread(fn):
+    """fn() in a fresh thread, as shallow as the CLI's entry point."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn()))
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    return out[0]
+
+
+def _cli_rank(text):
+    return subprocess.run([sys.executable, "-m", "slocc3", "rank", "--ket", text,
+                           "--dims", "2,2,2"], capture_output=True, text=True, check=False)
+
+
+def _nesting_error_pos(text):
+    with pytest.raises(KetSyntaxError, match="nested too deeply") as err:
+        s.parse_ket(text, (2, 2, 2))
+    return err.value.pos
+
+
+def test_over_deep_ket_reports_one_position_from_any_stack():
+    """The nesting limit is a count of open parentheses, not the
+    interpreter's recursion limit: the '(' that opens level MAX_NESTING + 1
+    is reported from a deep frame, a fresh thread and the CLI alike."""
+    text = _nested(300)
+    want = MAX_NESTING
+    assert text[want] == "("
+    assert _nesting_error_pos(text) == want
+    assert _below(300, lambda: _nesting_error_pos(text)) == want
+    assert _in_thread(lambda: _nesting_error_pos(text)) == want
+    proc = _cli_rank(text)
+    assert proc.returncode == 2
+    assert f"nested too deeply (at position {want})" in proc.stderr
+    # the '(' of sqrt number MAX_NESTING + 1
+    assert _nesting_error_pos("sqrt(" * 300 + "4" + ")" * 300 + "|000>") == 5 * want + 4
+    assert _nesting_error_pos(_nested(MAX_NESTING + 1)) == want
+    s.parse_ket(_nested(MAX_NESTING), (2, 2, 2))
+
+
+def test_240_nested_levels_parse_from_a_deep_frame_and_the_cli():
+    text = _nested(240)
+    np.testing.assert_array_equal(_below(300, lambda: s.parse_ket(text, (2, 2, 2))),
+                                  s.parse_ket("|000>", (2, 2, 2)))
+    proc = _cli_rank(text)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_long_sign_chains_are_loops_not_nesting():
+    """Unary signs apply in a loop, so thousands of them neither recurse nor
+    count towards the nesting limit."""
+    np.testing.assert_array_equal(s.parse_ket("-" * 5001 + "|000>", (2, 2, 2)),
+                                  -s.parse_ket("|000>", (2, 2, 2)))
 
 
 @pytest.mark.parametrize("text", ["|\u00b200>", "|1,\u00b2,0>", "|\u2460,0,0>"])

@@ -328,6 +328,92 @@ def test_regular_pencil_decides_each_stage_in_one_svd_call(monkeypatch):
     assert shapes == [(6, 3, 3), (4, 3, 3), (3, 6, 6), (3, 9, 9)]
 
 
+def test_jordan_block_decides_both_radii_in_one_svd_call_per_stage(monkeypatch):
+    """A triple eigenvalue (``2x3x3-4``): its compressed determinant's roots
+    split by about eps^(1/3), so at radius 1e-6 three points drop and their
+    degrees over-count, while 1e-4 joins them.  The drops at the union of
+    both radii's points (infinity, three split roots, one centroid) take one
+    SVD call, and each jet order k = 2, 3 one more; deciding the radii one
+    after the other took two calls per stage."""
+    t = s.catalog_build("2x3x3-4")
+    image = s.apply_slocc(t, *s.random_slocc(t.shape, 5, cond_bound=20))
+    shapes = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    inv = s.pencil_invariants(image)
+    assert inv.all_partitions() == ((3,),)
+    assert not inv.borderline, inv.condition_note
+    assert shapes == [(6, 3, 3), (5, 3, 3), (4, 6, 6), (4, 9, 9)]
+
+
+def _divisor_structure_radius_by_radius(s0, s1, roots, r, total_divisor, tol):
+    """The divisor stage one radius at a time: cluster, decide and assign at
+    1e-6, and only if the degrees miss their total, all again at 1e-4; the
+    reference for the one-pass stage."""
+    for radius in (1e-6, 1e-4):
+        points = []
+        for cand in pencil._clustered(roots, radius):
+            if all(pencil._chordal(cand, q) > radius for q in points):
+                points.append(cand)
+        drops, nullities = pencil._drops_and_jets(s0, s1, points, r, total_divisor, tol)
+        base = np.arange(1, total_divisor + 1) * (s0.shape[1] - r)
+        finite, infinite, assigned, notes = [], (), 0, []
+        for pt, nul in zip(drops, nullities):
+            part = pencil._partition_from_weyr((nul - base).tolist())
+            if part is None or not part:
+                notes.append(f"irregular nullity sequence at point {pt}")
+                continue
+            assigned += sum(part)
+            x, y = pt
+            if abs(x) <= radius * np.hypot(abs(x), abs(y)):
+                infinite = part
+            else:
+                finite.append((y / x, part))
+        if assigned == total_divisor:
+            return finite, infinite, notes, False
+    notes.append(f"divisor degrees sum to {assigned}, expected {total_divisor}")
+    return finite, infinite, notes, True
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(entry_id=st.sampled_from(TABLE_ROWS),
+       map_seed=st.integers(0, 2**31 - 1),
+       cond=st.sampled_from([20.0, 100.0, 1e4]),
+       exponent=st.integers(-300, 300))
+def test_one_pass_divisor_stage_equals_radius_by_radius(entry_id, map_seed, cond, exponent):
+    """Deciding both radii's points in one stack gives the invariants of
+    one radius at a time, eigenvalues and notes included, bit for bit."""
+    t = s.catalog_build(entry_id)
+    image = s.apply_slocc(t, *s.random_slocc(t.shape, map_seed, cond_bound=cond))
+    image = image * 10.0**exponent
+    got = s.pencil_invariants(image)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pencil, "_divisor_structure", _divisor_structure_radius_by_radius)
+        want = s.pencil_invariants(image)
+    assert got == want
+
+
+def test_one_pass_divisor_stage_equals_radius_by_radius_when_both_miss():
+    """A 4 x 4 Jordan block's roots split by about eps^(1/4), beyond both
+    radii: the degrees miss their total twice, and the borderline result,
+    assembled at 1e-4, is the one the radius-by-radius stage gives."""
+    j4 = 2.0 * np.eye(4) + np.eye(4, k=1)
+    t = np.array([np.eye(4), j4], dtype=complex)
+    for seed in range(6):
+        image = s.apply_slocc(t, *s.random_slocc(t.shape, seed, cond_bound=20))
+        got = s.pencil_invariants(image)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pencil, "_divisor_structure", _divisor_structure_radius_by_radius)
+            want = s.pencil_invariants(image)
+        assert got.borderline and "divisor degrees sum to" in got.condition_note, seed
+        assert got == want, seed
+
+
 def test_second_call_on_a_shape_draws_nothing(monkeypatch):
     """The generic points and the isometries of the compressed determinant
     are drawn once per shape, not per call."""

@@ -882,3 +882,117 @@ def test_rank_interval_of_a_w_image_takes_three_unfolding_svds(monkeypatch):
     assert (interval.lower, interval.upper, interval.certificate_lower) == (
         3, 3, "Classifier222(Wclass)")
     assert shapes == [(1, 2, 4)] * 3
+
+
+def test_rank_interval_of_3x3x3_diag_takes_three_unfolding_svds(monkeypatch):
+    """ALS under ``rank_interval`` starts from the support's singular
+    vectors: three unfolding SVDs, where the support and ``cp_als`` took
+    three each (six in all), then Strassen's two."""
+    shapes = _counted_svds(monkeypatch)
+    interval = s.rank_interval(s.catalog_build("3x3x3-diag"))
+    assert (interval.lower, interval.upper) == (3, 3)
+    assert interval.certificate_upper.detail == "ALS, best of 1 restart(s)"
+    assert shapes == [(1, 3, 9)] * 3 + [(3, 3)] * 2
+
+
+def test_spectral_start_is_built_only_when_restart_one_runs(monkeypatch):
+    """Restart 0 of ``3x3x3-diag`` converges, so the spectral start is never
+    built; a random 3 x 3 x 3 at R = 3 fails restart 0 and builds it once."""
+    calls = []
+    spectral_init = rank._spectral_init
+
+    def counted(*args):
+        calls.append(args[1])
+        return spectral_init(*args)
+
+    monkeypatch.setattr(rank, "_spectral_init", counted)
+    diag = s.catalog_build("3x3x3-diag")
+    assert s.cp_als(diag, 3, restarts=2).success
+    assert s.rank_interval(diag).upper == 3
+    assert calls == []
+    t = random_tensor(np.random.default_rng(5), (3, 3, 3))
+    assert not s.cp_als(t, 3, restarts=3, max_iter=20).success
+    assert calls == [3]
+
+
+def _refuse_compressed_form(*args):
+    raise AssertionError("compressed determinant formed")
+
+
+@pytest.mark.parametrize("name", ABOVE_LOCAL_RANK)
+def test_interval_above_local_rank_reads_the_constructions_eigen_points(monkeypatch, name):
+    """The refused construction at the local rank has solved the padded
+    pencil's eigenproblem; Ja'Ja's bound takes its eigen-points as the
+    candidates and forms no compressed determinant."""
+    monkeypatch.setattr(s.pencil, "_compressed_form", _refuse_compressed_form)
+    t, known = _two_slice_input(name)
+    for seed in range(4):
+        image = s.apply_slocc(t, *s.random_slocc(t.shape, 120 + seed, cond_bound=100))
+        interval = s.rank_interval(image)
+        assert (interval.lower, interval.upper, interval.certificate_lower) == (
+            known, known, "JaJa"), seed
+
+
+def test_undiagonalised_pencil_falls_back_to_the_compressed_determinant(monkeypatch):
+    """When the construction's eigendecomposition raises, no eigen-points
+    are handed on, and the invariants find them as ``rank_lower_bound``
+    does."""
+    diagonalize = rank._diagonalize_pencil
+    calls = []
+
+    def fail_first(p0, p1):
+        calls.append(p0.shape)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("singular matrix")
+        return diagonalize(p0, p1)
+
+    monkeypatch.setattr(rank, "_diagonalize_pencil", fail_first)
+    image = s.apply_slocc(s.catalog_build("2x3x3-5"), *s.random_slocc((2, 3, 3), 4, cond_bound=100))
+    interval = s.rank_interval(image)
+    assert (interval.lower, interval.upper, interval.certificate_lower) == (4, 4, "JaJa")
+    assert calls == [(3, 3), (4, 4)]
+
+
+def test_singular_square_pencil_keeps_the_compressed_determinant():
+    """L1 + L1^T + one 1 x 1 block is a singular 4 x 4 pencil: its padded
+    completion is itself, with no meaningful eigenvalues, so the invariants
+    use the compressed determinant and Ja'Ja's rank 2 + 2 + 1 = 5 holds."""
+    t = np.zeros((2, 4, 4), dtype=complex)
+    t[0, 0, 0] = t[1, 0, 1] = 1.0  # L1: [x y]
+    t[0, 1, 2] = t[1, 2, 2] = 1.0  # L1^T
+    t[0, 3, 3], t[1, 3, 3] = 1.0, 2.0
+    for seed in range(4):
+        image = s.apply_slocc(t, *s.random_slocc(t.shape, 50 + seed, cond_bound=100))
+        interval = s.rank_interval(image, restarts=1, max_iter=50)
+        assert (interval.lower, interval.upper, interval.certificate_lower) == (5, 5, "JaJa")
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(ABOVE_LOCAL_RANK),
+       map_seed=st.integers(0, 2**31 - 1),
+       exponent=st.integers(-300, 300))
+def test_construction_eigen_points_give_the_compressed_determinants_invariants(
+        name, map_seed, exponent):
+    """The two sources of candidate points: invariants from the refused
+    construction's eigen-points have the signature and the ``borderline``
+    flag of those from the compressed determinant."""
+    t, _ = _two_slice_input(name)
+    image = s.apply_slocc(t, *s.random_slocc(t.shape, map_seed, cond_bound=100))
+    image = image * 10.0**exponent
+    support = rank._support(image)
+    eigen = []
+    assert rank._pencil_construction(image, support, max(support[1].shape), 1e-8, eigen) is None
+    [c] = eigen
+    found = []
+    invariants = rank.pencil_invariants
+
+    def recorded(*args, **kwargs):
+        found.append((invariants(*args, **kwargs), kwargs["_roots"] is not None))
+        return found[-1][0]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rank, "pencil_invariants", recorded)
+        assert rank._lower_bound(image, support[1], c) == rank._lower_bound(image, support[1])
+    (got, from_eigen), (want, from_form) = found
+    assert from_eigen and not from_form
+    assert (got.signature(), got.borderline) == (want.signature(), want.borderline)
