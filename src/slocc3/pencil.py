@@ -13,13 +13,12 @@ underflows at any nonzero input scale, then the larger slice norm.
 * the normal rank as the largest rank at six fixed generic points,
 * minimal indices from nullities of block Sylvester matrices (the dimension
   of degree-d polynomial null vectors),
-* candidate eigen-points from the roots of one compressed determinant
-  det(W (x*S0 + y*S1) V), W and V fixed r x M and N x r isometries (r the
-  normal rank), verified by an actual rank drop: any such compression is
-  singular wherever the pencil drops below rank r, and its binary form is
-  one call of ``detpoly.det_coefficients``; or, from ``rank``, the
-  eigenvalues of a square completion of the pencil that the caller has
-  already diagonalised (see :func:`pencil_invariants`),
+* candidate eigen-points from the eigenvalues of one square completion:
+  the pencil, scaled to unit largest entry, in the corner of a fixed
+  generic R x R pencil, R = M + N - r (r the normal rank).  The completion
+  is regular and singular wherever the pencil drops below rank r, so one
+  ``eigvals`` call lists every eigen-point, each verified by an actual rank
+  drop (the same padding, at R = the rank, is ``rank``'s decomposition),
 * candidate roots clustered at a fine and a coarse chordal radius, the
   coarse one only needed when the fine one leaves a multiple root split;
   the drops and jets at both radii's points are decided in one pass,
@@ -35,8 +34,9 @@ eigen-point of either radius, and, per order k, the k-jets at every
 eigen-point.  Numpy runs the same LAPACK routine on each matrix of a stack,
 so every decision is the one a call per matrix makes.  Only the Sylvester
 nullities stay one call per degree, as their shapes grow with it and the
-search stops early.  The fixed draws (generic points, isometries W and V)
-are made once per shape.
+search stops early.  The fixed draws (generic points, padding pencil) are
+made once per size.  The roots of a stack of binary forms
+(:func:`_candidate_points`) serve ``product_range``.
 
 Local one-party maps on the 2-dimensional mode act as Moebius maps on the
 parameter line: they move eigenvalues but preserve the partition data and
@@ -52,7 +52,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detpoly import det_coefficients
 from .tensor import as_tensor, check_tol, complex_to_pairs, ldexp, unit_exponent
 
 PENCIL_RANK_TOL = 1e-8
@@ -171,25 +170,70 @@ def _minimal_indices(s0, s1, count: int, tol) -> tuple:
     raise ArithmeticError("minimal index extraction did not terminate")
 
 
+# fixed generic rotation of a pencil's two slices, so the inverted one is
+# regular whenever the pencil is
+_MIX = np.array([[0.9397, 0.3420], [-0.3420, 0.9397]])
+
+
+def _mixed_quotient(p0, p1):
+    """ga gb^-1 and gb, for the slices ga, gb of a square pencil mixed by
+    ``_MIX``; ga - lam*gb is the pencil at x = _MIX[0, 0] - lam*_MIX[1, 0],
+    y = _MIX[0, 1] - lam*_MIX[1, 1].  Raises LinAlgError when gb is
+    singular."""
+    ga = _MIX[0, 0] * p0 + _MIX[0, 1] * p1
+    gb = _MIX[1, 0] * p0 + _MIX[1, 1] * p1
+    return ga @ np.linalg.inv(gb), gb
+
+
+def _diagonalize_pencil(p0, p1):
+    """Simultaneous diagonalisation p_k = w @ diag(c[k]) @ v.T of a regular
+    r x r pencil, by one eigendecomposition of the mixed slices ga gb^-1.
+
+    With ga gb^-1 = w diag(lam) w^-1 and v.T = w^-1 gb, ga = w diag(lam) v.T
+    and gb = w v.T; undoing the mix gives c = _MIX^-1 [lam; 1].  Any
+    eigenvector basis of a repeated eigenvalue serves when the pencil is
+    diagonalisable.  Raises LinAlgError when gb is singular.
+    """
+    quotient, gb = _mixed_quotient(p0, p1)
+    lam, w = np.linalg.eig(quotient)
+    # gb = w (w^-1 gb): the rows of w^-1 gb pair with w's columns
+    v = np.linalg.solve(w, gb).T
+    c = np.linalg.solve(_MIX, np.stack([lam, np.ones_like(lam)]))
+    return w, v, c
+
+
 @functools.cache
-def _isometries(m: int, n: int, r: int):
-    """Fixed isometries W (r x m) and V (n x r), drawn once per shape;
-    read-only, since every call shares them."""
+def _padding(r: int) -> np.ndarray:
+    """Fixed generic 2 x r x r pencil whose entries pad a pencil to r x r,
+    drawn once per r; read-only, since every call shares it."""
     rng = np.random.default_rng(1979)
-    w, v = (np.linalg.qr(rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r)))[0]
-            for d in (m, n))
-    w = w.conj().T
-    w.setflags(write=False)
-    v.setflags(write=False)
-    return w, v
+    pencil = rng.standard_normal((2, r, r)) + 1j * rng.standard_normal((2, r, r))
+    pencil.setflags(write=False)
+    return pencil
 
 
-def _compressed_form(s0, s1, r) -> np.ndarray:
-    """Binary form of det(W (x*S0 + y*S1) V) for the fixed isometries of
-    ``_isometries``; entry j is the coefficient of x^(r-j) y^j.  It vanishes
-    wherever the pencil has rank below r, and possibly elsewhere."""
-    w, v = _isometries(*s0.shape, r)
-    return det_coefficients(w @ s1 @ v, w @ s0 @ v)
+def _completion_roots(s0, s1, r) -> list:
+    """Values y/x that include every eigen-point of the M x N pencil of
+    normal rank ``r``: the finite eigenvalues of its square completion.
+
+    The pencil, scaled to unit largest entry, is written into the corner of
+    the generic ``_padding(M + N - r)``, a regular pencil of size R.  Where
+    the pencil drops below rank r, the completion has rank at most
+    (r - 1) + (R - M) + (R - N) = R - 1, so it is singular there.  One
+    ``eigvals`` call of the mixed slices ga gb^-1 gives its eigen-points;
+    none when gb is singular, which leaves the degree identity to fail.
+    """
+    m, n = s0.shape
+    pencil = _padding(m + n - r).copy()
+    scale = max(np.max(np.abs(s0)), np.max(np.abs(s1)))
+    pencil[:, :m, :n] = s0 / scale, s1 / scale
+    try:
+        lam = np.linalg.eigvals(_mixed_quotient(*pencil)[0])
+    except np.linalg.LinAlgError:
+        return []
+    x, y = _MIX[0][:, None] - _MIX[1][:, None] * lam
+    # x = 0 is the point at infinity, which the invariants always test
+    return [b / a for a, b in zip(x.tolist(), y.tolist()) if a]
 
 
 def _companion_roots(polys) -> np.ndarray:
@@ -341,7 +385,7 @@ def _divisor_structure(s0, s1, roots, r, total_divisor, tol):
     return finite, infinite, notes, True
 
 
-def pencil_invariants(t, tol: float = PENCIL_RANK_TOL, *, _roots=None) -> PencilInvariants:
+def pencil_invariants(t, tol: float = PENCIL_RANK_TOL) -> PencilInvariants:
     """Kronecker invariants of the slice pencil x*t[0] + y*t[1].
 
     Requires mode-1 dimension 2.  The tensor is scaled by the power of two
@@ -351,16 +395,11 @@ def pencil_invariants(t, tol: float = PENCIL_RANK_TOL, *, _roots=None) -> Pencil
     rank, rank drops, each jet order), and eigen-points are clustered at
     chordal radius 1e-6, else 1e-4.
 
-    The candidate eigen-points are the roots y/x of the compressed
-    determinant.  ``_roots``, private to ``rank``, replaces them by values
-    y/x that include every eigen-point: the eigenvalues of a max(M, N)
-    square completion of the pencil do.  Where the pencil has normal rank
-    r = min(M, N), the completion is regular, and at a point where the
-    pencil drops below r it has rank at most (r - 1) + |M - N| < max(M, N).
-    Below that normal rank the completion is singular and its eigenvalues
-    mean nothing, so ``_roots`` is ignored.  A spurious value fails the
-    rank-drop check; a missed point fails the degree identity and sets
-    ``borderline``.
+    The candidate eigen-points are the eigenvalues of one generic square
+    completion of the pencil (:func:`_completion_roots`), which include
+    every point where it drops below its normal rank.  A spurious value
+    fails the rank-drop check; a missed point fails the degree identity and
+    sets ``borderline``.
     """
     check_tol(tol)
     t = as_tensor(t)
@@ -387,10 +426,8 @@ def pencil_invariants(t, tol: float = PENCIL_RANK_TOL, *, _roots=None) -> Pencil
 
     finite, infinite, notes, borderline = [], (), [], False
     if total_divisor > 0:
-        if _roots is None or r < min(m, n):
-            [_roots] = _form_roots(_compressed_form(s0, s1, r)[None])
         finite, infinite, notes, borderline = _divisor_structure(
-            s0, s1, _roots, r, total_divisor, tol)
+            s0, s1, _completion_roots(s0, s1, r), r, total_divisor, tol)
 
     finite.sort(key=lambda item: (item[1], item[0].real, item[0].imag))
     return PencilInvariants(

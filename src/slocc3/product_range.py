@@ -12,7 +12,7 @@ call (``_ranks_and_ranges``); ``find_product_vectors`` decides the orthonormal
 basis of a user's subspace (``MatrixSubspace.ortho``) as a stack of one.
 k = 1, 2 and 3 are decided exactly (``_exact``): k = 2 from the roots of each
 pencil's largest minor form, the whole stack's from one companion eigensolve
-(``pencil._candidate_points``, which also finds slice-pencil eigen-points),
+(``pencil._candidate_points``),
 k = 3 from two random combinations of the minor quadrics through a resultant
 quartic, whose roots for the whole stack come from one such eigensolve
 (``_chart_zeros``), and the whole stack's candidates through one rank-1 screen

@@ -11,9 +11,10 @@ bound up.  When the support has a mode of dim at most 2 they are built
 directly: the slice pencil, padded to R x R with fixed generic entries, is
 diagonalised by one eigendecomposition (:func:`_pencil_construction`).
 :func:`rank_interval` tries it at the largest local rank first; when it is
-refused there, its eigenvalues are the candidate eigen-points of Ja'Ja's
-bound, so each pencil is solved once.  Otherwise, or when that
-construction misses ``tol``, seeded CP-ALS searches.  A failed search
+refused there, Ja'Ja's bound reads the pencil's own invariants, whose
+eigen-points come from the same kind of generic completion
+(``pencil._completion_roots``).  Otherwise, or when that construction
+misses ``tol``, seeded CP-ALS searches.  A failed search
 proves nothing and is never used to raise a lower bound, and a success
 certifies only that a decomposition with that many terms exists
 numerically (the border rank may be smaller).  Within one
@@ -36,7 +37,7 @@ import numpy as np
 from numpy.linalg import lapack_lite
 
 from . import catalog as _catalog
-from .pencil import pencil_invariants
+from .pencil import _diagonalize_pencil, _padding, pencil_invariants
 from .tensor import (DEFAULT_RANK_TOL, as_tensor, check_tol, complex_to_pairs, ldexp, local_ranks,
                      unfold, unfolding_svds, unit_exponent)
 
@@ -184,16 +185,8 @@ def rank_lower_bound(t, tol: float = DEFAULT_RANK_TOL):
     return _lower_bound(t, _support(t, tol)[1])
 
 
-def _lower_bound(t, core, c=None):
-    """:func:`rank_lower_bound` of ``t``, given its support ``core``.
-
-    ``c`` (2, R), when given, is the diagonal of the padded slice pencil
-    of ``core`` that :func:`_pencil_construction` diagonalised: the padded
-    pencil is singular at y/x = -c[0] / c[1], and for R = max(M, N) these
-    points include every eigen-point of the slice pencil, so they replace
-    the roots of its compressed determinant (:func:`pencil_invariants`).
-    c[1] = 0 is the point at infinity, which the invariants always test.
-    """
+def _lower_bound(t, core):
+    """:func:`rank_lower_bound` of ``t``, given its support ``core``."""
     if not np.any(t):
         raise ValueError("zero tensor has no rank bound")
     if t.shape == (2, 2, 2):
@@ -203,8 +196,7 @@ def _lower_bound(t, core, c=None):
     local = max(dims)
     bound, cert = None, None
     if min(dims) == 2:
-        roots = None if c is None else [-a / b for a, b in zip(*c.tolist()) if b]
-        inv = pencil_invariants(np.moveaxis(core, dims.index(2), 0), _roots=roots)
+        inv = pencil_invariants(np.moveaxis(core, dims.index(2), 0))
         if not inv.borderline:
             bound, cert = _jaja_rank(inv), "JaJa"
     elif min(dims) >= 3:
@@ -292,46 +284,13 @@ def _als_init(t, r, rng, vectors=None):
     return factors
 
 
-# fixed generic rotation of a pencil's two slices, so the inverted one is
-# regular whenever the pencil is
-_MIX = np.array([[0.9397, 0.3420], [-0.3420, 0.9397]])
-
-
-def _diagonalize_pencil(p0, p1):
-    """Simultaneous diagonalisation p_k = w @ diag(c[k]) @ v.T of a regular
-    r x r pencil, by one eigendecomposition of the mixed slices ga gb^-1.
-
-    With ga gb^-1 = w diag(lam) w^-1 and v.T = w^-1 gb, ga = w diag(lam) v.T
-    and gb = w v.T; undoing the mix gives c = _MIX^-1 [lam; 1].  Any
-    eigenvector basis of a repeated eigenvalue serves when the pencil is
-    diagonalisable.  Raises LinAlgError when gb is singular.
-    """
-    ga = _MIX[0, 0] * p0 + _MIX[0, 1] * p1
-    gb = _MIX[1, 0] * p0 + _MIX[1, 1] * p1
-    lam, w = np.linalg.eig(ga @ np.linalg.inv(gb))
-    # gb = w (w^-1 gb): the rows of w^-1 gb pair with w's columns
-    v = np.linalg.solve(w, gb).T
-    c = np.linalg.solve(_MIX, np.stack([lam, np.ones_like(lam)]))
-    return w, v, c
-
-
-@functools.cache
-def _padding(r: int) -> np.ndarray:
-    """Fixed generic 2 x r x r pencil whose entries pad a pencil to r x r,
-    drawn once per r; read-only, since every call shares it."""
-    rng = np.random.default_rng(1979)
-    pencil = rng.standard_normal((2, r, r)) + 1j * rng.standard_normal((2, r, r))
-    pencil.setflags(write=False)
-    return pencil
-
-
 # Round-off splits a Jordan block of a defective pencil into eigenvectors
 # whose basis has condition number at least eps^(-1/2); a diagonalisable one
 # is near 1.  Bases beyond the log-midpoint eps^(-1/4) are refused.
 _EIGENBASIS_COND_MAX = np.finfo(float).eps ** -0.25
 
 
-def _pencil_construction(t, support, r, tol, eigen=None):
+def _pencil_construction(t, support, r, tol):
     """R-term decomposition of ``t`` built from its padded slice pencil.
 
     ``support`` is (e, core, bases, vectors) of :func:`_support`, the core
@@ -351,10 +310,7 @@ def _pencil_construction(t, support, r, tol, eigen=None):
     border-rank approximation), so an eigenbasis whose condition number
     exceeds ``_EIGENBASIS_COND_MAX`` is refused.  Returns a successful
     ``CpResult`` (:func:`_scale_back` on the mode) when the basis passes and
-    the relative residual is below ``tol``, else None.  A list ``eigen``
-    receives the diagonal c of P_k = w diag(c[k]) v.T, k = 0, 1, whenever
-    the padded pencil was diagonalised, success or not (:func:`_lower_bound`
-    reads its eigen-points).
+    the relative residual is below ``tol``, else None.
     """
     e, core, bases, _ = support
     mode = int(np.argmin(core.shape))
@@ -370,8 +326,6 @@ def _pencil_construction(t, support, r, tol, eigen=None):
         w, v, c = _diagonalize_pencil(*pencil)
     except np.linalg.LinAlgError:
         return None
-    if eigen is not None:
-        eigen.append(c)
     if not np.linalg.cond(w) <= _EIGENBASIS_COND_MAX:
         return None
     rows, cols = (p for p in range(3) if p != mode)
@@ -602,21 +556,18 @@ def rank_interval(t, restarts: int = 32, max_iter: int = 2000, seed: int = 0,
     construction (for a mode of dim at most 2, where Ja'Ja's bound is the
     rank, so the interval closes with no ALS), then :func:`cp_als` with the
     given budget.  The support, and its one ``unfolding_svds`` call, serve
-    all three.  A refused construction at the local rank hands its padded
-    pencil's eigenvalues to Ja'Ja's bound as the candidate eigen-points, so
-    the pencil is solved once.  The search ends: the slice-wise construction
-    succeeds once R reaches the product of the two smallest dims.
+    all three.  The search ends: the slice-wise construction succeeds once R
+    reaches the product of the two smallest dims.
     """
     _check_residual_tol(tol)
     t = as_tensor(t)
     support = _support(t)
-    eigen = []  # stays empty when the pencil could not be diagonalised
     if t.shape != (2, 2, 2) and min(support[1].shape) == 2:
         r = max(support[1].shape)
-        result = _pencil_construction(t, support, r, tol, eigen)
+        result = _pencil_construction(t, support, r, tol)
         if result is not None:
             return RankInterval(r, r, "LocalRank", result)
-    lower, cert = _lower_bound(t, support[1], *eigen)
+    lower, cert = _lower_bound(t, support[1])
     r = lower
     while True:
         result = _pencil_construction(t, support, r, tol) or cp_als(

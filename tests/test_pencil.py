@@ -1,5 +1,6 @@
 """Tests for Kronecker pencil invariants, against hand-computed structures."""
 
+import functools
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -200,20 +201,25 @@ def test_split_reference_point_image_keeps_triple_block():
     assert not inv.borderline, inv.condition_note
 
 
-def test_one_compressed_determinant_per_call(monkeypatch):
-    """Eigen-points come from one unbatched r x r determinant form."""
+def test_one_completion_eigensolve_per_call(monkeypatch):
+    """Eigen-points come from one ``eigvals`` call on the square completion,
+    of size M + N - r, and from no eigenvector solve."""
     calls = []
-    det = pencil.det_coefficients
+    eigvals = np.linalg.eigvals
 
-    def counted(*slices):
-        calls.append([np.shape(x) for x in slices])
-        return det(*slices)
+    def counted(a):
+        calls.append(np.shape(a))
+        return eigvals(a)
 
-    monkeypatch.setattr(pencil, "det_coefficients", counted)
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigenvectors computed")
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    monkeypatch.setattr(np.linalg, "eig", refuse)
     t = s.catalog_build("2x3x5-1")  # L1 + L1 + one 1x1 regular block: normal rank 3
     inv = s.pencil_invariants(s.apply_slocc(t, *s.random_slocc(t.shape, 3, cond_bound=20)))
     assert inv.all_partitions() == ((1,),)
-    assert calls == [[(3, 3), (3, 3)]]
+    assert calls == [(5, 5)]
 
 
 TABLE_ROWS = [e.id for e in s.catalog_list(table_only=True)
@@ -299,13 +305,152 @@ def test_stacked_rank_decisions_match_one_svd_per_matrix(entry_id):
         s0, s1 = image / max(np.linalg.norm(image[0]), np.linalg.norm(image[1]))
         r = pencil._normal_rank(s0, s1, tol)
         assert r == _reference_normal_rank(s0, s1, tol), seed
-        form = pencil._compressed_form(s0, s1, r)
-        [points] = pencil._candidate_points(form[None], pencil.EIGEN_CLUSTER_RADIUS)
+        points = pencil._clustered(pencil._completion_roots(s0, s1, r),
+                                   pencil.EIGEN_CLUSTER_RADIUS)
         drops, nullities = pencil._drops_and_jets(s0, s1, points, r, r, tol)
         assert drops == [pt for pt in points
                          if _reference_rank(_reference_pencil_at(s0, s1, pt), tol) < r], seed
         assert nullities.tolist() == [_reference_jet_nullities(s0, s1, pt, r, tol)
                                       for pt in drops], seed
+
+
+# --- the compressed determinant, the former source of eigen-points -------------
+
+
+@functools.cache
+def _isometries(m: int, n: int, r: int):
+    """Fixed isometries W (r x m) and V (n x r), drawn once per shape."""
+    rng = np.random.default_rng(1979)
+    w, v = (np.linalg.qr(rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r)))[0]
+            for d in (m, n))
+    return w.conj().T, v
+
+
+def _compressed_determinant_roots(s0, s1, r) -> list:
+    """Roots y/x of the binary form det(W (x*S0 + y*S1) V), which vanishes
+    wherever the pencil has rank below r, and possibly elsewhere: the
+    candidate eigen-points before the square completion, kept as its
+    reference."""
+    w, v = _isometries(*s0.shape, r)
+    [roots] = pencil._form_roots(det_coefficients(w @ s1 @ v, w @ s0 @ v)[None])
+    return roots
+
+
+def _compressed_determinant_invariants(t) -> pencil.PencilInvariants:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pencil, "_completion_roots", _compressed_determinant_roots)
+        return s.pencil_invariants(t)
+
+
+TWO_SLICE_ROWS = [e.id for e in s.catalog_list(table_only=True) if e.system[0] == 2]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(entry_id=st.sampled_from(TWO_SLICE_ROWS),
+       map_seed=st.integers(0, 2**31 - 1),
+       cond=st.sampled_from([20.0, 100.0]),
+       exponent=st.integers(-300, 300))
+def test_completion_gives_the_compressed_determinants_invariants(
+        entry_id, map_seed, cond, exponent):
+    """The square completion's eigen-points give the signature, the
+    ``borderline`` flag and the normal rank of the compressed determinant's
+    roots on every two-slice table row."""
+    t = s.catalog_build(entry_id)
+    image = s.apply_slocc(t, *s.random_slocc(t.shape, map_seed, cond_bound=cond))
+    image = image * 10.0**exponent
+    got, want = s.pencil_invariants(image), _compressed_determinant_invariants(image)
+    assert (got.signature(), got.borderline, got.normal_rank) == (
+        want.signature(), want.borderline, want.normal_rank)
+
+
+# --- pencils assembled from Kronecker blocks -------------------------------------
+
+
+def _kronecker_tensor(blocks) -> np.ndarray:
+    """2 x M x N tensor of the block-diagonal pencil x*S0 + y*S1: ("L", e)
+    is L_e, e x (e + 1), ("LT", e) its transpose, ("J", k, lam) a k x k
+    Jordan block where S0 + lam*S1 is singular, at infinity for lam None."""
+    parts = []
+    for kind, size, *lam in blocks:
+        if kind == "J":
+            nil = np.eye(size, k=1)
+            parts.append((np.eye(size), nil) if lam[0] is None
+                         else (nil - lam[0] * np.eye(size), np.eye(size)))
+        else:
+            pair = (np.eye(size, size + 1), np.eye(size, size + 1, k=1))
+            parts.append(pair if kind == "L" else tuple(p.T for p in pair))
+    m, n = (sum(p[0].shape[i] for p in parts) for i in (0, 1))
+    t = np.zeros((2, m, n), dtype=complex)
+    i = j = 0
+    for p0, p1 in parts:
+        t[:, i:i + p0.shape[0], j:j + p0.shape[1]] = p0, p1
+        i, j = i + p0.shape[0], j + p0.shape[1]
+    return t
+
+
+def _jaja_rank_of(blocks) -> int:
+    """Ja'Ja's rank of the pencil of ``_kronecker_tensor(blocks)``."""
+    minimal = sum(b[1] + 1 for b in blocks if b[0] != "J")
+    jordan = [b for b in blocks if b[0] == "J"]
+    delta = max((sum(b[1] >= 2 and b[2] == lam for b in jordan) for _, _, lam in jordan),
+                default=0)
+    return minimal + sum(b[1] for b in jordan) + delta
+
+
+_BLOCKS = st.lists(
+    st.tuples(st.sampled_from(["L", "LT"]), st.integers(1, 2))
+    | st.tuples(st.just("J"), st.integers(1, 3), st.sampled_from([0.0, 1.0, -2.0, None])),
+    min_size=1, max_size=4,
+).filter(lambda blocks: max(_kronecker_tensor(blocks).shape) <= 7)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(blocks=_BLOCKS, map_seed=st.integers(0, 2**31 - 1), cond=st.sampled_from([20.0, 50.0]))
+def test_rank_lower_bound_never_exceeds_the_jaja_rank_of_assembled_pencils(
+        blocks, map_seed, cond):
+    """Pencils of up to 7 x 7 assembled from L_eps, L_eta^T and finite and
+    infinite Jordan blocks, under cond <= 50 maps: the certified bound is at
+    most the rank Ja'Ja's formula gives for the blocks."""
+    t = _kronecker_tensor(blocks)
+    image = s.apply_slocc(t, *s.random_slocc(t.shape, map_seed, cond_bound=cond))
+    assert s.rank_lower_bound(image)[0] <= _jaja_rank_of(blocks)
+
+
+def test_jordan_block_of_size_four_reads_jajas_rank():
+    """[I, 2I + N] on 4 x 4 has rank 4 + 1 = 5.  The compressed determinant's
+    roots split by about eps^(1/4), beyond both cluster radii, and left the
+    bound at ``LocalRank`` 4 on 38 of these 40 images; the completion's
+    eigenvalues cluster, and the bound is Ja'Ja's."""
+    t = np.array([np.eye(4), 2.0 * np.eye(4) + np.eye(4, k=1)], dtype=complex)
+    bounds = [s.rank_lower_bound(s.apply_slocc(t, *s.random_slocc(t.shape, seed, cond_bound=cond)))
+              for cond in (20.0, 100.0) for seed in range(20)]
+    assert bounds.count((5, "JaJa")) >= 35, bounds
+
+
+def test_completion_scales_the_pencil_to_unit_largest_entry():
+    """On this image the pencil at unit Frobenius norm, written into the
+    padding as it is, splits the double eigenvalue of ``2x3x4-4`` into two
+    simple points; at unit largest entry, the padding's scale, it does not."""
+    t = s.catalog_build("2x3x4-4")
+    image = s.apply_slocc(t, *s.random_slocc(t.shape, 7, cond_bound=20)) * 1e-150
+    inv = s.pencil_invariants(image)
+    assert not inv.borderline, inv.condition_note
+    assert inv.signature() == ((1,), (), ((2,),)) == s.pencil_invariants(t).signature()
+
+
+def test_singular_completion_leaves_the_pencil_borderline(monkeypatch):
+    """When the completion's mixed slice cannot be inverted, no eigen-point
+    is listed: the invariants are ``borderline`` and the bound falls back
+    to the local rank."""
+    image = s.apply_slocc(s.catalog_build("2x3x3-4"), *s.random_slocc((2, 3, 3), 6, cond_bound=20))
+
+    def singular(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    inv = s.pencil_invariants(image)
+    assert inv.borderline and "divisor degrees sum to 0, expected 3" in inv.condition_note
+    assert s.rank_lower_bound(image) == (3, "LocalRank")
 
 
 def test_regular_pencil_decides_each_stage_in_one_svd_call(monkeypatch):
@@ -329,7 +474,7 @@ def test_regular_pencil_decides_each_stage_in_one_svd_call(monkeypatch):
 
 
 def test_jordan_block_decides_both_radii_in_one_svd_call_per_stage(monkeypatch):
-    """A triple eigenvalue (``2x3x3-4``): its compressed determinant's roots
+    """A triple eigenvalue (``2x3x3-4``): its completion's eigenvalues
     split by about eps^(1/3), so at radius 1e-6 three points drop and their
     degrees over-count, while 1e-4 joins them.  The drops at the union of
     both radii's points (infinity, three split roots, one centroid) take one
@@ -399,12 +544,12 @@ def test_one_pass_divisor_stage_equals_radius_by_radius(entry_id, map_seed, cond
 
 
 def test_one_pass_divisor_stage_equals_radius_by_radius_when_both_miss():
-    """A 4 x 4 Jordan block's roots split by about eps^(1/4), beyond both
-    radii: the degrees miss their total twice, and the borderline result,
-    assembled at 1e-4, is the one the radius-by-radius stage gives."""
-    j4 = 2.0 * np.eye(4) + np.eye(4, k=1)
-    t = np.array([np.eye(4), j4], dtype=complex)
-    for seed in range(6):
+    """A 5 x 5 Jordan block's eigenvalues split by about eps^(1/5), beyond
+    both radii: the degrees miss their total twice, and the borderline
+    result, assembled at 1e-4, is the one the radius-by-radius stage gives."""
+    j5 = 2.0 * np.eye(5) + np.eye(5, k=1)
+    t = np.array([np.eye(5), j5], dtype=complex)
+    for seed in range(8):
         image = s.apply_slocc(t, *s.random_slocc(t.shape, seed, cond_bound=20))
         got = s.pencil_invariants(image)
         with pytest.MonkeyPatch.context() as mp:
@@ -415,7 +560,7 @@ def test_one_pass_divisor_stage_equals_radius_by_radius_when_both_miss():
 
 
 def test_second_call_on_a_shape_draws_nothing(monkeypatch):
-    """The generic points and the isometries of the compressed determinant
+    """The generic points and the padding pencil of the square completion
     are drawn once per shape, not per call."""
     t = s.apply_slocc(s.catalog_build("2x3x4-4"), *s.random_slocc((2, 3, 4), 8, cond_bound=20))
     first = s.pencil_invariants(t)

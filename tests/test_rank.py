@@ -915,16 +915,17 @@ def test_spectral_start_is_built_only_when_restart_one_runs(monkeypatch):
     assert calls == [3]
 
 
-def _refuse_compressed_form(*args):
-    raise AssertionError("compressed determinant formed")
+def _refuse_form_roots(*args):
+    raise AssertionError("binary form roots taken")
 
 
 @pytest.mark.parametrize("name", ABOVE_LOCAL_RANK)
 def test_interval_above_local_rank_reads_the_constructions_eigen_points(monkeypatch, name):
-    """The refused construction at the local rank has solved the padded
-    pencil's eigenproblem; Ja'Ja's bound takes its eigen-points as the
-    candidates and forms no compressed determinant."""
-    monkeypatch.setattr(s.pencil, "_compressed_form", _refuse_compressed_form)
+    """On these supports the normal rank is min(M, N), so the invariants'
+    square completion is, up to the rounding of its scale, the
+    construction's padded pencil at the local rank: Ja'Ja's bound reads its
+    eigen-points and takes no roots of a binary form."""
+    monkeypatch.setattr(s.pencil, "_form_roots", _refuse_form_roots)
     t, known = _two_slice_input(name)
     for seed in range(4):
         image = s.apply_slocc(t, *s.random_slocc(t.shape, 120 + seed, cond_bound=100))
@@ -933,10 +934,10 @@ def test_interval_above_local_rank_reads_the_constructions_eigen_points(monkeypa
             known, known, "JaJa"), seed
 
 
-def test_undiagonalised_pencil_falls_back_to_the_compressed_determinant(monkeypatch):
-    """When the construction's eigendecomposition raises, no eigen-points
-    are handed on, and the invariants find them as ``rank_lower_bound``
-    does."""
+def test_undiagonalised_construction_leaves_the_bound_to_the_invariants(monkeypatch):
+    """When the construction's eigendecomposition raises, the invariants
+    still find the eigen-points, from their own completion, as
+    ``rank_lower_bound`` does."""
     diagonalize = rank._diagonalize_pencil
     calls = []
 
@@ -953,10 +954,10 @@ def test_undiagonalised_pencil_falls_back_to_the_compressed_determinant(monkeypa
     assert calls == [(3, 3), (4, 4)]
 
 
-def test_singular_square_pencil_keeps_the_compressed_determinant():
-    """L1 + L1^T + one 1 x 1 block is a singular 4 x 4 pencil: its padded
-    completion is itself, with no meaningful eigenvalues, so the invariants
-    use the compressed determinant and Ja'Ja's rank 2 + 2 + 1 = 5 holds."""
+def test_singular_square_pencil_takes_a_larger_completion():
+    """L1 + L1^T + one 1 x 1 block is a singular 4 x 4 pencil of normal
+    rank 3: padded to 4 x 4 it stays singular, so the invariants complete it
+    to 4 + 4 - 3 = 5, and Ja'Ja's rank 2 + 2 + 1 = 5 holds."""
     t = np.zeros((2, 4, 4), dtype=complex)
     t[0, 0, 0] = t[1, 0, 1] = 1.0  # L1: [x y]
     t[0, 1, 2] = t[1, 2, 2] = 1.0  # L1^T
@@ -965,34 +966,3 @@ def test_singular_square_pencil_keeps_the_compressed_determinant():
         image = s.apply_slocc(t, *s.random_slocc(t.shape, 50 + seed, cond_bound=100))
         interval = s.rank_interval(image, restarts=1, max_iter=50)
         assert (interval.lower, interval.upper, interval.certificate_lower) == (5, 5, "JaJa")
-
-
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(name=st.sampled_from(ABOVE_LOCAL_RANK),
-       map_seed=st.integers(0, 2**31 - 1),
-       exponent=st.integers(-300, 300))
-def test_construction_eigen_points_give_the_compressed_determinants_invariants(
-        name, map_seed, exponent):
-    """The two sources of candidate points: invariants from the refused
-    construction's eigen-points have the signature and the ``borderline``
-    flag of those from the compressed determinant."""
-    t, _ = _two_slice_input(name)
-    image = s.apply_slocc(t, *s.random_slocc(t.shape, map_seed, cond_bound=100))
-    image = image * 10.0**exponent
-    support = rank._support(image)
-    eigen = []
-    assert rank._pencil_construction(image, support, max(support[1].shape), 1e-8, eigen) is None
-    [c] = eigen
-    found = []
-    invariants = rank.pencil_invariants
-
-    def recorded(*args, **kwargs):
-        found.append((invariants(*args, **kwargs), kwargs["_roots"] is not None))
-        return found[-1][0]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rank, "pencil_invariants", recorded)
-        assert rank._lower_bound(image, support[1], c) == rank._lower_bound(image, support[1])
-    (got, from_eigen), (want, from_form) = found
-    assert from_eigen and not from_form
-    assert (got.signature(), got.borderline) == (want.signature(), want.borderline)
