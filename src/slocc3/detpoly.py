@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ket import _format_coeff
-from .tensor import (as_tensor, complex_from_pairs, complex_to_pairs, ldexp, least_squares,
-                     unit_exponent)
+from .tensor import (as_tensor, complex_from_pairs, complex_to_pairs, int_from_json, ldexp,
+                     least_squares, unit_exponent)
 from .transforms import is_nonsingular, random_nonsingular
 
 ZERO_POLY_TOL = 1e-10
@@ -139,10 +139,10 @@ class HomPoly3:
     def from_json(cls, text: str) -> "HomPoly3":
         doc = json.loads(text)
         try:
-            terms = doc["terms"]
+            terms, degree = doc["terms"], int_from_json(doc["degree"])
             coefs = complex_from_pairs([t["coef"] for t in terms])
-            return cls(int(doc["degree"]), {tuple(t["exp"]): c for t, c in zip(terms, coefs)})
-        except (KeyError, TypeError) as exc:
+            return cls(degree, {tuple(t["exp"]): c for t, c in zip(terms, coefs)})
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed polynomial JSON: {exc}") from exc
 
 

@@ -35,8 +35,7 @@ eigen-point.  Numpy runs the same LAPACK routine on each matrix of a stack,
 so every decision is the one a call per matrix makes.  Only the Sylvester
 nullities stay one call per degree, as their shapes grow with it and the
 search stops early.  The fixed draws (generic points, padding pencil) are
-made once per size.  The roots of a stack of binary forms
-(:func:`_candidate_points`) serve ``product_range``.
+made once per size.
 
 Local one-party maps on the 2-dimensional mode act as Moebius maps on the
 parameter line: they move eigenvalues but preserve the partition data and
@@ -234,42 +233,6 @@ def _completion_roots(s0, s1, r) -> list:
     x, y = _MIX[0][:, None] - _MIX[1][:, None] * lam
     # x = 0 is the point at infinity, which the invariants always test
     return [b / a for a, b in zip(x.tolist(), y.tolist()) if a]
-
-
-def _companion_roots(polys) -> np.ndarray:
-    """Roots of each polynomial of a stack (count, degree + 1), descending
-    coefficients, nonzero leading: one ``eigvals`` of ``np.roots``' companions."""
-    count, size = polys.shape
-    companion = np.zeros((count, size - 1, size - 1), dtype=complex)
-    companion[:, 0] = -polys[:, 1:] / polys[:, :1]
-    companion.reshape(count, -1)[:, size - 1::size] = 1.0  # the subdiagonal
-    return np.linalg.eigvals(companion)
-
-
-def _candidate_points(forms, cluster_radius) -> list:
-    """Per binary form of a stack, its roots (:func:`_form_roots`), :func:`_clustered`."""
-    return [_clustered(lams, cluster_radius) for lams in _form_roots(forms)]
-
-
-def _form_roots(forms) -> list:
-    """Roots y/x of each binary form of a stack (count, d + 1), entry j the
-    coefficient of x^(d-j) y^j, in the order of ``np.roots``: leading
-    coefficients at most 1e-12 of the largest drop the degree, exactly zero
-    trailing ones are roots at 0; one ``_companion_roots`` per degree."""
-    roots, groups = [], {}  # groups: companion size -> {form index: coefficients}
-    for i, coeffs in enumerate(np.asarray(forms, dtype=complex)[:, ::-1].tolist()):
-        floor = 1e-12 * max(map(abs, coeffs))  # coefficients descend in y after x = 1
-        lead = next((j for j, c in enumerate(coeffs) if abs(c) > floor), len(coeffs))
-        poly = coeffs[lead:]
-        while poly and not poly[-1]:
-            poly.pop()
-        roots.append([0j] * (len(coeffs) - lead - len(poly)))
-        if len(poly) > 1:
-            groups.setdefault(len(poly), {})[i] = poly
-    for group in groups.values():
-        for i, lams in zip(group, _companion_roots(np.array(list(group.values()))).tolist()):
-            roots[i][:0] = lams  # before the roots at 0, in the order of np.roots
-    return roots
 
 
 def _clustered(lams, cluster_radius) -> list:

@@ -10,17 +10,17 @@ them.  ``range_criterion_compare`` stacks its two states' ranges, whose
 orthonormal rows come with the local ranks from one ``tensor.unfolding_svds``
 call (``_ranks_and_ranges``); ``find_product_vectors`` decides the orthonormal
 basis of a user's subspace (``MatrixSubspace.ortho``) as a stack of one.
-k = 1, 2 and 3 are decided exactly (``_exact``): k = 2 from the roots of each
-pencil's largest minor form, the whole stack's from one companion eigensolve
-(``pencil._candidate_points``),
-k = 3 from two random combinations of the minor quadrics through a resultant
-quartic, whose roots for the whole stack come from one such eigensolve
-(``_chart_zeros``), and the whole stack's candidates through one rank-1 screen
-and one batched polish and check (``_accept``).  k >= 4, and a subspace the
-screen leaves undecided, go to a seeded multi-start Levenberg-Marquardt
-search, a lower bound, never an exact count.  Every minor form comes from one
-kernel (``_minor_quadrics``) and every minor value from another
-(``_all_minors``), both over the gathered entries of ``_minor_entries``.
+k = 1, 2 and 3 are decided exactly (``_exact``), k = 2 and 3 in a generic
+unitary chart whose infinity is left to the search: k = 2 from the zeros of
+each pencil's largest minor form (``_pencil_zeros``), k = 3 from two random
+combinations of the minor quadrics through a resultant quartic
+(``_chart_zeros``), the whole stack's from one companion eigensolve, and its
+candidates through one rank-1 screen and one batched polish and check
+(``_accept``).  k >= 4, and a subspace the screen leaves undecided, go to a
+seeded multi-start Levenberg-Marquardt search, a lower bound, never an exact
+count.  Every minor form comes from one kernel (``_minor_quadrics``) and every
+minor value from another (``_all_minors``), both over the gathered entries of
+``_minor_entries``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from functools import cache
 
 import numpy as np
 
-from .pencil import EIGEN_CLUSTER_RADIUS, _candidate_points, _companion_roots
 from .tensor import (DEFAULT_RANK_TOL, _ranks_above, as_tensor, column_space, complex_to_pairs,
                      least_squares, unfolding_svds)
 
@@ -220,8 +219,8 @@ def find_product_vectors(space: MatrixSubspace, tol: float = MINOR_TOL,
     basis ``space.ortho`` as a stack of one.
 
     k = 1: the basis matrix either is rank 1 or is not.  k = 2: candidates
-    are the point at infinity and the roots of the largest minor form of
-    the orthonormal pencil from one companion eigensolve, or a continuum
+    are the zeros of the largest minor form of the orthonormal pencil in a
+    fixed generic chart, from one companion eigensolve, or a continuum
     when every minor vanishes.  k = 3: the at most 4 common zeros of two
     random combinations of the minor quadrics (``seed`` fixes them), the
     roots of their resultant quartic from one companion eigensolve for the
@@ -286,10 +285,10 @@ def _exact(orthos, tol, seed) -> list:
     """Per orthonormal basis of a stack (count, k, m, n), its exact report,
     or None where only the search can decide.
 
-    k = 2 and 3 get coordinates that include every rank-1 member: the roots
-    of the pencil's largest minor form (x^2, xy and y^2 coefficients A_00,
-    2 A_01 and A_11 of its ``_minor_quadrics``), the whole stack's from one
-    ``pencil._candidate_points`` call, or ``_k3_points``.  One minor
+    k = 2 and 3 get coordinates that include every rank-1 member, or None
+    where a zero lies at a chart's infinity: ``_pencil_zeros`` of the
+    largest minor form of the pencil (largest entry modulus), or
+    ``_k3_points``.  One minor
     evaluation discards those with a minor above max(tol, margin), and one
     ``_accept`` takes the rest; a count is exact only if each candidate is
     discarded or accepted.  A pencil whose every member is rank <= 1 reports
@@ -301,16 +300,11 @@ def _exact(orthos, tol, seed) -> list:
     if k > 3:
         return [None] * count
     if k == 2:
-        quads = _minor_quadrics(orthos)
-        forms = quads[..., [0, 0, 1], [0, 1, 1]]
-        forms[..., 1] *= 2.0
-        if not forms.shape[1]:  # a 1 x n or m x 1 pencil has no 2x2 minor
-            forms = np.zeros((count, 1, 3), dtype=complex)
-        peaks = np.max(np.abs(forms), axis=-1)
-        largest = np.arange(count), np.argmax(peaks, axis=1)
-        live = peaks[largest] > 1e-12
-        found = iter(_candidate_points(forms[largest][live], EIGEN_CLUSTER_RADIUS))
-        points = [np.array(next(found)) if ok else _PENCIL_SAMPLES for ok in live]
+        quads = _minor_quadrics(orthos).reshape(count, -1, 4)
+        if not quads.shape[1]:  # a 1 x n or m x 1 pencil has no 2x2 minor
+            quads = np.zeros((count, 1, 4), dtype=complex)
+        largest = np.argmax(np.max(np.abs(quads), axis=2), axis=1)
+        points = _pencil_zeros(quads[np.arange(count), largest])
         margin, detail = PENCIL_REJECT_MARGIN, ""
     else:
         points = _k3_points(orthos, seed)
@@ -385,6 +379,31 @@ def _minor_residual(x, form):
     return np.concatenate([res, [norm - 1.0]]), jac
 
 
+# fixed generic unitary chart c = H (y, 1) of a pencil, and the map from the
+# entries of a symmetric A to (q00, 2 q01, q11) of c^T A c, Q = H^T A H
+_PENCIL_CHART = np.linalg.qr(np.random.default_rng(2).standard_normal((2, 2))
+                             + 1j * np.random.default_rng(3).standard_normal((2, 2)))[0]
+_CHART_COEFFS = ((_PENCIL_CHART[:, None, [0, 0, 1]] * _PENCIL_CHART[None, :, [0, 1, 1]])
+                 .reshape(4, 3) * [1, 2, 1])
+
+
+def _pencil_zeros(forms) -> list:
+    """Zeros c = H (y, 1) of each form c^T A c of a stack (count, 2, 2) of
+    symmetric A, from one ``_companion_roots`` call in the fixed chart:
+    ``_PENCIL_SAMPLES`` for a form at most 1e-12, None for one whose q00 is
+    at most 1e-12 of its largest coefficient (a zero at the chart's
+    infinity, left to the search).  A double root split by round-off gives
+    two candidates, which ``_accept`` polishes onto one member."""
+    forms = forms.reshape(-1, 4)
+    polys = forms @ _CHART_COEFFS
+    live = np.max(np.abs(forms), axis=1) > 1e-12
+    solved = live & (np.abs(polys[:, 0]) > 1e-12 * np.max(np.abs(polys), axis=1))
+    ys = _companion_roots(polys[solved])
+    found = iter(ys[..., None] * _PENCIL_CHART[:, 0] + _PENCIL_CHART[:, 1])
+    return [next(found) if ok else None if on else _PENCIL_SAMPLES
+            for ok, on in zip(solved, live)]
+
+
 def _k3_points(orthos, seed) -> list:
     """Candidates for every rank-1 member of each 3-dimensional subspace of
     a stack (count, 3, m, n) of orthonormal bases, or None if undecided.
@@ -419,13 +438,23 @@ def _polymul(p, q) -> np.ndarray:
     return out
 
 
+def _companion_roots(polys) -> np.ndarray:
+    """Roots of each polynomial of a stack (count, degree + 1), descending
+    coefficients, nonzero leading: one ``eigvals`` of ``np.roots``' companions."""
+    count, size = polys.shape
+    companion = np.zeros((count, size - 1, size - 1), dtype=complex)
+    companion[:, 0] = -polys[:, 1:] / polys[:, :1]
+    companion[:, np.arange(1, size - 1), np.arange(size - 2)] = 1.0  # the subdiagonal
+    return np.linalg.eigvals(companion)
+
+
 def _chart_zeros(qs, h) -> list:
     """Common zeros c = H (x, y, 1) of each pair ``qs[i]`` = (Q_a, Q_b) of a
     stack (count, 2, 3, 3), or None.
 
     Every pair's resultant quartic is formed at once, and the quartics that
     neither vanish nor lose their degree are solved by one
-    ``pencil._companion_roots`` call; x is back-substituted for every
+    ``_companion_roots`` call; x is back-substituted for every
     (pair, root) at once.  A root where the two quadratics in x are
     proportional leaves the pair undecided (None), as a vanishing quartic does.
     """
@@ -444,8 +473,6 @@ def _chart_zeros(qs, h) -> list:
         (peaks > RESULTANT_ZERO_TOL * np.prod(np.sum(np.abs(qs) ** 2, axis=(2, 3)), axis=1))
         & (np.abs(quartics[:, 0]) > 1e-12 * peaks))
     points = [None] * len(qs)
-    if not solved.size:
-        return points
     a0, a1, b, c, quartics = a0[solved], a1[solved], b[solved], c[solved], quartics[solved]
     ys = _companion_roots(quartics)[:, None, :]  # (solved, 1, root)
     by = b[:, :, :1] * ys + b[:, :, 1:]  # (solved, quadric, root)

@@ -234,14 +234,22 @@ def complex_to_pairs(values) -> list:
 
 
 def complex_from_pairs(pairs) -> np.ndarray:
-    """Flat complex array from ``[re, im]`` pairs, rejecting NaN/Inf entries.
-
-    Inverse of :func:`complex_to_pairs`.
-    """
-    flat = np.array([complex(re, im) for re, im in pairs], dtype=complex)
+    """Flat complex array from ``[re, im]`` pairs of numbers, the inverse of
+    :func:`complex_to_pairs`; any other document or NaN/Inf is a ValueError."""
+    try:
+        flat = np.array([complex(re, im) for re, im in pairs], dtype=complex)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"complex entries must be [re, im] pairs of numbers: {exc}") from exc
     if not np.all(np.isfinite(flat)):
         raise ValueError("complex entries must be finite")
     return flat
+
+
+def int_from_json(value) -> int:
+    """An integer of a JSON document, else ValueError: 1.5 is never truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 def tensor_to_json(t) -> str:
@@ -253,16 +261,16 @@ def tensor_to_json(t) -> str:
 def tensor_from_json(text: str) -> np.ndarray:
     doc = json.loads(text)
     try:
-        dims = tuple(int(d) for d in doc["dims"])
-        entries = doc["entries"]
-    except (KeyError, TypeError) as exc:
+        dims = tuple(int_from_json(d) for d in doc["dims"])
+        entries = complex_from_pairs(doc["entries"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed tensor JSON: {exc}") from exc
     if len(dims) != 3 or any(d < 1 for d in dims):
         raise ValueError(f"bad dims {dims}")
     n = dims[0] * dims[1] * dims[2]
-    if len(entries) != n:
-        raise ValueError(f"expected {n} entries, got {len(entries)}")
-    return complex_from_pairs(entries).reshape(dims)
+    if entries.size != n:
+        raise ValueError(f"expected {n} entries, got {entries.size}")
+    return entries.reshape(dims)
 
 
 def matrix_to_json(m) -> str:
@@ -278,10 +286,10 @@ def matrix_to_json(m) -> str:
 def matrix_from_json(text: str) -> np.ndarray:
     doc = json.loads(text)
     try:
-        rows, cols = int(doc["rows"]), int(doc["cols"])
-        entries = doc["entries"]
-    except (KeyError, TypeError) as exc:
+        rows, cols = int_from_json(doc["rows"]), int_from_json(doc["cols"])
+        entries = complex_from_pairs(doc["entries"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
-    if rows < 1 or cols < 1 or len(entries) != rows * cols:
+    if rows < 1 or cols < 1 or entries.size != rows * cols:
         raise ValueError("matrix JSON shape mismatch")
-    return complex_from_pairs(entries).reshape(rows, cols)
+    return entries.reshape(rows, cols)

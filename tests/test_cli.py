@@ -293,6 +293,17 @@ def test_exit_code_format_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("entry", [5, ["a", 0], [None, 0]])
+def test_exit_code_format_error_on_a_non_pair_entry(tmp_path, capsys, entry):
+    """A tensor JSON entry that is not a pair of numbers is a format error
+    (exit 2), not a traceback."""
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"dims": [1, 1, 2], "entries": [[1.0, 0.0], entry]}))
+    code = main(["print", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("format error: ")
+
+
 def test_exit_code_usage_error(capsys):
     code = main(["not-a-command"])
     capsys.readouterr()

@@ -326,14 +326,27 @@ def _isometries(m: int, n: int, r: int):
     return w.conj().T, v
 
 
+def _form_roots(coeffs) -> list:
+    """Roots y/x of one binary form, entry j the coefficient of x^(d-j) y^j,
+    in the order of ``np.roots``: leading coefficients at most 1e-12 of the
+    largest drop the degree, exactly zero trailing ones are roots at 0."""
+    coeffs = np.asarray(coeffs, dtype=complex)[::-1].tolist()  # descending in y after x = 1
+    floor = 1e-12 * max(map(abs, coeffs))
+    lead = next((j for j, c in enumerate(coeffs) if abs(c) > floor), len(coeffs))
+    poly = coeffs[lead:]
+    while poly and not poly[-1]:
+        poly.pop()
+    lams = np.roots(poly).tolist() if len(poly) > 1 else []
+    return lams + [0j] * (len(coeffs) - lead - len(poly))
+
+
 def _compressed_determinant_roots(s0, s1, r) -> list:
     """Roots y/x of the binary form det(W (x*S0 + y*S1) V), which vanishes
     wherever the pencil has rank below r, and possibly elsewhere: the
     candidate eigen-points before the square completion, kept as its
     reference."""
     w, v = _isometries(*s0.shape, r)
-    [roots] = pencil._form_roots(det_coefficients(w @ s1 @ v, w @ s0 @ v)[None])
-    return roots
+    return _form_roots(det_coefficients(w @ s1 @ v, w @ s0 @ v))
 
 
 def _compressed_determinant_invariants(t) -> pencil.PencilInvariants:
@@ -593,65 +606,6 @@ def test_pencil_vanishing_at_a_point_has_full_drop():
     assert inv.infinite_partition == ()
     (ev, part), = inv.finite_divisors
     assert abs(ev + 0.5) < 1e-12 and part == (1, 1)
-
-
-def _candidate_points_loop(form, cluster_radius):
-    """One ``np.roots`` call and root-by-root clustering per form, the path
-    ``pencil._candidate_points`` stacks, kept as its reference."""
-    points = [(0.0 + 0.0j, 1.0 + 0.0j)]
-    coeffs = form[::-1].copy()  # descending in y after x = 1
-    while coeffs.size > 1 and abs(coeffs[0]) <= 1e-12 * np.max(np.abs(coeffs)):
-        coeffs = coeffs[1:]
-    if coeffs.size > 1:
-        clusters = []
-        for lam in np.roots(coeffs):
-            placed = False
-            for cl in clusters:
-                centroid = sum(cl) / len(cl)
-                if pencil._chordal((1.0, complex(lam)), (1.0, centroid)) <= cluster_radius:
-                    cl.append(complex(lam))
-                    placed = True
-                    break
-            if not placed:
-                clusters.append([complex(lam)])
-        for cl in clusters:
-            points.append((1.0 + 0.0j, sum(cl) / len(cl)))
-    return points
-
-
-def _binary_forms():
-    """Forms of degree 1-6: generic, with a dropped degree, with exactly
-    zero trailing coefficients (roots at 0), with a multiple root, and zero."""
-    rng = np.random.default_rng(2010)
-    for i in range(600):
-        d = int(rng.integers(1, 7))
-        form = rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
-        kind = i % 5
-        if kind == 1:
-            form[d + 1 - int(rng.integers(1, d + 1)):] *= 1e-14
-        elif kind == 2:
-            form[:int(rng.integers(1, d + 1))] = 0.0
-        elif kind == 3:
-            root = complex(*rng.standard_normal(2))
-            form = np.poly([root] * d)[::-1] * (1.0 - 2.0j)
-        elif kind == 4:
-            form[:] = 0.0
-        yield form
-
-
-@pytest.mark.parametrize("radius", [pencil.EIGEN_CLUSTER_RADIUS, 1e-4])
-def test_stacked_candidate_points_equal_per_form_roots(monkeypatch, radius):
-    """Companion eigenvalues of every form of one degree in one stacked
-    ``eigvals`` call, then clustering in root order, give exactly the points
-    of one ``np.roots`` call per form, on stacks that mix degrees."""
-    forms = list(_binary_forms())
-    ref = [_candidate_points_loop(f, radius) for f in forms]
-    monkeypatch.setattr(np, "roots", None)
-    for size in range(2, 8):
-        idx = [i for i, f in enumerate(forms) if len(f) == size]
-        got = pencil._candidate_points(np.array([forms[i] for i in idx]), radius)
-        assert got == [ref[i] for i in idx], size
-    assert [p for f in forms for p in pencil._candidate_points(f[None], radius)] == ref
 
 
 def test_pencil_invariants_call_no_np_roots(monkeypatch):

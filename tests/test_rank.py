@@ -817,6 +817,23 @@ def test_rank_interval_is_the_same_under_normal_power_of_two_rescaling(case):
         assert _unit_residual(ldexp(t, k), cert.factors) < 1e-8, k
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(["3x3x3-diag", "3x3x3-perm", "random 3x3x3"]),
+       seed=st.integers(0, 2**31 - 1),
+       exponent=st.integers(-300, 300))
+def test_als_interval_is_the_same_under_decimal_scaling(name, seed, exponent):
+    """At the rank-interval benchmark's budget (restarts=2, max_iter=300),
+    the inputs that end in CP-ALS give the same (lower, upper,
+    certificate_lower) at 10^k times their scale-1 value, |k| <= 300,
+    although 10^k is not a power of two, so the scaled tensor is rounded."""
+    t = (random_tensor(np.random.default_rng(seed), (3, 3, 3)) if name.startswith("random")
+         else s.catalog_build(name))
+    want = s.rank_interval(t, restarts=2, max_iter=300, seed=seed)
+    got = s.rank_interval(t * 10.0**exponent, restarts=2, max_iter=300, seed=seed)
+    assert (got.lower, got.upper, got.certificate_lower) == (
+        want.lower, want.upper, want.certificate_lower)
+
+
 def test_cp_als_factors_stay_finite_at_the_top_of_the_range():
     """A random 3x3x3 tensor at R = 5, its largest part 1.796e308: the
     scale-1 success, residual and detail, with finite factors.  Once, a
@@ -915,17 +932,12 @@ def test_spectral_start_is_built_only_when_restart_one_runs(monkeypatch):
     assert calls == [3]
 
 
-def _refuse_form_roots(*args):
-    raise AssertionError("binary form roots taken")
-
-
 @pytest.mark.parametrize("name", ABOVE_LOCAL_RANK)
-def test_interval_above_local_rank_reads_the_constructions_eigen_points(monkeypatch, name):
+def test_interval_above_local_rank_reads_the_constructions_eigen_points(name):
     """On these supports the normal rank is min(M, N), so the invariants'
     square completion is, up to the rounding of its scale, the
     construction's padded pencil at the local rank: Ja'Ja's bound reads its
-    eigen-points and takes no roots of a binary form."""
-    monkeypatch.setattr(s.pencil, "_form_roots", _refuse_form_roots)
+    eigen-points."""
     t, known = _two_slice_input(name)
     for seed in range(4):
         image = s.apply_slocc(t, *s.random_slocc(t.shape, 120 + seed, cond_bound=100))

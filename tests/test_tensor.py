@@ -186,11 +186,28 @@ def test_tensor_json_roundtrip():
     np.testing.assert_array_equal(back, t)
 
 
+PAIRS = [[0.0, 0.0]] * 8
+BAD_TENSOR_DOCS = [
+    {"dims": [2, 2], "entries": []},
+    {"dims": [2, 2, 2], "entries": [[0.0, 0.0]]},
+    {"dims": [2, 2, 2], "entries": [5] + PAIRS[1:]},
+    {"dims": [2, 2, 2], "entries": [["a", 0]] + PAIRS[1:]},
+    {"dims": [2, 2, 2], "entries": [[None, 0]] + PAIRS[1:]},
+    {"dims": [2, 2, 2], "entries": 5},
+    {"dims": [2, 2, 2], "entries": {"0": [0.0, 0.0]}},
+    {"dims": [2, 2, 2.7], "entries": PAIRS},
+    {"dims": [2, 2, 1.5], "entries": PAIRS[:4]},
+    {"dims": [2, 2, True], "entries": PAIRS[:4]},
+]
+
+
 def test_tensor_json_rejects_bad_input():
-    with pytest.raises(ValueError):
-        s.tensor_from_json(json.dumps({"dims": [2, 2], "entries": []}))
-    with pytest.raises(ValueError):
-        s.tensor_from_json(json.dumps({"dims": [2, 2, 2], "entries": [[0.0, 0.0]]}))
+    """A document that is not three positive integer dims and as many
+    [re, im] pairs of numbers raises ValueError: no TypeError escapes, and
+    no fractional dim is truncated."""
+    for doc in BAD_TENSOR_DOCS:
+        with pytest.raises(ValueError):
+            s.tensor_from_json(json.dumps(doc))
 
 
 def test_matrix_json_roundtrip():
@@ -271,8 +288,24 @@ def test_complex_json_decoders_invert_the_encoders():
     decoders = {"tensor": s.tensor_from_json, "matrix": s.matrix_from_json,
                 "poly": HomPoly3.from_json}
     for name, decode in decoders.items():
+        for bad in ([float("nan"), 0.0], 5, ["a", 0], [None, 0]):  # in place of one coefficient
+            doc = json.loads(docs[name])
+            if name == "poly":
+                doc["terms"][0]["coef"] = bad
+            else:
+                doc["entries"][0] = bad
+            with pytest.raises(ValueError):
+                decode(json.dumps(doc))
+    # a fractional size or degree is refused, never truncated
+    for name, key in (("tensor", "dims"), ("matrix", "rows"), ("matrix", "cols"),
+                      ("poly", "degree")):
+        doc = json.loads(docs[name])
+        if key == "dims":
+            doc[key][0] = 2.5
+        else:
+            doc[key] = doc[key] + 0.5
         with pytest.raises(ValueError):
-            decode(docs[name].replace("0.1", "NaN", 1))
+            decoders[name](json.dumps(doc))
 
 
 def _rosenbrock(x):
