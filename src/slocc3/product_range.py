@@ -12,15 +12,16 @@ call (``_ranks_and_ranges``); ``find_product_vectors`` decides the orthonormal
 basis of a user's subspace (``MatrixSubspace.ortho``) as a stack of one.
 k = 1, 2 and 3 are decided exactly (``_exact``), k = 2 and 3 in a generic
 unitary chart whose infinity is left to the search: k = 2 from the zeros of
-each pencil's largest minor form (``_pencil_zeros``), k = 3 from two random
+each pencil's largest minor form (``_pencil_zeros``), k = 3 from two generic
 combinations of the minor quadrics through a resultant quartic
 (``_chart_zeros``), the whole stack's from one companion eigensolve, and its
 candidates through one rank-1 screen and one batched polish and check
-(``_accept``).  k >= 4, and a subspace the screen leaves undecided, go to a
-seeded multi-start Levenberg-Marquardt search, a lower bound, never an exact
-count.  Every minor form comes from one kernel (``_minor_quadrics``) and every
-minor value from another (``_all_minors``), both over the gathered entries of
-``_minor_entries``.
+(``_accept``).  The k = 2 chart, and the k = 3 chart and combinations of
+each shape, are drawn once, so only the search depends on ``seed``: k >= 4,
+and a subspace the screen leaves undecided, go to a seeded multi-start
+Levenberg-Marquardt search, a lower bound, never an exact count.  Every minor
+form comes from one kernel (``_minor_quadrics``) and every minor value from
+another (``_all_minors``), both over the gathered entries of ``_minor_entries``.
 """
 
 from __future__ import annotations
@@ -222,17 +223,17 @@ def find_product_vectors(space: MatrixSubspace, tol: float = MINOR_TOL,
     are the zeros of the largest minor form of the orthonormal pencil in a
     fixed generic chart, from one companion eigensolve, or a continuum
     when every minor vanishes.  k = 3: the at most 4 common zeros of two
-    random combinations of the minor quadrics (``seed`` fixes them), the
-    roots of their resultant quartic from one companion eigensolve for the
-    whole stack.  Both are exact only if one screen decides every candidate
-    (``_exact``); every decision is made on unit-norm members, so the count
-    does not depend on the scale of the basis.
-    k >= 4, and an undecided k = 2 or 3 subspace: seeded multi-start
-    Levenberg-Marquardt on the normalised minor equations, a lower
-    bound.  Every candidate is polished by rank-1 truncation and projection
-    in one batched ``_accept``, and kept only if its minors are below
-    ``tol`` and it reconstructs as an outer product.  Raises ValueError for
-    a NaN or negative ``tol`` or negative ``starts``.
+    generic combinations of the minor quadrics, drawn with their chart once
+    per shape, the roots of their resultant quartic from one companion
+    eigensolve for the whole stack.  Both are exact only if one screen
+    decides every candidate (``_exact``), on unit-norm members, so the
+    count does not depend on the scale of the basis.  k >= 4, and an
+    undecided k = 2 or 3 subspace: multi-start Levenberg-Marquardt on the
+    normalised minor equations, a lower bound, the only step ``seed``
+    drives.  Every candidate is polished by rank-1 truncation and
+    projection in one batched ``_accept``, and kept only if its minors are
+    below ``tol`` and it reconstructs as an outer product.  Raises
+    ValueError for a NaN or negative ``tol`` or negative ``starts``.
     """
     _check_args(tol, starts)
     [report] = _reports(space.ortho.reshape(1, space.dim, space.m, space.n), tol, starts, seed)
@@ -245,7 +246,7 @@ def _reports(orthos, tol, starts, seed) -> list:
     if not orthos.shape[1]:  # only a zero state's range; a MatrixSubspace has k >= 1
         raise ValueError("reduced density matrix has empty range")
     return [_search(ortho, tol, starts, seed) if report is None else report
-            for ortho, report in zip(orthos, _exact(orthos, tol, seed))]
+            for ortho, report in zip(orthos, _exact(orthos, tol))]
 
 
 def _report(cands, exactness, continuum=False, detail="") -> ProductVectorReport:
@@ -281,7 +282,7 @@ def _exact_k1(b_hat, tol):
 _PENCIL_SAMPLES = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0], [1.0, 1.0j]])
 
 
-def _exact(orthos, tol, seed) -> list:
+def _exact(orthos, tol) -> list:
     """Per orthonormal basis of a stack (count, k, m, n), its exact report,
     or None where only the search can decide.
 
@@ -307,7 +308,7 @@ def _exact(orthos, tol, seed) -> list:
         points = _pencil_zeros(quads[np.arange(count), largest])
         margin, detail = PENCIL_REJECT_MARGIN, ""
     else:
-        points = _k3_points(orthos, seed)
+        points = _k3_points(orthos)
         margin, detail = REJECT_MARGIN, "common zeros of two minor quadrics"
     decided = [i for i, p in enumerate(points) if p is not None]
     if not decided:
@@ -404,27 +405,39 @@ def _pencil_zeros(forms) -> list:
             for ok, on in zip(solved, live)]
 
 
-def _k3_points(orthos, seed) -> list:
+@cache
+def _k3_chart(m: int, n: int) -> tuple:
+    """Fixed generic combinations (2, minor count) of the minor quadrics of
+    an m x n subspace and unitary chart H (3, 3), drawn once per shape;
+    read-only, since every call shares them."""
+    rng = np.random.default_rng(np.random.SeedSequence([0, m, n, 3]))
+    size = _minor_index(m, n).shape[1]
+    mix = rng.standard_normal((2, size)) + 1j * rng.standard_normal((2, size))
+    h = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    for a in (mix, h):
+        a.setflags(write=False)
+    return mix, h
+
+
+def _k3_points(orthos) -> list:
     """Candidates for every rank-1 member of each 3-dimensional subspace of
     a stack (count, 3, m, n) of orthonormal bases, or None if undecided.
 
     The rank-1 members are the common zeros on P^2 of the minor quadrics
-    q_i(c) = c^T A_i c.  Two random combinations Q_a, Q_b of them meet in at
-    most 4 points unless they share a component (Bezout).  In coordinates
-    c = H w with a random unitary H, almost surely no common zero lies on
+    q_i(c) = c^T A_i c.  Two generic combinations Q_a, Q_b of them meet in
+    at most 4 points unless they share a component (Bezout).  In coordinates
+    c = H w with a generic unitary H, almost surely no common zero lies on
     w_3 = 0 and no two share a y, so on the chart w = (x, y, 1) each Q reads
     a x^2 + b(y) x + c(y), the resultant in x is the quartic
     (a1 c2 - a2 c1)^2 - (a1 b2 - a2 b1)(b1 c2 - b2 c1) in y (Cox, Little &
     O'Shea, Using Algebraic Geometry, ch. 3), and x is the common root of the
     two quadratics.  None if the quartic vanishes or loses its degree.
-    ``seed`` fixes the combinations and H; they depend only on (seed, m, n),
-    so the stack shares them.
+    The combinations and H are drawn once per shape (m, n) (``_k3_chart``),
+    so the count does not depend on the search's seed.
     """
     count, _, m, n = orthos.shape
     quads = _minor_quadrics(orthos)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, m, n, 3]))
-    mix = rng.standard_normal((2, quads.shape[1])) + 1j * rng.standard_normal((2, quads.shape[1]))
-    h = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    mix, h = _k3_chart(m, n)
     # Q_a, Q_b of each subspace in the w coordinates, shape (count, 2, 3, 3)
     qs = h.T @ (mix @ quads.reshape(count, -1, 9)).reshape(count, 2, 3, 3) @ h
     return _chart_zeros(qs, h)
@@ -553,8 +566,8 @@ def range_product_count(psi, traced_party, tol: float = MINOR_TOL,
     decision is made in, with no second factorisation.  A 2-dimensional
     range is decided from the companion eigenvalues of the largest minor
     form of its pencil, a 3-dimensional one from those of the resultant of
-    two minor quadrics (see ``find_product_vectors``); the arguments are
-    checked as there.
+    two minor quadrics, both in fixed charts, so ``seed`` drives only the
+    search (see ``find_product_vectors``); the arguments are checked as there.
     """
     _check_args(tol, starts)
     psi = as_tensor(psi)
