@@ -10,18 +10,20 @@ them.  ``range_criterion_compare`` stacks its two states' ranges, whose
 orthonormal rows come with the local ranks from one ``tensor.unfolding_svds``
 call (``_ranks_and_ranges``); ``find_product_vectors`` decides the orthonormal
 basis of a user's subspace (``MatrixSubspace.ortho``) as a stack of one.
-k = 1, 2 and 3 are decided exactly (``_exact``), k = 2 and 3 in a generic
-unitary chart whose infinity is left to the search: k = 2 from the zeros of
-each pencil's largest minor form (``_pencil_zeros``), k = 3 from two generic
-combinations of the minor quadrics through a resultant quartic
-(``_chart_zeros``), the whole stack's from one companion eigensolve, and its
-candidates through one rank-1 screen and one batched polish and check
-(``_accept``).  The k = 2 chart, and the k = 3 chart and combinations of
-each shape, are drawn once, so only the search depends on ``seed``: k >= 4,
-and a subspace the screen leaves undecided, go to a seeded multi-start
-Levenberg-Marquardt search, a lower bound, never an exact count.  Every minor
-form comes from one kernel (``_minor_quadrics``) and every minor value from
-another (``_all_minors``), both over the gathered entries of ``_minor_entries``.
+k = 1, 2 and 3 are decided exactly (``_exact``): k = 1 as the single
+candidate c = (1), k = 2 and 3 in a generic unitary chart whose infinity is
+left to the search, k = 2 from the zeros of each pencil's largest minor form
+(``_pencil_zeros``), k = 3 from two generic combinations of the minor
+quadrics through a resultant quartic (``_chart_zeros``), the whole stack's
+from one companion eigensolve, and its candidates through one rank-1 screen
+and one batched polish and check (``_accept``).  The k = 2 chart, and the
+k = 3 chart and combinations of each shape, are drawn once, so only the
+search depends on ``seed``: k >= 4, and a subspace the screen leaves
+undecided, go to a seeded multi-start Levenberg-Marquardt search, a lower
+bound, never an exact count.  Every minor, form or value, is read from the
+complex quadrics A_i of ``_minor_quadrics`` at a candidate's coordinates:
+the minors of its unit member are q_i(c) / |c|^2 = c^T A_i c / |c|^2
+(``_minor_values``), since |member| = |c| in an orthonormal basis.
 """
 
 from __future__ import annotations
@@ -145,40 +147,28 @@ def _minor_entries(mats) -> np.ndarray:
     return mats.reshape(*mats.shape[:-2], m * n)[..., _minor_index(m, n)]
 
 
-def _cmul(x, y) -> np.ndarray:
-    """Elementwise complex product, bit-identical to numpy's scalar product.
-
-    Numpy's vectorised complex multiply may fuse multiply-adds, so it can
-    differ in the last bit from ``x[i] * y[i]`` depending on the array length;
-    rounding each real product and sum on its own, as the scalar product
-    does, makes every minor bit-identical to a per-minor scalar loop.
-    """
-    out = np.empty(x.shape, dtype=complex)
-    out.real = x.real * y.real - x.imag * y.imag
-    out.imag = x.real * y.imag + x.imag * y.real
-    return out
+def _minor_values(quads, coords) -> np.ndarray:
+    """Minors q_i(c) / |c|^2 of the unit members at coordinates ``coords``
+    (..., k), from the quadrics ``quads`` (..., minor count, k, k) of their
+    orthonormal bases; shape (..., minor count)."""
+    c = (coords * (1.0 / np.linalg.norm(coords, axis=-1, keepdims=True)))[..., None, :, None]
+    return (np.swapaxes(c, -1, -2) @ quads @ c)[..., 0, 0]
 
 
-def _all_minors(mats) -> np.ndarray:
-    """Every 2x2 minor of each matrix in a stack (..., m, n), in
-    ``_minor_index`` order; shape (..., minor count)."""
-    e = _minor_entries(mats)
-    return _cmul(e[..., 0, :], e[..., 1, :]) - _cmul(e[..., 2, :], e[..., 3, :])
-
-
-def _accept(orthos, owner, coeffs, tol) -> list:
+def _accept(orthos, quads, owner, coeffs, tol) -> list:
     """Polish candidates and keep those that are genuine rank-1 members.
 
     ``coeffs[i]`` are coordinates in the basis ``orthos[owner[i]]`` of a
-    stack (count, k, m, n) of orthonormal bases.  A round is one batched SVD
-    of the unit members; each member whose second singular value is above
-    1e-14 of its first is truncated to rank 1 and projected back onto its
-    subspace by the conjugate basis, at most 4 times.  A zero member is
-    dropped: the basis is orthonormal, so only zero coordinates give one.
-    On the final SVD, every minor must be at most ``tol`` (which enforces a
-    ``tol`` below ``RECONSTRUCT_TOL``) and the unit member within
-    ``RECONSTRUCT_TOL`` of its rank-1 part.  Returns (u, v, unit member) or
-    None per candidate.
+    stack (count, k, m, n) of orthonormal bases, whose minor quadrics are
+    ``quads`` (count, minor count, k, k).  A round is one batched SVD of the
+    unit members; each member whose second singular value is above 1e-14 of
+    its first is truncated to rank 1 and projected back onto its subspace by
+    the conjugate basis, at most 4 times.  A zero member is dropped: the
+    basis is orthonormal, so only zero coordinates give one.  At the final
+    coordinates, every minor ``_minor_values`` reads must be at most ``tol``
+    (which enforces a ``tol`` below ``RECONSTRUCT_TOL``), and on the final
+    SVD the unit member must be within ``RECONSTRUCT_TOL`` of its rank-1
+    part.  Returns (u, v, unit member) or None per candidate.
     """
     if len(owner) == 0:
         return []
@@ -192,7 +182,7 @@ def _accept(orthos, owner, coeffs, tol) -> list:
         members = (c[idx, None] @ bases[idx])[:, 0]
         norms = np.linalg.norm(members, axis=1)
         ok = norms > 0.0
-        units[idx[~ok]] = np.nan  # fails both checks
+        c[idx[~ok]] = np.nan  # fails the minor check
         idx = idx[ok]
         units[idx] = (members[ok] / norms[ok, None]).reshape(-1, m, n)
         uu, ss, vh = np.linalg.svd(units[idx], full_matrices=False)
@@ -202,7 +192,7 @@ def _accept(orthos, owner, coeffs, tol) -> list:
             break
         rank1 = (u[idx, :, None] * v[idx, None, :]).reshape(-1, m * n, 1)
         c[idx] = (bases[idx].conj() @ rank1)[:, :, 0]
-    good = ((np.max(np.abs(_all_minors(units)), axis=1, initial=0.0) <= tol)
+    good = ((np.max(np.abs(_minor_values(quads[owner], c)), axis=1, initial=0.0) <= tol)
             & (np.linalg.norm(u[:, :, None] * v[:, None, :] - units, axis=(1, 2))
                <= RECONSTRUCT_TOL))
     return [(u[i], v[i], units[i]) if good[i] else None for i in range(len(c))]
@@ -219,21 +209,22 @@ def find_product_vectors(space: MatrixSubspace, tol: float = MINOR_TOL,
     """Find rank-1 members of a matrix subspace, decided in its orthonormal
     basis ``space.ortho`` as a stack of one.
 
-    k = 1: the basis matrix either is rank 1 or is not.  k = 2: candidates
+    k = 1: the single candidate c = (1), the basis matrix.  k = 2: candidates
     are the zeros of the largest minor form of the orthonormal pencil in a
     fixed generic chart, from one companion eigensolve, or a continuum
     when every minor vanishes.  k = 3: the at most 4 common zeros of two
     generic combinations of the minor quadrics, drawn with their chart once
     per shape, the roots of their resultant quartic from one companion
-    eigensolve for the whole stack.  Both are exact only if one screen
+    eigensolve for the whole stack.  Each is exact only if one screen
     decides every candidate (``_exact``), on unit-norm members, so the
     count does not depend on the scale of the basis.  k >= 4, and an
-    undecided k = 2 or 3 subspace: multi-start Levenberg-Marquardt on the
+    undecided subspace of k <= 3: multi-start Levenberg-Marquardt on the
     normalised minor equations, a lower bound, the only step ``seed``
     drives.  Every candidate is polished by rank-1 truncation and
-    projection in one batched ``_accept``, and kept only if its minors are
-    below ``tol`` and it reconstructs as an outer product.  Raises
-    ValueError for a NaN or negative ``tol`` or negative ``starts``.
+    projection in one batched ``_accept``, and kept only if its minors,
+    read from the minor quadrics at its coordinates, are below ``tol`` and
+    it reconstructs as an outer product.  Raises ValueError for a NaN or
+    negative ``tol`` or negative ``starts``.
     """
     _check_args(tol, starts)
     [report] = _reports(space.ortho.reshape(1, space.dim, space.m, space.n), tol, starts, seed)
@@ -270,14 +261,6 @@ def _report(cands, exactness, continuum=False, detail="") -> ProductVectorReport
     )
 
 
-def _exact_k1(b_hat, tol):
-    """Report of the span of one unit matrix ``b_hat`` (m, n)."""
-    if np.max(np.abs(_all_minors(b_hat)), initial=0.0) <= tol:
-        uu, ss, vh = np.linalg.svd(b_hat)
-        return _report([(uu[:, 0] * ss[0], vh[0], b_hat)], "Exact")
-    return _report([], "Exact", detail="single basis matrix has rank >= 2")
-
-
 # members x*B1 + y*B2 sampled from a pencil whose every member is rank <= 1
 _PENCIL_SAMPLES = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0], [1.0, 1.0j]])
 
@@ -286,41 +269,41 @@ def _exact(orthos, tol) -> list:
     """Per orthonormal basis of a stack (count, k, m, n), its exact report,
     or None where only the search can decide.
 
-    k = 2 and 3 get coordinates that include every rank-1 member, or None
-    where a zero lies at a chart's infinity: ``_pencil_zeros`` of the
-    largest minor form of the pencil (largest entry modulus), or
-    ``_k3_points``.  One minor
-    evaluation discards those with a minor above max(tol, margin), and one
-    ``_accept`` takes the rest; a count is exact only if each candidate is
-    discarded or accepted.  A pencil whose every member is rank <= 1 reports
-    its accepted ``_PENCIL_SAMPLES`` as a lower bound and a continuum.
+    The minor quadrics of the stack are built once.  k = 1 has the single
+    candidate c = (1), the basis matrix itself; k = 2 and 3 get coordinates
+    that include every rank-1 member, or None where a zero lies at a chart's
+    infinity: ``_pencil_zeros`` of the largest minor form of the pencil
+    (largest entry modulus), or ``_k3_points``.  One ``_minor_values`` call
+    discards those with a minor above max(tol, margin), and one ``_accept``
+    takes the rest; a count is exact only if each candidate is discarded or
+    accepted.  A k = 1 candidate carries no root-finding error, so its
+    margin is 0.  A pencil whose every member is rank <= 1 reports its
+    accepted ``_PENCIL_SAMPLES`` as a lower bound and a continuum.
     """
     count, k, m, n = orthos.shape
-    if k == 1:
-        return [_exact_k1(ortho[0], tol) for ortho in orthos]
     if k > 3:
         return [None] * count
-    if k == 2:
-        quads = _minor_quadrics(orthos).reshape(count, -1, 4)
-        if not quads.shape[1]:  # a 1 x n or m x 1 pencil has no 2x2 minor
-            quads = np.zeros((count, 1, 4), dtype=complex)
-        largest = np.argmax(np.max(np.abs(quads), axis=2), axis=1)
-        points = _pencil_zeros(quads[np.arange(count), largest])
+    quads = _minor_quadrics(orthos)
+    if k == 1:
+        points = [np.ones((1, 1), dtype=complex)] * count
+        margin, detail = 0.0, ""
+    elif k == 2:
+        # a 1 x n or m x 1 pencil has no 2x2 minor: its form is zero
+        forms = quads if quads.shape[1] else np.zeros((count, 1, 2, 2), dtype=complex)
+        largest = np.argmax(np.max(np.abs(forms.reshape(count, -1, 4)), axis=2), axis=1)
+        points = _pencil_zeros(forms[np.arange(count), largest])
         margin, detail = PENCIL_REJECT_MARGIN, ""
     else:
-        points = _k3_points(orthos)
+        points = _k3_points(quads, m, n)
         margin, detail = REJECT_MARGIN, "common zeros of two minor quadrics"
     decided = [i for i, p in enumerate(points) if p is not None]
     if not decided:
         return [None] * count
     owner = np.repeat(decided, [len(points[i]) for i in decided])
     coords = np.concatenate([points[i] for i in decided])
-    flat = orthos.reshape(count, k, m * n)
-    members = np.concatenate([points[i] @ flat[i] for i in decided])
-    units = members / np.linalg.norm(members, axis=1, keepdims=True)
-    peaks = np.max(np.abs(_all_minors(units.reshape(-1, m, n))), axis=1, initial=0.0)
+    peaks = np.max(np.abs(_minor_values(quads[owner], coords)), axis=1, initial=0.0)
     owner, coords = owner[peaks <= max(tol, margin)], coords[peaks <= max(tol, margin)]
-    accepted = _accept(orthos, owner, coords, tol)
+    accepted = _accept(orthos, quads, owner, coords, tol)
     reports = [None] * count
     for i in decided:
         cands = [accepted[j] for j in np.flatnonzero(owner == i)]
@@ -337,7 +320,7 @@ def _minor_quadrics(basis) -> np.ndarray:
 
     The minors of M(c) = sum_j c_j B_j are q_i(c) = c^T A_i c with
     A_i = sym(B_a[:, i] B_d[:, i]^T - B_b[:, i] B_c[:, i]^T), where B_a .. B_c
-    are the kernel's gathered entries of the basis (..., k, m, n).  Shape
+    are the ``_minor_entries`` of the basis (..., k, m, n).  Shape
     (..., count, k, k).
     """
     e = np.swapaxes(_minor_entries(basis), -3, -1)  # (..., count, 4, k)
@@ -346,36 +329,28 @@ def _minor_quadrics(basis) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
-def _minor_form(basis) -> np.ndarray:
-    """Real quadratic forms of the minors of a member, one per residual row.
-
-    With the A_i of ``_minor_quadrics`` and x = [Re c, Im c],
-    Re q_i = x^T T_i x and Im q_i = x^T T_{count+i} x with the symmetric
-    blocks below.  Shape (2 * count, 2k, 2k).
-    """
-    a = _minor_quadrics(basis)
-    ar, ai = a.real, a.imag
-    return np.block([[[ar, -ai], [-ai, -ar]], [[ai, ar], [ar, -ai]]])
-
-
-def _minor_residual(x, form):
+def _minor_residual(x, quads):
     """Residual of the normalised-minor equations and its real Jacobian.
 
-    With c = x[:k] + i x[k:], s = |x|^2 and ``form`` from ``_minor_form``,
-    the residual is [Re, Im](q(c) / s), |c| - 1.  The minors q are quadratic
-    and holomorphic in c, so row i has the gradient 2 T_i x / s - 2 (q_i / s) x / s:
-    the real form of D_j / s - 2 q Re c_j / s^2 (and i D_j / s - 2 q Im c_j / s^2)
-    with D_j = dq/dc_j.  Returns (residual, jacobian).
+    x holds c with (Re c_j, Im c_j) interleaved (``c.view(float)``),
+    s = |x|^2, and ``quads`` (minor count, k, k) are the minor quadrics.
+    The residual is [Re, Im](q(c) / s), |c| - 1.  The minors
+    q_i(c) = c^T A_i c are holomorphic with dq_i/dc = 2 A_i c, so the real
+    gradients of Re q_i and Im q_i are twice the Cauchy-Riemann rows
+    [Re, -Im] and [Im, Re] of A_i c; in x's interleaved order these are the
+    float views of conj(A_i c) and i conj(A_i c).  Each Jacobian row is its
+    gradient / s less 2 (q_i / s) x / s.  Returns (residual, jacobian).
     """
-    rows, n2, _ = form.shape
+    size, k, _ = quads.shape
     s = x @ x
     if s < 1e-24:
-        return np.full(rows + 1, 1.0), np.zeros((rows + 1, n2))
+        return np.full(2 * size + 1, 1.0), np.zeros((2 * size + 1, 2 * k))
     norm = np.sqrt(s)
-    tx = form @ x
-    res = (tx @ x) / s
-    jac = np.empty((rows + 1, n2))
-    jac[:-1] = (tx - res[:, None] * x) * (2.0 / s)
+    d = (quads @ x.view(complex)).conj()
+    rows = np.concatenate([d, 1j * d]).view(float)
+    res = (rows @ x) / s
+    jac = np.empty((2 * size + 1, 2 * k))
+    jac[:-1] = (rows - res[:, None] * x) * (2.0 / s)
     jac[-1] = x / norm
     return np.concatenate([res, [norm - 1.0]]), jac
 
@@ -419,9 +394,10 @@ def _k3_chart(m: int, n: int) -> tuple:
     return mix, h
 
 
-def _k3_points(orthos) -> list:
-    """Candidates for every rank-1 member of each 3-dimensional subspace of
-    a stack (count, 3, m, n) of orthonormal bases, or None if undecided.
+def _k3_points(quads, m, n) -> list:
+    """Candidates for every rank-1 member of each 3-dimensional m x n
+    subspace of a stack, from the minor quadrics ``quads`` (count, minor
+    count, 3, 3) of its orthonormal bases, or None if undecided.
 
     The rank-1 members are the common zeros on P^2 of the minor quadrics
     q_i(c) = c^T A_i c.  Two generic combinations Q_a, Q_b of them meet in
@@ -435,8 +411,7 @@ def _k3_points(orthos) -> list:
     The combinations and H are drawn once per shape (m, n) (``_k3_chart``),
     so the count does not depend on the search's seed.
     """
-    count, _, m, n = orthos.shape
-    quads = _minor_quadrics(orthos)
+    count = len(quads)
     mix, h = _k3_chart(m, n)
     # Q_a, Q_b of each subspace in the w coordinates, shape (count, 2, 3, 3)
     qs = h.T @ (mix @ quads.reshape(count, -1, 9)).reshape(count, 2, 3, 3) @ h
@@ -504,23 +479,24 @@ def _chart_zeros(qs, h) -> list:
 
 def _search(ortho, tol, starts, seed):
     """Multi-start search in the coordinates of an orthonormal basis
-    (k, m, n), so its residuals do not depend on the scale of the subspace;
-    the end points go to ``_accept`` as the coordinates they are."""
+    (k, m, n), so its residuals do not depend on the scale of the subspace.
+    The minor quadrics are built once; each start's residual rows come from
+    them (``_minor_residual``), and the end points go to ``_accept`` as the
+    coordinates they are."""
     k, m, n = ortho.shape
-    form = _minor_form(ortho)
+    quads = _minor_quadrics(ortho)
     ends = []
     root_seq = np.random.SeedSequence([seed, m, n, k])
     for child in root_seq.spawn(starts):
         rng = np.random.default_rng(child)
         c0 = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         c0 /= np.linalg.norm(c0)
-        x0 = np.concatenate([c0.real, c0.imag])
-        sol = least_squares(lambda x: _minor_residual(x, form)[0], x0,
-                            jac=lambda x: _minor_residual(x, form)[1], max_nfev=2000)
-        ends.append(sol.x[:k] + 1j * sol.x[k:])
+        sol = least_squares(lambda x: _minor_residual(x, quads)[0], c0.view(float),
+                            jac=lambda x: _minor_residual(x, quads)[1], max_nfev=2000)
+        ends.append(sol.x.view(complex))
     ends = np.array(ends).reshape(-1, k)
-    return _report(_accept(ortho[None], np.zeros(len(ends), dtype=int), ends, tol), "LowerBound",
-                   detail=f"multi-start search with {starts} starts")
+    return _report(_accept(ortho[None], quads[None], np.zeros(len(ends), dtype=int), ends, tol),
+                   "LowerBound", detail=f"multi-start search with {starts} starts")
 
 
 # --- range criterion ----------------------------------------------------------

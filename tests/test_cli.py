@@ -1,5 +1,6 @@
 """Tests for the command-line interface: behavior, exit codes, determinism."""
 
+import io
 import json
 import subprocess
 import sys
@@ -142,6 +143,18 @@ def test_product_count_w(capsys):
     assert doc["exactness"] == "Exact"
 
 
+@pytest.mark.parametrize("ket,dims,lines", [
+    ("|000>+|111>", "2,2,2", ["independent product vectors: 2", "exactness: Exact"]),
+    # a 1 x 4 pencil: every member is a product vector
+    ("|000>+|101>", "2,1,4", ["independent product vectors: 2",
+                              "exactness: LowerBound (continuum)"]),
+])
+def test_product_count_text(ket, dims, lines, capsys):
+    code, out = run_cli(["product-count", "--ket", ket, "--dims", dims, "--traced", "A"], capsys)
+    assert code == 0
+    assert out.splitlines() == lines
+
+
 def test_range_compare_ghz_w(tmp_path, capsys):
     p1, p2 = tmp_path / "ghz.json", tmp_path / "w.json"
     p1.write_text(s.tensor_to_json(s.ghz_state()))
@@ -242,6 +255,14 @@ def test_catalog_commands(capsys):
     np.testing.assert_array_equal(s.tensor_from_json(out), s.w_state())
 
 
+def test_catalog_get_text(capsys):
+    code, out = run_cli(["catalog", "get", "ghz", "--output", "text"], capsys)
+    assert code == 0
+    entry = s.catalog_get("ghz")
+    assert out.splitlines() == ["id: 2x2x2-1", "system: (2, 2, 2)", "ket: |000>+|111>",
+                                f"rank_note: {entry.rank_note}"]
+
+
 @pytest.mark.parametrize("action", ["get", "build"])
 def test_catalog_unknown_id_is_a_usage_error(action, capsys):
     code = main(["catalog", action, "nope"])
@@ -259,6 +280,42 @@ def test_lhrgm_command(capsys):
     )
     assert code == 0
     assert out.strip() == "|000>+|011>+|022>+|122>"
+
+
+def test_lhrgm_omega1_base_ket_dims(capsys):
+    """An omega1 base has dims (2, m - 1, n - 2)."""
+    code, out = run_cli(
+        ["lhrgm", "--kind", "omega1", "--m", "3", "--n", "4", "--base-ket", "|000>+|111>"],
+        capsys,
+    )
+    assert code == 0
+    assert out.strip() == "|000>+|023>+|111>+|122>"
+
+
+def test_lhrgm_base_file(tmp_path, capsys):
+    path = tmp_path / "base.json"
+    path.write_text(s.tensor_to_json(s.parse_ket("|000>+|011>", (2, 2, 2))))
+    code, out = run_cli(
+        ["lhrgm", "--kind", "omega0", "--m", "3", "--n", "3", "--base-file", str(path)], capsys)
+    assert code == 0
+    assert out.strip() == "|000>+|011>+|022>+|122>"
+
+
+def test_print_reads_stdin(monkeypatch, capsys):
+    t = s.parse_ket("|000>-2|111>", (2, 2, 2))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(s.tensor_to_json(t)))
+    code, out = run_cli(["print", "-"], capsys)
+    assert code == 0
+    assert out.strip() == "|000>-2|111>"
+
+
+@pytest.mark.parametrize("dims", ["2,x,2", "2,2"])
+def test_bad_dims_are_a_format_error(dims, capsys):
+    code = main(["parse", "--ket", "|000>", "--dims", dims])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"format error: bad dims {dims!r}")
 
 
 def test_build335_command(capsys):

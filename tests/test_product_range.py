@@ -21,10 +21,9 @@ from slocc3.product_range import (
     RECONSTRUCT_TOL,
     RESULTANT_ZERO_TOL,
     MatrixSubspace,
-    _all_minors,
     _chart_zeros,
-    _minor_form,
     _minor_quadrics,
+    _minor_values,
     _accept,
     _exact,
     _minor_residual,
@@ -34,7 +33,7 @@ from slocc3.product_range import (
     _search,
 )
 
-# the per-minor loops the vectorised kernel replaced, kept as references
+# the per-minor loop the quadric minor values replaced, kept as their reference
 
 
 def _all_minors_loop(mat) -> np.ndarray:
@@ -68,24 +67,24 @@ def _in_span(space, mat) -> float:
 KERNEL_SHAPES = [(1, 4), (4, 1), (2, 2), (3, 3), (3, 4), (4, 3), (2, 6)]
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("shape", KERNEL_SHAPES)
-def test_minor_kernel_matches_loop_exactly(shape):
-    rng = np.random.default_rng(sum(shape))
+def test_quadric_minor_values_match_loop(shape, k):
+    """The minors q_i(c) / |c|^2 read from the minor quadrics are those of
+    the member at the unit coordinates c / |c|, in one call over a stack of
+    three bases with candidates assigned to them by owner."""
+    rng = np.random.default_rng(10 * sum(shape) + k)
     count = (shape[0] * (shape[0] - 1) // 2) * (shape[1] * (shape[1] - 1) // 2)
-    for _ in range(20):
-        mat = _random_complex(rng, shape)
-        got, ref = _all_minors(mat), _all_minors_loop(mat)
-        assert got.shape == ref.shape == (count,)
-        assert (got == ref).all()
-
-
-def test_minor_kernel_on_a_stack_matches_each_matrix_exactly():
-    rng = np.random.default_rng(5)
-    for shape in KERNEL_SHAPES:
-        mats = _random_complex(rng, (2, 3) + shape)
-        got = _all_minors(mats)
-        for i, j in np.ndindex(2, 3):
-            assert (got[i, j] == _all_minors(mats[i, j])).all()
+    bases = _random_complex(rng, (3, k) + shape)
+    quads = _minor_quadrics(bases)
+    assert quads.shape == (3, count, k, k)
+    owner = rng.integers(0, 3, 20)
+    coords = _random_complex(rng, (20, k))
+    stacked = _minor_values(quads[owner], coords)
+    assert stacked.shape == (20, count)
+    for got, i, c in zip(stacked, owner, coords):
+        ref = _all_minors_loop(np.tensordot(c / np.linalg.norm(c), bases[i], 1))
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max(initial=0.0))
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 3)])
@@ -139,19 +138,20 @@ def test_subspace_rejects_dependent_bases():
 def test_minor_residual_and_jacobian(m, n, k):
     rng = np.random.default_rng(m * 100 + n * 10 + k)
     basis = _random_complex(rng, (k, m, n))
-    form = _minor_form(basis)
+    quads = _minor_quadrics(basis)
     h = 1e-6
     for _ in range(5):
         x = rng.standard_normal(2 * k)
-        res, jac = _minor_residual(x, form)
-        # the residual is the minors of the normalised member, then |c| - 1
-        c = x[:k] + 1j * x[k:]
+        res, jac = _minor_residual(x, quads)
+        # the residual is the minors of the normalised member, then |c| - 1;
+        # x interleaves the real and imaginary parts of c
+        c = x[::2] + 1j * x[1::2]
         minors = _all_minors_loop(np.tensordot(c / np.linalg.norm(c), basis, 1))
         expect = np.concatenate([minors.real, minors.imag, [np.linalg.norm(c) - 1.0]])
         np.testing.assert_allclose(res, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
         fd = np.stack(
             [
-                (_minor_residual(x + h * e, form)[0] - _minor_residual(x - h * e, form)[0])
+                (_minor_residual(x + h * e, quads)[0] - _minor_residual(x - h * e, quads)[0])
                 / (2 * h)
                 for e in np.eye(2 * k)
             ],
@@ -186,6 +186,21 @@ def test_k1_full_rank_basis_has_none():
     report = s.find_product_vectors(space)
     assert report.exactness == "Exact"
     assert report.independent_count == 0
+
+
+@pytest.mark.parametrize("second, count, exactness", [
+    (1e-9, 1, "Exact"), (5e-8, 0, "LowerBound"), (2e-7, 0, "Exact")])
+def test_k1_candidate_passes_the_same_checks(second, count, exactness):
+    """k = 1 is the single candidate c = (1) of the screen and ``_accept``:
+    diag(1, 1e-9) is accepted; diag(1, 5e-8) has its minor below tol but is
+    5e-8 from rank 1, beyond ``RECONSTRUCT_TOL``, so it is neither accepted
+    nor discarded and only the search's lower bound, with no vector,
+    remains; diag(1, 2e-7) has its minor above tol and is discarded."""
+    report = s.find_product_vectors(MatrixSubspace(2, 2, [np.diag([1.0, second])]))
+    assert (report.independent_count, report.exactness) == (count, exactness)
+    assert len(report.vectors) == count
+    if exactness == "LowerBound":
+        assert "multi-start search" in report.detail
 
 
 def test_ghz_range_has_two_product_vectors():
@@ -233,12 +248,23 @@ def test_accept_candidate_minor_check_enforces_caller_tol():
     so only the minor check rejects it at a tol below its 1e-10 minor."""
     space = MatrixSubspace(2, 2, [np.diag([1.0, 1e-10])])
     coords = [space.ortho.conj() @ space.stack[0]]  # of the basis matrix itself
-    assert _accept(_orthos(space), [0], coords, 1e-12) == [None]
-    [accepted] = _accept(_orthos(space), [0], coords, MINOR_TOL)
+    orthos = _orthos(space)
+    assert _accept(orthos, _minor_quadrics(orthos), [0], coords, 1e-12) == [None]
+    [accepted] = _accept(orthos, _minor_quadrics(orthos), [0], coords, MINOR_TOL)
     assert accepted is not None
     u, v, m_hat = accepted
     np.testing.assert_allclose(m_hat, np.diag([1.0, 1e-10]), rtol=0, atol=1e-15)
     assert np.linalg.norm(np.outer(u, v) - m_hat) <= RECONSTRUCT_TOL
+
+
+def test_accept_drops_zero_coordinates():
+    """Zero coordinates give a zero member, which is dropped without a
+    RuntimeWarning; a rank-1 member beside it is still accepted."""
+    space = MatrixSubspace(3, 3, [np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])])
+    orthos = _orthos(space)
+    coords = [np.zeros(2), space.ortho.conj() @ space.stack[0]]
+    zero, rank1 = _accept(orthos, _minor_quadrics(orthos), [0, 0], coords, MINOR_TOL)
+    assert zero is None and rank1 is not None
 
 
 def _accept_candidate_loop(space, coeffs, tol):
@@ -262,7 +288,7 @@ def _accept_candidate_loop(space, coeffs, tol):
     if np.linalg.norm(m) < 1e-12:
         return None
     m_hat = m / np.linalg.norm(m)
-    if np.max(np.abs(_all_minors(m_hat)), initial=0.0) > tol:
+    if np.max(np.abs(_all_minors_loop(m_hat)), initial=0.0) > tol:
         return None
     uu, ss, vh = np.linalg.svd(m_hat)
     u, v = uu[:, 0] * ss[0], vh[0]
@@ -276,9 +302,9 @@ def _recorded_accept(monkeypatch):
     calls = []
     real = pr._accept
 
-    def recording(orthos, owner, coeffs, tol):
+    def recording(orthos, quads, owner, coeffs, tol):
         calls.append((orthos, np.asarray(owner), np.asarray(coeffs), tol))
-        return real(orthos, owner, coeffs, tol)
+        return real(orthos, quads, owner, coeffs, tol)
 
     monkeypatch.setattr(pr, "_accept", recording)
     return calls
@@ -399,7 +425,7 @@ def test_reported_vectors_satisfy_minors_and_reconstruct():
         for u, v in report.vectors:
             m = np.outer(u, v)
             m_hat = m / np.linalg.norm(m)
-            minors = _all_minors(m_hat)
+            minors = _all_minors_loop(m_hat)
             assert np.max(np.abs(minors)) < 1e-7
 
 
@@ -438,7 +464,7 @@ def _check_range_vectors(t, report) -> int:
     for u, v in report.vectors:
         m = np.outer(u, v)
         m_hat = m / np.linalg.norm(m)
-        assert np.max(np.abs(_all_minors(m_hat))) <= MINOR_TOL
+        assert np.max(np.abs(_all_minors_loop(m_hat))) <= MINOR_TOL
         # the product vector lies in the range it was found in
         vec = m_hat.ravel()
         assert np.linalg.norm(rng_basis @ (rng_basis.conj().T @ vec) - vec) <= RECONSTRUCT_TOL
@@ -558,6 +584,18 @@ def test_range_count_at_extreme_scales(name, exponent):
         base.independent_count, base.exactness)
 
 
+def test_party_index_accepts_names_and_indices():
+    """0, 1 and 2 name the parties A, B and C; any other name or index is
+    refused."""
+    t = s.catalog_build("2x3x4-4")
+    for index, name in enumerate("ABC"):
+        assert (s.range_product_count(t, index).to_json()
+                == s.range_product_count(t, name).to_json())
+    for party in ("D", 3):
+        with pytest.raises(ValueError, match="party"):
+            s.range_product_count(t, party)
+
+
 def test_range_count_of_zero_tensor_raises():
     with pytest.raises(ValueError):
         s.range_product_count(np.zeros((2, 2, 2)), "A")
@@ -634,7 +672,7 @@ def test_exact_k3_counts(name, space, count):
     for u, v in report.vectors:
         m = np.outer(u, v)
         m_hat = m / np.linalg.norm(m)
-        assert np.max(np.abs(_all_minors(m_hat))) <= MINOR_TOL
+        assert np.max(np.abs(_all_minors_loop(m_hat))) <= MINOR_TOL
         assert _in_span(space, m_hat) <= RECONSTRUCT_TOL
 
 

@@ -2,6 +2,8 @@
 
 import contextlib
 import dataclasses
+import itertools
+import json
 import math
 import os
 import subprocess
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slocc3 as s
-from slocc3 import rank
+from slocc3 import cli, rank
 from slocc3.tensor import ldexp, unfolding_svds, unit_exponent
 
 
@@ -149,6 +151,19 @@ def test_cp_als_refuses_a_bad_tol(tol, monkeypatch):
         s.cp_als(s.ghz_state(), 1, tol=tol)
 
 
+def test_cp_als_on_the_zero_tensor_succeeds_with_zero_factors():
+    res = s.cp_als(s.zero_tensor((2, 3, 4)), 2)
+    assert (res.success, res.rank, res.residual, res.detail) == (True, 2, 0.0, "zero tensor")
+    assert [f.shape for f in res.factors] == [(2, 2), (3, 2), (4, 2)]
+    assert not np.any(res.reconstruct())
+
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_cp_als_refuses_a_rank_below_one(r):
+    with pytest.raises(ValueError, match="at least 1"):
+        s.cp_als(s.ghz_state(), r)
+
+
 @pytest.mark.parametrize("tol", [np.nan, -1e-8, np.inf])
 def test_rank_interval_refuses_a_bad_tol(tol, monkeypatch):
     """Once, tol=nan ran every R and returned [3, 9] for the 3x3x3 diagonal
@@ -255,6 +270,39 @@ def test_classify_2mn_slocc_invariance():
         assert res.matched and res.entry.id == "2x2x2-2"
 
 
+def test_classify_2mn_reports_no_match(monkeypatch, capsys):
+    """A signature that no table row carries gives NoMatch, with a detail,
+    and the CLI prints it and exits 0."""
+    rank._signature_table()  # built from the real signatures first
+    monkeypatch.setattr(rank, "_entry_signature", lambda t: ((2, 2, 2), ("no such row",)))
+    res = s.classify_2mn(s.ghz_state())
+    assert not res.matched and res.entry is None
+    assert res.compressed_dims == (2, 2, 2) and res.detail
+    assert json.loads(res.to_json())["entry"] is None
+    assert cli.main(["classify2mn", "--ket", "|000>+|111>", "--dims", "2,2,2"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "class: NoMatch"
+
+
+def _levi_civita() -> np.ndarray:
+    t = np.zeros((3, 3, 3))
+    for i, j, k in itertools.permutations(range(3)):
+        t[i, j, k] = np.linalg.det(np.eye(3)[[i, j, k]])
+    return t
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+def test_strassen_bound_refuses_a_singular_middle_slice(seed):
+    """Every slice combination of the Levi-Civita tensor (and of its images)
+    is skew-symmetric up to the maps, so singular in dimension 3: Strassen's
+    bound is refused at every mode and the local ranks bound the rank."""
+    t = _levi_civita()
+    if seed is not None:
+        t = s.apply_slocc(t, *s.random_slocc(t.shape, seed, cond_bound=100))
+    for mode in range(3):
+        assert rank._strassen_bound(np.asarray(t, dtype=complex), mode) is None
+    assert s.rank_lower_bound(t) == (3, "LocalRank")
+
+
 def test_classify_2mn_rejects_out_of_range():
     with pytest.raises(ValueError):
         s.classify_2mn(np.zeros((3, 3, 3), dtype=complex))
@@ -265,8 +313,6 @@ def test_classify_2mn_rejects_out_of_range():
 
 
 def test_rank_interval_json_has_certificates():
-    import json
-
     doc = json.loads(s.rank_interval(s.ghz_state()).to_json())
     assert doc["lower"] == 2 and doc["upper"] == 2
     assert "factors" in doc["certificate_upper"]
